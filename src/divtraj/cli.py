@@ -140,7 +140,7 @@ def cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else int(model["seed"])
     kernel_block = dict(model["train_config"].get("kernel", {}))
     kernel_block["base_quality"] = args.omega
-    kernel_block.setdefault("latent_dim", model["n_z"])
+    kernel_block["latent_dim"] = model["n_z"]  # the kernel's latents are the model's codes
     kcfg = KernelConfig(**kernel_block)
     records = []
     map_sizes = Counter()

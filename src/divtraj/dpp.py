@@ -94,6 +94,17 @@ class DppKernel:
         return self.L.shape[0]
 
 
+def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x``: (..., N, F) -> (..., N, N)."""
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+
+
+def _rbf_similarity(items: np.ndarray, sim_scale: float) -> np.ndarray:
+    # finite items have d^2(x, x) = 0 exactly, so the diagonal is exp(0) = 1
+    return np.exp(-sim_scale * _pairwise_sq_dists(items))
+
+
 def build_similarity(items, sim_scale: float) -> np.ndarray:
     """RBF similarity S_ij = exp(-sim_scale * d^2(x_i, x_j)), unit diagonal."""
     if sim_scale <= 0:
@@ -101,11 +112,7 @@ def build_similarity(items, sim_scale: float) -> np.ndarray:
     items = np.atleast_2d(np.asarray(items, dtype=float))
     if not np.all(np.isfinite(items)):
         raise ValueError("items contain non-finite entries")
-    diff = items[:, None, :] - items[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    s = np.exp(-sim_scale * d2)
-    np.fill_diagonal(s, 1.0)
-    return s
+    return _rbf_similarity(items, sim_scale)
 
 
 def quality_radius(latent_dim: int, rho: float) -> float:
@@ -122,6 +129,11 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     return float(np.sqrt(2.0 * gammaincinv(latent_dim / 2.0, rho)))
 
 
+def _latent_quality(latents: np.ndarray, radius_sq: float, omega: float) -> np.ndarray:
+    sq_norms = np.einsum("...i,...i->...", latents, latents)
+    return np.where(sq_norms <= radius_sq, omega, omega * np.exp(-(sq_norms - radius_sq)))
+
+
 def build_quality(latents, config: KernelConfig) -> np.ndarray:
     """Latent-space quality: flat at the base value inside the sphere,
     exponentially decaying outside; continuous at the boundary."""
@@ -130,29 +142,56 @@ def build_quality(latents, config: KernelConfig) -> np.ndarray:
         raise ValueError(
             f"latent dim mismatch: got {latents.shape[1]}, config has {config.latent_dim}"
         )
-    sq_norms = np.einsum("ij,ij->i", latents, latents)
-    r2 = config.radius**2
-    omega = config.base_quality
-    return np.where(sq_norms <= r2, omega, omega * np.exp(-(sq_norms - r2)))
+    return _latent_quality(latents, config.radius**2, config.base_quality)
+
+
+def _l_ensemble(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return r[..., :, None] * s * r[..., None, :]
+
+
+def _psd_spectrum(L: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of each (..., N, N) kernel, and with ``vectors``
+    its eigenvectors (else None). Eigenvalues in [floor, 0) are clamped to 0;
+    one below the floor means a broken input and raises."""
+    lam, u = np.linalg.eigh(L) if vectors else (np.linalg.eigvalsh(L), None)
+    floor = -PSD_TOL * np.maximum(1.0, lam[..., -1])
+    bad = lam[..., 0] < floor
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)  # the first failing kernel
+        low, floor = lam[..., 0][i], floor[i]
+        raise ValueError(f"kernel not PSD: min eigenvalue {low:.3e} below {floor:.3e}")
+    return np.maximum(lam, 0.0), u
+
+
+def _cardinality(lam: np.ndarray) -> np.ndarray:
+    return (lam / (lam + 1.0)).sum(axis=-1)
+
+
+def _cardinality_grads(items, latents, s, r, lam, u, sim_scale: float, radius_sq: float):
+    """Gradients of E|Y| over L = Diag(r) S Diag(r) with respect to the
+    (..., N, F) items, through S, and the (..., N, n_z) latents, through r,
+    reusing the kernel's parts and its eigendecomposition (lam, u)."""
+    g_l = (u * (1.0 / (1.0 + lam) ** 2)[..., None, :]) @ np.swapaxes(u, -1, -2)  # (L + I)^{-2}
+    g_r = 2.0 * ((g_l * s) @ r[..., None])[..., 0]
+    pair_w = g_l * (r[..., :, None] * r[..., None, :]) * s
+    g_items = -4.0 * sim_scale * (pair_w.sum(axis=-1)[..., None] * items - pair_w @ items)
+    outside = np.einsum("...i,...i->...", latents, latents) > radius_sq
+    g_latents = np.where(outside[..., None], (-2.0 * g_r * r)[..., None] * latents, 0.0)
+    return g_items, g_latents
 
 
 def build_kernel(ground: GroundSet, config: KernelConfig) -> DppKernel:
     """Assemble L = Diag(r) * S * Diag(r) and cache its eigendecomposition."""
     s = build_similarity(ground.items, config.sim_scale)
     r = build_quality(ground.latents, config)
-    L = r[:, None] * s * r[None, :]
-    eigvals, eigvecs = np.linalg.eigh(L)
-    floor = -PSD_TOL * max(1.0, float(eigvals[-1]))
-    if eigvals[0] < floor:
-        raise ValueError(f"kernel not PSD: min eigenvalue {eigvals[0]:.3e} below {floor:.3e}")
-    eigvals = np.clip(eigvals, 0.0, None)
+    L = _l_ensemble(s, r)
+    eigvals, eigvecs = _psd_spectrum(L)
     return DppKernel(L=L, S=s, r=r, eigvals=eigvals, eigvecs=eigvecs)
 
 
 def expected_cardinality(kernel: DppKernel) -> float:
     """E|Y| = sum_n lambda_n / (lambda_n + 1) over the kernel eigenvalues."""
-    lam = kernel.eigvals
-    return float(np.sum(lam / (lam + 1.0)))
+    return float(_cardinality(kernel.eigvals))
 
 
 def dpp_log_prob(kernel: DppKernel, subset) -> float:
@@ -198,38 +237,25 @@ def greedy_map(kernel: DppKernel) -> list[int]:
 
     Stops when the best gain is strictly negative (zero gains are accepted);
     ties break toward the lowest item index. Returns items in selection
-    order. Uses an incremental Cholesky factor of L_Y: for candidate x the
-    gain is log of the Schur complement d = L_xx - w'w with C w = L[Y, x].
+    order. The gain of item i is log d_i^2, with d_i^2 the Schur complement
+    of L_Y in L_{Y+i}; c_i is the row that item i would add to the Cholesky
+    factor of L_Y. Each step extends every c_i and updates every d_i^2 in
+    O(N |Y|) (Chen, Zhang & Zhou, NeurIPS 2018).
     """
-    L = kernel.L
     n = kernel.n
+    c = np.zeros((n, n))
+    d2 = np.diag(kernel.L).copy()
     selected: list[int] = []
-    remaining = list(range(n))
-    chol = np.zeros((0, 0))
-    while remaining:
-        gains = np.full(len(remaining), -np.inf)
-        ws = []
-        for idx, x in enumerate(remaining):
-            if selected:
-                w = np.linalg.solve(chol, L[selected, x]) if chol.size else np.zeros(0)
-                d = L[x, x] - w @ w
-            else:
-                w = np.zeros(0)
-                d = L[x, x]
-            ws.append(w)
-            if d > 0:
-                gains[idx] = np.log(d)
+    while len(selected) < n:
+        gains = np.full(n, -np.inf)
+        np.log(d2, out=gains, where=d2 > 0)
+        gains[selected] = -np.inf
         best = int(np.argmax(gains))  # first max -> lowest index tie-break
         if not np.isfinite(gains[best]) or gains[best] < 0:
             break
-        x = remaining.pop(best)
-        w = ws[best]
-        d_sqrt = np.sqrt(L[x, x] - w @ w)
         m = len(selected)
-        new_chol = np.zeros((m + 1, m + 1))
-        new_chol[:m, :m] = chol
-        new_chol[m, :m] = w
-        new_chol[m, m] = d_sqrt
-        chol = new_chol
-        selected.append(x)
+        e = (kernel.L[best] - c[best, :m] @ c[:, :m].T) / np.sqrt(d2[best])
+        c[:, m] = e
+        d2 -= e * e
+        selected.append(best)
     return selected

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import DppKernel, expected_cardinality
+from .dpp import DppKernel, _pairwise_sq_dists, expected_cardinality
 from .flows import AffineFlowSet, kl_to_standard_normal
 from .trajectory import SampleSet, as_trajectory
 
@@ -66,17 +66,75 @@ def _validate_partition(split, dim: int) -> None:
         raise ValueError(f"invalid partition: J_s and J_d must cover all {dim} state dimensions")
 
 
-def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
-    diff = flat[:, None, :] - flat[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _dim_columns(dims, t_steps: int, state_dim: int) -> np.ndarray:
+    """Flattened (row-major T x D) column indices of the given state dimensions."""
+    return (np.arange(t_steps)[:, None] * state_dim + np.asarray(dims, dtype=int)).reshape(-1)
 
 
-def _slice_flat(samples: SampleSet, dims) -> np.ndarray:
-    # restrict the state axis to `dims` before flattening; empty -> (K, 0)
-    k = samples.k
-    if len(dims) == 0:
-        return np.zeros((k, 0))
-    return samples.samples[:, :, list(dims)].reshape(k, -1)
+def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
+    """Mean RBF proximity exp(-d^2 / sigma_d) over the ordered pairs of each
+    (..., K, F) sample set; with ``grad`` also its gradient wrt ``v``, else None."""
+    k = v.shape[-2]
+    w = np.exp(-_pairwise_sq_dists(v) / sigma_d) * (1.0 - np.eye(k))  # pairs i != j
+    value = w.sum(axis=(-2, -1)) / (k * (k - 1))
+    if not grad:
+        return value, None
+    return value, (-4.0 / (sigma_d * k * (k - 1))) * (w.sum(axis=-1)[..., None] * v - w @ v)
+
+
+def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
+    """Min squared distance from each (..., K, F) sample set to its (..., F)
+    ground truth; with ``grad`` also its gradient wrt the samples (nonzero at
+    the first nearest sample only), else None."""
+    diff = v - gt[..., None, :]
+    dist2 = np.einsum("...kf,...kf->...k", diff, diff)
+    value = dist2.min(axis=-1)
+    if not grad:
+        return value, None
+    nearest = np.arange(v.shape[-2]) == dist2.argmin(axis=-1)[..., None]
+    return value, 2.0 * diff * nearest[..., None]
+
+
+def _similarity(v: np.ndarray, grad: bool = False):
+    """Mean squared distance over the ordered pairs of each (..., K, F) sample
+    set (0 for F = 0); with ``grad`` also its gradient wrt ``v``, else None."""
+    k = v.shape[-2]
+    value = _pairwise_sq_dists(v).sum(axis=(-2, -1)) / (k * (k - 1))
+    if not grad:
+        return value, None
+    return value, (4.0 / (k * (k - 1))) * (k * v - v.sum(axis=-2, keepdims=True))
+
+
+def _energies(v: np.ndarray, gt: np.ndarray, cfg: EnergyConfig, cols_d, cols_s, grad: bool = False):
+    """Mean diversity, reconstruction and similar-slice energies of the
+    (..., K, F) sample sets ``v``; ``gt`` is (..., F) and broadcasts with,
+    without adding to, ``v``'s leading axes. Diversity acts on the columns
+    ``cols_d``, the similar-slice energy on ``cols_s`` (None: E_s = 0). With
+    ``grad`` also returns the gradient of lambda_d * E_d + lambda_r * E_r +
+    lambda_s * E_s wrt ``v``, else None."""
+    e_d, g_d = _diversity(v[..., cols_d], cfg.sigma_d, grad)
+    e_r, g_r = _reconstruction(v, gt, grad)
+    e_s, g_s = (np.zeros(1), None) if cols_s is None else _similarity(v[..., cols_s], grad)
+    means = tuple(float(e.sum()) / e.size for e in (e_d, e_r, e_s))
+    if not grad:
+        return means, None
+    shared = tuple(i for i, (n_v, n_g) in enumerate(zip(v.shape, g_r.shape)) if n_v < n_g)
+    g_v = (cfg.lambda_r / e_r.size) * g_r.sum(axis=shared, keepdims=True)
+    g_v[..., cols_d] += (cfg.lambda_d / e_d.size) * g_d
+    if g_s is not None:
+        g_v[..., cols_s] += (cfg.lambda_s / e_s.size) * g_s
+    return means, g_v
+
+
+def _weighted_terms(cfg: EnergyConfig, kl_sum: float, e_d: float, e_r: float, e_s: float) -> dict:
+    terms = {
+        "kl": cfg.beta * kl_sum,
+        "diversity": cfg.lambda_d * e_d,
+        "reconstruction": cfg.lambda_r * e_r,
+    }
+    if cfg.joint_split is not None:
+        terms["similarity"] = cfg.lambda_s * e_s
+    return terms
 
 
 def diversity_energy(samples: SampleSet, sigma_d: float, dims=None) -> float:
@@ -87,13 +145,10 @@ def diversity_energy(samples: SampleSet, sigma_d: float, dims=None) -> float:
     """
     if sigma_d <= 0:
         raise ValueError("sigma_d must be > 0")
-    k = samples.k
-    if k < 2:
+    if samples.k < 2:
         raise ValueError("diversity energy requires K >= 2")
-    flat = samples.flat() if dims is None else _slice_flat(samples, dims)
-    d2 = _pairwise_sq_dists(flat)
-    off = ~np.eye(k, dtype=bool)
-    return float(np.exp(-d2[off] / sigma_d).sum() / (k * (k - 1)))
+    cols = slice(None) if dims is None else _dim_columns(dims, *samples.samples.shape[1:])
+    return float(_diversity(samples.flat()[:, cols], sigma_d)[0])
 
 
 def reconstruction_energy(samples: SampleSet, gt) -> float:
@@ -101,8 +156,7 @@ def reconstruction_energy(samples: SampleSet, gt) -> float:
     gt = as_trajectory(gt)
     if samples.samples[0].shape != gt.shape:
         raise ValueError(f"shape mismatch: {samples.samples[0].shape} vs {gt.shape}")
-    diff = samples.flat() - gt.reshape(-1)[None, :]
-    return float(np.einsum("ij,ij->i", diff, diff).min())
+    return float(_reconstruction(samples.flat(), gt.reshape(-1))[0])
 
 
 def similarity_energy(samples: SampleSet, split) -> float:
@@ -110,16 +164,11 @@ def similarity_energy(samples: SampleSet, split) -> float:
 
     An empty J_s gives 0 by convention.
     """
-    k = samples.k
-    if k < 2:
+    if samples.k < 2:
         raise ValueError("similarity energy requires K >= 2")
     _validate_partition(split, samples.samples.shape[2])
-    flat = _slice_flat(samples, split[0])
-    if flat.shape[1] == 0:
-        return 0.0
-    d2 = _pairwise_sq_dists(flat)
-    off = ~np.eye(k, dtype=bool)
-    return float(d2[off].sum() / (k * (k - 1)))
+    cols = _dim_columns(split[0], *samples.samples.shape[1:])
+    return float(_similarity(samples.flat()[:, cols])[0])
 
 
 def dsf_loss(kernel: DppKernel) -> float:
@@ -144,13 +193,7 @@ def dlow_loss(flows: AffineFlowSet, samples: SampleSet, gt, cfg: EnergyConfig) -
         e_d = diversity_energy(samples, cfg.sigma_d, dims=j_d)
         e_s = similarity_energy(samples, (j_s, j_d))
     e_r = reconstruction_energy(samples, gt)
-    terms = {
-        "kl": cfg.beta * kl_sum,
-        "diversity": cfg.lambda_d * e_d,
-        "reconstruction": cfg.lambda_r * e_r,
-    }
-    if cfg.joint_split is not None:
-        terms["similarity"] = cfg.lambda_s * e_s
+    terms = _weighted_terms(cfg, kl_sum, e_d, e_r, e_s)
     return {
         "total": float(sum(terms.values())),
         "terms": terms,
@@ -169,12 +212,8 @@ def joint_sampler_loss(sample_sets, gt, kls, sigma_d: float) -> float:
         raise ValueError(f"shape mismatch: samples {stacked.shape[1:]} vs gt {gt.shape}")
     k = stacked.shape[0]
     flat = stacked.reshape(k, -1)
-    diff = flat - gt.reshape(-1)[None, :]
-    recon = float(np.einsum("ij,ij->i", diff, diff).min())
+    recon = float(_reconstruction(flat, gt.reshape(-1))[0])
     kl_sum = float(np.sum(np.asarray(kls, dtype=float)))
     if k < 2:
         return recon + kl_sum
-    d2 = _pairwise_sq_dists(flat)
-    off = ~np.eye(k, dtype=bool)
-    div = float(np.exp(-d2[off] / sigma_d).sum() / (k * (k - 1)))
-    return recon + kl_sum + div
+    return recon + kl_sum + float(_diversity(flat, sigma_d)[0])

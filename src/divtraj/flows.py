@@ -99,6 +99,18 @@ def invert_flow(flows: AffineFlowSet, k: int, z) -> np.ndarray:
     return np.linalg.solve(A, z - flows.b[k])
 
 
+def _kl(A: np.ndarray, b: np.ndarray, grad: bool = False):
+    """KL_k of N(b_k, A_k A_k^T) to N(0, I) for (..., K, n, n) maps and
+    (..., K, n) shifts; with ``grad`` also (dKL/dA, dKL/db), else None."""
+    tr = np.einsum("...kij,...kij->...k", A, A)
+    sq = np.einsum("...ki,...ki->...k", b, b)
+    _, logabsdet = np.linalg.slogdet(A)
+    kl = 0.5 * (tr + sq - A.shape[-1] - 2.0 * logabsdet)
+    if not grad:
+        return kl, None
+    return kl, (A - np.swapaxes(np.linalg.inv(A), -1, -2), b)
+
+
 def kl_to_standard_normal(flows: AffineFlowSet, k: int | None = None):
     """Analytic KL of the flow-induced Gaussian N(b, A A^T) to N(0, I).
 
@@ -106,14 +118,9 @@ def kl_to_standard_normal(flows: AffineFlowSet, k: int | None = None):
     orthogonal and b = 0. Returns one float for a given k, else the (K,)
     vector.
     """
-    A = flows.A if k is None else flows.A[None, k]
-    b = flows.b if k is None else flows.b[None, k]
-    n_z = flows.n_z
-    tr = np.einsum("kij,kij->k", A, A)
-    sq = np.einsum("ki,ki->k", b, b)
-    _, logabsdet = np.linalg.slogdet(A)
-    kl = 0.5 * (tr + sq - n_z - 2.0 * logabsdet)
-    return kl if k is None else float(kl[0])
+    if k is None:
+        return _kl(flows.A, flows.b)[0]
+    return float(_kl(flows.A[None, k], flows.b[None, k])[0][0])
 
 
 def sample_noise(seed, n_z: int) -> np.ndarray:

@@ -13,6 +13,13 @@ energies and kernel similarities are then context-invariant, and the
 reconstruction term folds the context offset into its target. Analytic
 gradients are used for affine decoders exposing ``jacobian``; all other
 paths fall back to central finite differences over the parameter vector.
+
+The objectives hold no sampler math of their own. They pack parameters,
+apply the flows, decode once per evaluation and chain gradients through the
+decoder Jacobian. The kernel, its spectrum, E|Y| and E|Y|'s gradient come
+from the batched private functions in ``dpp``, the flow KL and its gradient
+from ``flows``, and each energy with its gradient from ``energy``; the public
+functions of those modules wrap the same code.
 """
 from __future__ import annotations
 
@@ -21,9 +28,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dpp import GroundSet, KernelConfig, build_kernel
+from . import dpp, energy
+from .dpp import KernelConfig
 from .energy import EnergyConfig
-from .flows import DET_TOL, AffineFlowSet, DsfCodes
+from .flows import DET_TOL, AffineFlowSet, DsfCodes, _kl
 from .trajectory import Dataset, Example
 
 __all__ = [
@@ -130,12 +138,21 @@ def adam_step(params, grad, state: AdamState, lr: float) -> tuple[np.ndarray, Ad
     return new_params, replace(state, m=m, v=v, t=t)
 
 
-def _dim_columns(dims, t_steps: int, state_dim: int) -> np.ndarray:
-    """Flattened column indices of the given state dimensions (row-major T x D)."""
-    return np.array([t * state_dim + d for t in range(t_steps) for d in dims], dtype=int)
+class _Objective:
+    """Entry points over ``evaluate(params, grad)``, which returns the loss
+    breakdown and, with ``grad``, the gradient (else None) from one decode."""
+
+    def breakdown(self, params: np.ndarray) -> dict:
+        return self.evaluate(params)[0]
+
+    def loss(self, params: np.ndarray) -> float:
+        return self.evaluate(params)[0]["total"]
+
+    def grad(self, params: np.ndarray) -> np.ndarray:
+        return self.evaluate(params, grad=True)[1]
 
 
-class _DsfObjective:
+class _DsfObjective(_Objective):
     """Negated expected cardinality of the kernel over the decoded code set.
 
     Context offsets cancel in pairwise similarities and qualities are
@@ -151,63 +168,30 @@ class _DsfObjective:
         self.k = k
         self.analytic = hasattr(decoder, "jacobian")
 
-    def _codes(self, params: np.ndarray) -> np.ndarray:
-        return params.reshape(self.k, self.decoder.n_z)
-
-    def _kernel(self, codes: np.ndarray):
-        items = self.decoder.decode_batch(codes, None).reshape(codes.shape[0], -1)
-        return build_kernel(GroundSet(items=items, latents=codes), self.kcfg)
-
-    def loss(self, params: np.ndarray) -> float:
-        # fast path for finite-difference sweeps: same kernel math as
-        # build_kernel without object construction/validation
-        codes = self._codes(params)
-        items = self.decoder.decode_batch(codes, None).reshape(codes.shape[0], -1)
-        diff = items[:, None, :] - items[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        s = np.exp(-self.kcfg.sim_scale * d2)
-        np.fill_diagonal(s, 1.0)
-        sq = np.einsum("ij,ij->i", codes, codes)
-        r = np.where(
-            sq <= self.radius_sq,
-            self.kcfg.base_quality,
-            self.kcfg.base_quality * np.exp(-(sq - self.radius_sq)),
+    def evaluate(self, params: np.ndarray, grad: bool = False):
+        codes = params.reshape(self.k, self.decoder.n_z)
+        items = self.decoder.decode_batch(codes, None).reshape(self.k, -1)
+        s = dpp._rbf_similarity(items, self.kcfg.sim_scale)
+        r = dpp._latent_quality(codes, self.radius_sq, self.kcfg.base_quality)
+        lam, u = dpp._psd_spectrum(dpp._l_ensemble(s, r), vectors=grad)
+        total = float(-dpp._cardinality(lam))
+        bd = {"total": total, "terms": {"neg_expected_cardinality": total}}
+        if not grad:
+            return bd, None
+        g_items, g_codes = dpp._cardinality_grads(
+            items, codes, s, r, lam, u, self.kcfg.sim_scale, self.radius_sq
         )
-        lam = np.clip(np.linalg.eigvalsh(r[:, None] * s * r[None, :]), 0.0, None)
-        return float(-np.sum(lam / (lam + 1.0)))
-
-    def breakdown(self, params: np.ndarray) -> dict:
-        total = self.loss(params)
-        return {"total": total, "terms": {"neg_expected_cardinality": total}}
-
-    def grad(self, params: np.ndarray) -> np.ndarray:
-        codes = self._codes(params)
-        kernel = self._kernel(codes)
-        lam, u = kernel.eigvals, kernel.eigvecs
-        g_l = -(u * (1.0 / (1.0 + lam) ** 2)) @ u.T  # d(loss)/dL = -(L+I)^{-2}
-        r, s = kernel.r, kernel.S
-        g_r = 2.0 * (g_l * s) @ r
-        pair_w = g_l * np.outer(r, r) * s
-        items = self.decoder.decode_batch(codes, None).reshape(codes.shape[0], -1)
-        g_items = -4.0 * self.kcfg.sim_scale * (
-            pair_w.sum(axis=1)[:, None] * items - pair_w @ items
-        )
-        g_codes = g_items @ self.decoder.jacobian()
-        sq = np.einsum("ij,ij->i", codes, codes)
-        outside = sq > self.radius_sq
-        if np.any(outside):
-            g_codes[outside] += (-2.0 * g_r[outside] * r[outside])[:, None] * codes[outside]
-        return g_codes.reshape(-1)
+        return bd, -(g_items @ self.decoder.jacobian() + g_codes).reshape(-1)
 
 
-class _DlowObjective:
+class _DlowObjective(_Objective):
     """Noise-averaged energy objective over flow parameters.
 
     Parameter vector layout: trainable A blocks, then trainable b blocks
     (flow 0 excluded when it is pinned to the identity), then the optional
     per-context featurization blocks. With featurization enabled the flows
-    become A_k + fold(Ma_k @ f), b_k + Mb_k @ f per example and the loss
-    loops over examples (finite-difference gradients only).
+    become A_k + fold(Ma_k @ f), b_k + Mb_k @ f per example, stacked on a
+    leading example axis (finite-difference gradients only).
     """
 
     def __init__(self, decoder, examples, cfg: TrainConfig, eps_draws: np.ndarray):
@@ -221,17 +205,16 @@ class _DlowObjective:
         self.analytic = hasattr(decoder, "jacobian") and not self.featurized
         t_steps, state_dim = examples[0].future.shape
         self.ecfg.validate_split(state_dim)
-        self.targets = np.stack(
-            [ex.future.reshape(-1) - decoder.context_offset(ex.context) for ex in examples]
+        self.targets = np.stack(  # (M, 1, F): one target per example, for every draw
+            [ex.future.reshape(1, -1) - decoder.context_offset(ex.context) for ex in examples]
         )
         self.features = np.stack([ex.context.features for ex in examples])
         if self.ecfg.joint_split is None:
-            self.cols_d = np.arange(t_steps * state_dim)
-            self.cols_s = np.zeros(0, dtype=int)
+            self.cols_d, self.cols_s = slice(None), None
         else:
             j_s, j_d = self.ecfg.joint_split
-            self.cols_d = _dim_columns(j_d, t_steps, state_dim)
-            self.cols_s = _dim_columns(j_s, t_steps, state_dim)
+            self.cols_d = energy._dim_columns(j_d, t_steps, state_dim)
+            self.cols_s = energy._dim_columns(j_s, t_steps, state_dim)
 
     # --- parameter packing -------------------------------------------------
     @property
@@ -262,121 +245,48 @@ class _DlowObjective:
         feat = params[n_a + n_b :] if self.featurized else None
         return a, b, feat
 
+    def _flows(self, params: np.ndarray):
+        """Flows (M', K, n_z, n_z) and shifts (M', K, n_z): one set per
+        example when featurized (M' = M), else one shared set (M' = 1)."""
+        a, b, feat = self.unpack(params)
+        if not self.featurized:
+            return a[None], b[None]
+        k_t, n_z, m = self.k - self.k0, self.n_z, self.features.shape[0]
+        n_ma = k_t * n_z * n_z * self.features.shape[1]
+        ma = feat[:n_ma].reshape(k_t, n_z, n_z, -1)
+        mb = feat[n_ma:].reshape(k_t, n_z, -1)
+        a = np.repeat(a[None], m, axis=0)
+        b = np.repeat(b[None], m, axis=0)
+        a[:, self.k0 :] += np.einsum("kijf,mf->mkij", ma, self.features)
+        b[:, self.k0 :] += np.einsum("kif,mf->mki", mb, self.features)
+        return a, b
+
     # --- loss ----------------------------------------------------------------
     def _flow_dets_ok(self, a: np.ndarray) -> bool:
         return bool(np.all(np.abs(np.linalg.det(a)) > DET_TOL))
 
-    def _kl_terms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        tr = np.einsum("kij,kij->k", a, a)
-        sq = np.einsum("ki,ki->k", b, b)
-        _, logabsdet = np.linalg.slogdet(a)
-        return 0.5 * (tr + sq - self.n_z - 2.0 * logabsdet)
-
-    def _energies(self, a: np.ndarray, b: np.ndarray, targets: np.ndarray):
-        """Mean diversity/reconstruction/similar-slice energies over draws."""
-        e_draws, k = self.eps.shape[0], self.k
-        z = np.einsum("kij,ej->eki", a, self.eps) + b
-        v = self.decoder.decode_batch(z.reshape(-1, self.n_z), None).reshape(e_draws, k, -1)
-        vd = v[:, :, self.cols_d]
-        diff_d = vd[:, :, None, :] - vd[:, None, :, :]
-        d2 = np.einsum("eijk,eijk->eij", diff_d, diff_d)
-        off = ~np.eye(k, dtype=bool)
-        e_div = float(np.exp(-d2[:, off] / self.ecfg.sigma_d).sum() / (e_draws * k * (k - 1)))
-        diff_t = v[None, :, :, :] - targets[:, None, None, :]  # (M, E, K, F)
-        dist2 = np.einsum("mekf,mekf->mek", diff_t, diff_t)
-        e_rec = float(dist2.min(axis=2).mean())
-        if self.cols_s.size:
-            vs = v[:, :, self.cols_s]
-            diff_s = vs[:, :, None, :] - vs[:, None, :, :]
-            s2 = np.einsum("eijk,eijk->eij", diff_s, diff_s)
-            e_sim = float(s2[:, off].sum() / (e_draws * k * (k - 1)))
-        else:
-            e_sim = 0.0
-        return e_div, e_rec, e_sim, v, dist2
-
-    def breakdown(self, params: np.ndarray) -> dict:
-        a, b, feat = self.unpack(params)
-        if not self._flow_dets_ok(a):
-            raise ValueError("flow not invertible")
-        cfg = self.ecfg
-        if self.featurized:
-            kl_t = div_t = rec_t = sim_t = 0.0
-            m = self.targets.shape[0]
-            for i in range(m):
-                a_i, b_i = self._featurized_flows(a, b, feat, self.features[i])
-                if not self._flow_dets_ok(a_i):
-                    raise ValueError("flow not invertible")
-                kl_t += float(self._kl_terms(a_i, b_i).sum()) / m
-                e_div, e_rec, e_sim, _, _ = self._energies(a_i, b_i, self.targets[i : i + 1])
-                div_t += e_div / m
-                rec_t += e_rec / m
-                sim_t += e_sim / m
-        else:
-            kl_t = float(self._kl_terms(a, b).sum())
-            div_t, rec_t, sim_t, _, _ = self._energies(a, b, self.targets)
-        terms = {
-            "kl": cfg.beta * kl_t,
-            "diversity": cfg.lambda_d * div_t,
-            "reconstruction": cfg.lambda_r * rec_t,
-        }
-        if cfg.joint_split is not None:
-            terms["similarity"] = cfg.lambda_s * sim_t
-        return {"total": float(sum(terms.values())), "terms": terms}
-
-    def _featurized_flows(self, a, b, feat, features):
-        k_t, n_z = self.k - self.k0, self.n_z
-        f_dim = features.shape[0]
-        n_ma = k_t * n_z * n_z * f_dim
-        ma = feat[:n_ma].reshape(k_t, n_z, n_z, f_dim)
-        mb = feat[n_ma:].reshape(k_t, n_z, f_dim)
-        a_i = a.copy()
-        b_i = b.copy()
-        a_i[self.k0 :] += ma @ features
-        b_i[self.k0 :] += mb @ features
-        return a_i, b_i
-
-    def loss(self, params: np.ndarray) -> float:
-        return self.breakdown(params)["total"]
-
-    def grad(self, params: np.ndarray) -> np.ndarray:
-        if self.featurized:
+    def evaluate(self, params: np.ndarray, grad: bool = False):
+        if grad and self.featurized:
             raise NotImplementedError("featurized flows train via finite differences")
-        a, b, _ = self.unpack(params)
+        a, b = self._flows(params)
         if not self._flow_dets_ok(a):
             raise ValueError("flow not invertible")
         cfg = self.ecfg
-        e_draws, k, m = self.eps.shape[0], self.k, self.targets.shape[0]
-        g_a = cfg.beta * (a - np.linalg.inv(a).transpose(0, 2, 1))
-        g_b = cfg.beta * b.copy()
-        _, _, _, v, dist2 = self._energies(a, b, self.targets)
-        g_v = np.zeros_like(v)
-        off = ~np.eye(k, dtype=bool)
-        # diversity energy over the J_d columns
-        vd = v[:, :, self.cols_d]
-        diff_d = vd[:, :, None, :] - vd[:, None, :, :]
-        d2 = np.einsum("eijk,eijk->eij", diff_d, diff_d)
-        w = np.exp(-d2 / cfg.sigma_d)
-        w[:, ~off] = 0.0
-        scale_d = cfg.lambda_d * (-4.0 / (cfg.sigma_d * e_draws * k * (k - 1)))
-        g_v[:, :, self.cols_d] += scale_d * (
-            w.sum(axis=2)[:, :, None] * vd - np.einsum("eij,ejf->eif", w, vd)
+        kl, g_kl = _kl(a, b, grad)
+        z = np.einsum("mkij,ej->meki", a, self.eps) + b[:, None]  # (M', E, K, n_z)
+        v = self.decoder.decode_batch(z.reshape(-1, self.n_z), None).reshape(*z.shape[:3], -1)
+        (e_d, e_r, e_s), g_v = energy._energies(
+            v, self.targets, cfg, self.cols_d, self.cols_s, grad
         )
-        # reconstruction energy: subgradient at the per-(example, draw) argmin
-        k_star = dist2.argmin(axis=2)  # (M, E)
-        scale_r = cfg.lambda_r * 2.0 / (m * e_draws)
-        m_idx = np.repeat(np.arange(m), e_draws)
-        e_idx = np.tile(np.arange(e_draws), m)
-        ks = k_star[m_idx, e_idx]
-        np.add.at(g_v, (e_idx, ks), scale_r * (v[e_idx, ks] - self.targets[m_idx]))
-        # similar-slice energy over the J_s columns
-        if cfg.joint_split is not None and self.cols_s.size:
-            vs = v[:, :, self.cols_s]
-            scale_s = cfg.lambda_s * 4.0 / (e_draws * k * (k - 1))
-            g_v[:, :, self.cols_s] += scale_s * (k * vs - vs.sum(axis=1)[:, None, :])
-        g_z = np.einsum("ekf,fn->ekn", g_v, self.decoder.jacobian())
-        g_a += np.einsum("ekn,em->knm", g_z, self.eps)
-        g_b += g_z.sum(axis=0)
-        return np.concatenate([g_a[self.k0 :].reshape(-1), g_b[self.k0 :].reshape(-1)])
+        terms = energy._weighted_terms(cfg, float(kl.sum()) / len(kl), e_d, e_r, e_s)
+        bd = {"total": float(sum(terms.values())), "terms": terms}
+        if not grad:
+            return bd, None
+        kl_a, kl_b = g_kl
+        g_z = g_v[0] @ self.decoder.jacobian()  # (E, K, n_z), the one shared flow set
+        g_a = cfg.beta * kl_a[0] + np.einsum("ekn,em->knm", g_z, self.eps)
+        g_b = cfg.beta * kl_b[0] + g_z.sum(axis=0)
+        return bd, np.concatenate([g_a[self.k0 :].reshape(-1), g_b[self.k0 :].reshape(-1)])
 
 
 def _as_examples(data) -> list[Example]:
@@ -397,21 +307,29 @@ def _check_decoder_shape(decoder, examples) -> None:
             )
 
 
+def _check_finite(bd: dict, i: int) -> None:
+    for name, value in [*bd["terms"].items(), ("total", bd["total"])]:
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite {name} term ({value}) at iteration {i}")
+
+
 def _run_optimizer(objective, params: np.ndarray, cfg: TrainConfig, singular_check=None):
     state = AdamState.init(params.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     trace = []
     start = time.perf_counter()
     for i in range(cfg.iters):
-        bd = objective.breakdown(params)
+        bd, grad = objective.evaluate(params, grad=objective.analytic)
+        _check_finite(bd, i)
         trace.append({"iter": i, "total": bd["total"], "terms": bd["terms"]})
-        if objective.analytic:
-            grad = objective.grad(params)
-        else:
+        if grad is None:
             grad = numeric_gradient(objective.loss, params, cfg.fd_step)
+        if not np.all(np.isfinite(grad)):
+            raise ValueError(f"non-finite gradient at iteration {i}")
         params, state = adam_step(params, grad, state, cfg.lr)
         if singular_check is not None and not singular_check(params):
             raise ValueError(f"flow became singular at iteration {i}")
-    final = objective.breakdown(params)
+    final, _ = objective.evaluate(params)
+    _check_finite(final, cfg.iters)
     wall = time.perf_counter() - start
     report = TrainReport(
         trace=tuple(trace),
@@ -440,7 +358,11 @@ def train_dsf(data, decoder, cfg: TrainConfig, init_codes=None) -> tuple[DsfCode
     if init_codes is None:
         codes0 = rng.normal(0.0, 0.1, size=(cfg.k, decoder.n_z))
     else:
-        codes0 = np.asarray(init_codes, dtype=float).reshape(cfg.k, decoder.n_z)
+        codes0 = np.asarray(init_codes, dtype=float)
+        if codes0.shape != (cfg.k, decoder.n_z):
+            raise ValueError(
+                f"init_codes must have shape {(cfg.k, decoder.n_z)}, got {codes0.shape}"
+            )
     params, report = _run_optimizer(objective, codes0.reshape(-1), cfg)
     return DsfCodes(codes=params.reshape(cfg.k, decoder.n_z)), report
 
@@ -469,6 +391,11 @@ def train_dlow(data, decoder, cfg: TrainConfig, init_flows=None) -> tuple[Affine
         a0[0] = np.eye(decoder.n_z)
         b0[0] = 0.0
     flows0 = AffineFlowSet(A=a0, b=b0) if init_flows is None else init_flows
+    if flows0.A.shape != a0.shape:
+        raise ValueError(
+            f"init_flows must have A of shape {a0.shape} and b of shape {b0.shape}, "
+            f"got {flows0.A.shape} and {flows0.b.shape}"
+        )
     objective = _DlowObjective(decoder, examples, cfg, eps_draws)
     params0 = objective.pack(flows0)
 

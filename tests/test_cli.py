@@ -217,6 +217,31 @@ class TestSample:
             assert len(sel) == len(set(sel))
             assert not ({0, 1} <= set(sel))  # the duplicated pair is never co-selected
 
+    def test_dpp_map_on_dlow_model_with_latent_dim_4(self, workdir):
+        # no kernel block: the saved config carries the default latent_dim 2,
+        # and the kernel must take the model's n_z instead
+        rng = np.random.default_rng(3)
+        cfg = {
+            "mode": "dlow", "k": 4, "iters": 3, "lr": 0.01, "seed": 0,
+            "decoder": {
+                "kind": "linear", "W": rng.normal(size=(6, 4)).tolist(), "c0": [0.0] * 6,
+                "t_steps": 3, "state_dim": 2,
+            },
+        }
+        (workdir / "lin.json").write_text(json.dumps(cfg))
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        assert run([
+            "train", "--config", workdir / "lin.json", "--dataset", workdir / "d.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 0
+        assert read_model(workdir / "m.json")["train_config"]["kernel"]["latent_dim"] == 2
+        assert run([
+            "sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl",
+            "--out", workdir / "s.jsonl", "--dpp-map",
+        ]) == 0
+        records = read_samples(workdir / "s.jsonl")
+        assert all(set(rec["dpp_map"]) <= set(range(4)) for rec in records)
+
     def test_larger_omega_selects_no_fewer_items(self, workdir):
         _train_model(workdir)
         sizes = {}

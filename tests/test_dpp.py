@@ -279,6 +279,26 @@ class TestGreedyMap:
         for _ in range(15):
             kernel = random_psd_kernel(rng, 6)
             assert greedy_map(kernel) == naive_greedy(kernel.L)
+        # Schur complements at their edges: near-duplicate items drive the
+        # residuals of a selected item's copies to ~0, and base quality just
+        # above 1 puts gains near the zero-gain threshold. Latents sit just
+        # outside the quality sphere, so no two items share a quality and
+        # selection never rests on a tie at rounding level.
+        radius = quality_radius(2, 0.9)
+        for n in range(2, 26):
+            base = rng.normal(size=(max(1, n // 2), 6))
+            items = base[rng.integers(0, len(base), n)] + rng.normal(
+                scale=10 ** rng.uniform(-9, -3), size=(n, 6)
+            )
+            dirs = rng.normal(size=(n, 2))
+            latents = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            latents *= (radius + rng.uniform(0.0, 0.15, n))[:, None]
+            cfg = KernelConfig(
+                sim_scale=float(rng.uniform(0.5, 8.0)), base_quality=float(rng.uniform(1.05, 3.0)),
+                rho=0.9, latent_dim=2,
+            )
+            kernel = build_kernel(GroundSet(items=items, latents=latents), cfg)
+            assert greedy_map(kernel) == naive_greedy(kernel.L)
 
 
 class TestKernelInvariants:

@@ -198,6 +198,15 @@ class TestTrainDsf:
         assert rep1.trace == rep2.trace
         assert rep1.final_loss == rep2.final_loss
 
+    def test_misshaped_init_codes_rejected(self):
+        rng = np.random.default_rng(15)
+        cfg = TrainConfig(mode="dsf", k=3, iters=2, kernel=KernelConfig(latent_dim=2))
+        with pytest.raises(ValueError, match=r"\(3, 2\), got \(2, 3\)"):
+            train_dsf(
+                Context(past=np.zeros((1, 2))), linear_decoder(rng, n_z=2), cfg,
+                init_codes=np.zeros((2, 3)),
+            )
+
     def test_wrong_mode_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
@@ -262,6 +271,79 @@ class TestTrainDlow:
         flows, _ = train_dlow([example], dec, cfg, init_flows=init)
         np.testing.assert_array_equal(flows.A, init.A)
         np.testing.assert_array_equal(flows.b, init.b)
+
+    def test_misshaped_init_flows_rejected(self):
+        # a K=3 flow set for K=2: refused on both gradient paths, never read
+        # into the wrong parameter blocks
+        rng = np.random.default_rng(16)
+        cfg = TrainConfig(mode="dlow", k=2, iters=2, noise_draws_per_iter=2)
+        for dec in (linear_decoder(rng, n_z=2, t=3), CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1))):
+            example = Example(
+                context=Context(past=np.zeros((1, 2))), future=rng.normal(size=(3, 2)), id=0
+            )
+            with pytest.raises(ValueError, match=r"\(2, 2, 2\).*got \(3, 2, 2\)"):
+                train_dlow([example], dec, cfg, init_flows=AffineFlowSet.identity(3, 2))
+
+    def test_nonfinite_term_fails_fast_on_both_gradient_paths(self):
+        rng = np.random.default_rng(17)
+        cfg = TrainConfig(mode="dlow", k=2, iters=5, noise_draws_per_iter=2)
+        init = AffineFlowSet(A=np.tile(np.eye(2), (2, 1, 1)), b=np.full((2, 2), 1e200))
+        for dec in (linear_decoder(rng, n_z=2, t=3), CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1))):
+            example = Example(
+                context=Context(past=np.zeros((1, 2))), future=rng.normal(size=(3, 2)), id=0
+            )
+            with pytest.raises(ValueError, match="non-finite kl term .* at iteration 0"):
+                train_dlow([example], dec, cfg, init_flows=init)
+
+    def test_featurized_breakdown_matches_per_example_flows(self):
+        rng = np.random.default_rng(18)
+        n_z, k, f_dim = 2, 3, 2
+        dec = linear_decoder(rng, n_z=n_z)
+        examples = [
+            Example(
+                context=Context(past=np.zeros((1, 2)), features=rng.normal(size=f_dim)),
+                future=rng.normal(size=(2, 2)),
+                id=i,
+            )
+            for i in range(3)
+        ]
+        cfg = TrainConfig(
+            mode="dlow", k=k, noise_draws_per_iter=4,
+            energy=EnergyConfig(sigma_d=5.0, lambda_d=2.0, lambda_r=1.0, beta=0.5),
+        )
+        cfg_feat = dataclasses.replace(cfg, context_featurization=True)
+        eps = rng.standard_normal((4, n_z))
+        flows = AffineFlowSet(
+            A=np.eye(n_z) + rng.normal(scale=0.2, size=(k, n_z, n_z)),
+            b=rng.normal(size=(k, n_z)),
+        )
+        plain = _DlowObjective(dec, examples, cfg, eps)
+        feat = _DlowObjective(dec, examples, cfg_feat, eps)
+
+        def assert_terms_equal(got, want):
+            assert got["terms"].keys() == want["terms"].keys()
+            for name, value in want["terms"].items():
+                assert got["terms"][name] == pytest.approx(value, rel=1e-12), name
+
+        # an all-zero featurization block gives every example the plain flows
+        assert_terms_equal(feat.breakdown(feat.pack(flows)), plain.breakdown(plain.pack(flows)))
+        # a nonzero block: the mean over examples of each example's own loss
+        block = rng.normal(scale=0.1, size=k * (n_z * n_z + n_z) * f_dim)
+        ma = block[: k * n_z * n_z * f_dim].reshape(k, n_z, n_z, f_dim)
+        mb = block[k * n_z * n_z * f_dim :].reshape(k, n_z, f_dim)
+        per_example = []
+        for ex in examples:
+            f = ex.context.features
+            own = AffineFlowSet(A=flows.A + ma @ f, b=flows.b + mb @ f)
+            single = _DlowObjective(dec, [ex], cfg, eps)
+            per_example.append(single.breakdown(single.pack(own)))
+        mean = {
+            "terms": {
+                name: float(np.mean([bd["terms"][name] for bd in per_example]))
+                for name in per_example[0]["terms"]
+            }
+        }
+        assert_terms_equal(feat.breakdown(feat.pack(flows, block)), mean)
 
     def test_bit_identical_reports_same_seed(self):
         rng = np.random.default_rng(9)
