@@ -31,7 +31,7 @@ from .fileio import (
     write_report,
     write_samples,
 )
-from .flows import AffineFlowSet, apply_flows
+from .flows import AffineFlowSet, _fold_features, apply_flows
 from .synth import CrossroadConfig, generate_crossroad
 from .trajectory import METRIC_NAMES, Dataset, SampleSet, evaluate_sample_sets
 from .training import train_dlow, train_dsf
@@ -120,10 +120,12 @@ def _decode_model_samples(model: dict, decoder, example, seed: int):
     if model["mode"] == "dsf":
         latents = np.asarray(model["params"]["codes"], dtype=float)
     else:
-        flows = AffineFlowSet(
-            A=np.asarray(model["params"]["A"], dtype=float),
-            b=np.asarray(model["params"]["b"], dtype=float),
-        )
+        params = model["params"]
+        a, b = np.asarray(params["A"], dtype=float), np.asarray(params["b"], dtype=float)
+        if "featurization" in params:  # this example's own flows
+            k0 = int(model["train_config"].get("fix_first_identity", False))
+            (a,), (b,) = _fold_features(a, b, params["featurization"], example.context.features, k0)
+        flows = AffineFlowSet(A=a, b=b)
         eps = np.random.default_rng([seed, example.id]).standard_normal(flows.n_z)
         latents = apply_flows(flows, eps)
     samples = decoder.decode_batch(latents, example.context)

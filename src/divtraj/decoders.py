@@ -9,7 +9,8 @@ the configured route frequencies. Smooth bounded within-mode variation is
 added from the angular offset inside the sector and the latent radius; the
 variation vanishes on the sector bisector at unit radius. ``TabulatedDecoder``
 interpolates a grid of precomputed trajectories so externally produced
-models can be evaluated without linking them in.
+models can be evaluated without linking them in. ``jacobian_batch`` gives
+each decoder's per-code derivative, through which both trainers chain.
 
 All decoders here are additive in the context:
 ``decode(z, ctx) == decode(z, None) + context_offset(ctx)`` (reshaped), a
@@ -110,9 +111,9 @@ class LinearDecoder:
         flat = Z @ self.W.T + (self.c0 + self.context_offset(ctx))[None, :]
         return flat.reshape(Z.shape[0], self.t_steps, self.state_dim)
 
-    def jacobian(self, z=None, ctx: Context | None = None) -> np.ndarray:
-        """d(flattened trajectory)/dz; constant for an affine decoder."""
-        return self.W
+    def jacobian_batch(self, Z) -> np.ndarray:
+        """(N, T*D, n_z) derivative of the flattened decode at each code: W."""
+        return np.broadcast_to(self.W, (np.atleast_2d(Z).shape[0],) + self.W.shape)
 
     def to_config(self) -> dict:
         cfg = {
@@ -196,16 +197,20 @@ class CrossroadDecoder:
     def decode(self, z, ctx: Context | None = None) -> np.ndarray:
         return self.decode_batch(np.asarray(z, dtype=float)[None], ctx)[0]
 
-    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+    def _polar(self, Z):
+        """Checked (N, 2) codes, their sectors, in-sector offsets rel / half, radii."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[1] != 2:
             raise ValueError("crossroad decoder expects 2-d latent codes")
-        theta = np.arctan2(Z[:, 1], Z[:, 0])
-        sectors, rel = self._sectors_from_angle(theta)
+        sectors, rel = self._sectors_from_angle(np.arctan2(Z[:, 1], Z[:, 0]))
         half = self._half[sectors]
         own_rel = rel[np.arange(Z.shape[0]), sectors]
         offset = np.divide(own_rel, half, out=np.zeros_like(own_rel), where=half > 0)
-        radial = np.tanh(np.sqrt(np.einsum("ij,ij->i", Z, Z)) - 1.0)
+        return Z, sectors, offset, np.sqrt(np.einsum("ij,ij->i", Z, Z))
+
+    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+        Z, sectors, offset, radius = self._polar(Z)
+        radial = np.tanh(radius - 1.0)
         wobble_dir = (
             offset[:, None] * self._lateral[sectors] + radial[:, None] * self._heading[sectors]
         )  # (n, 2)
@@ -215,6 +220,20 @@ class CrossroadDecoder:
         if ctx is not None:
             out = out + ctx.past[-1][None, None, :]
         return out
+
+    def jacobian_batch(self, Z) -> np.ndarray:
+        """(N, T*2, 2) derivative of the flattened decode at each code: inside a
+        sector, d offset/dz = (-z_1, z_0) / (|z|^2 half) and d radial/dz =
+        (1 - radial^2) z / |z|; zero at z = 0, where the angle is undefined."""
+        Z, sectors, _, radius = self._polar(Z)
+        safe = np.where(radius > 0, radius, 1.0)
+        d_offset = np.stack([-Z[:, 1], Z[:, 0]], axis=1) / (safe**2 * self._half[sectors])[:, None]
+        d_radial = ((1.0 - np.tanh(radius - 1.0) ** 2) / safe)[:, None] * Z
+        d_dir = self._lateral[sectors][:, :, None] * d_offset[:, None] + (
+            self._heading[sectors][:, :, None] * d_radial[:, None]
+        )  # (n, 2, 2): output coordinate by latent coordinate
+        jac = self.within_mode_scale * self._ramp[None, :, None, None] * d_dir[:, None]
+        return jac.reshape(Z.shape[0], -1, 2)
 
     def to_config(self) -> dict:
         return {
@@ -265,15 +284,34 @@ class TabulatedDecoder:
     def decode(self, z, ctx: Context | None = None) -> np.ndarray:
         return self.decode_batch(np.asarray(z, dtype=float)[None], ctx)[0]
 
-    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+    def _clamped(self, Z):
+        """Checked (N, n_z) codes and the same codes clamped to the grid."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[1] != self.n_z:
             raise ValueError(f"latent dim mismatch: got {Z.shape[1]}, grid has {self.n_z}")
-        clamped = np.column_stack(
+        return Z, np.column_stack(
             [np.clip(Z[:, i], ax[0], ax[-1]) for i, ax in enumerate(self.z_grid)]
         )
+
+    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+        Z, clamped = self._clamped(Z)
         flat = self._interp(clamped)
         return flat.reshape(Z.shape[0], self.t_steps, self.state_dim)
+
+    def jacobian_batch(self, Z) -> np.ndarray:
+        """(N, T*D, n_z) cell slopes of the multilinear interpolant at the
+        clamped codes; zero along a dimension where the code is off the grid.
+        The interpolant is linear along each axis inside a cell, so a slope is
+        the difference across the cell's two faces over its width."""
+        Z, z = self._clamped(Z)
+        slopes = []
+        for i, ax in enumerate(self.z_grid):
+            j = np.clip(np.searchsorted(ax, z[:, i], side="right") - 1, 0, len(ax) - 2)
+            lo, hi = z.copy(), z.copy()
+            lo[:, i], hi[:, i] = ax[j], ax[j + 1]
+            inv_width = (Z[:, i] == z[:, i]) / (ax[j + 1] - ax[j])  # zero off the grid
+            slopes.append((self._interp(hi) - self._interp(lo)) * inv_width[:, None])
+        return np.stack(slopes, axis=2)
 
     def to_config(self) -> dict:
         return {

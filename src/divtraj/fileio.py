@@ -162,6 +162,7 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
 
 def train_config_from_dict(block: dict) -> TrainConfig:
     block = dict(block)
+    block.pop("fd_step", None)  # finite-difference step of older configs, now unused
     kernel_block = dict(block.pop("kernel", {}))
     energy_block = dict(block.pop("energy", {}))
     _reject_unknown(block, TrainConfig.__dataclass_fields__, "train config")

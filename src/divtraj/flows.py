@@ -111,6 +111,21 @@ def _kl(A: np.ndarray, b: np.ndarray, grad: bool = False):
     return kl, (A - np.swapaxes(np.linalg.inv(A), -1, -2), b)
 
 
+def _fold_features(A: np.ndarray, b: np.ndarray, block, features, k0: int):
+    """(M, K, n, n) maps A_k + fold(Ma_k f) and (M, K, n) shifts b_k + Mb_k f
+    (k >= k0) for (M, F) features; ``block`` is [Ma (K-k0, n, n, F), Mb (K-k0, n, F)]."""
+    block, features = np.asarray(block, dtype=float), np.atleast_2d(features)
+    (m, f_dim), (k_t, n) = features.shape, (A.shape[0] - k0, A.shape[-1])
+    need = k_t * (n * n + n) * f_dim
+    if block.size != need:
+        raise ValueError(f"featurization block has {block.size} entries, {f_dim} features need {need}")
+    n_ma = k_t * n * n * f_dim
+    A, b = np.repeat(A[None], m, axis=0), np.repeat(b[None], m, axis=0)
+    A[:, k0:] += np.einsum("kijf,mf->mkij", block[:n_ma].reshape(k_t, n, n, f_dim), features)
+    b[:, k0:] += np.einsum("kif,mf->mki", block[n_ma:].reshape(k_t, n, f_dim), features)
+    return A, b
+
+
 def kl_to_standard_normal(flows: AffineFlowSet, k: int | None = None):
     """Analytic KL of the flow-induced Gaussian N(b, A A^T) to N(0, I).
 

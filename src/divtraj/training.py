@@ -10,9 +10,9 @@ set of per-run common random draws.
 Both trainers require decoders with the additive-context property
 (``decode(z, ctx) = decode(z, None) + context_offset(ctx)``): pairwise
 energies and kernel similarities are then context-invariant, and the
-reconstruction term folds the context offset into its target. Analytic
-gradients are used for affine decoders exposing ``jacobian``; all other
-paths fall back to central finite differences over the parameter vector.
+reconstruction term folds the context offset into its target. Gradients
+are exact on every path: the chain rule through each decoder's per-code
+``jacobian_batch`` and, for featurized flows, through the per-example fold.
 
 The objectives hold no sampler math of their own. They pack parameters,
 apply the flows, decode once per evaluation and chain gradients through the
@@ -31,7 +31,7 @@ import numpy as np
 from . import dpp, energy
 from .dpp import KernelConfig
 from .energy import EnergyConfig
-from .flows import DET_TOL, AffineFlowSet, DsfCodes, _kl
+from .flows import DET_TOL, AffineFlowSet, DsfCodes, _fold_features, _kl
 from .trajectory import Dataset, Example
 
 __all__ = [
@@ -55,7 +55,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    fd_step: float = 1e-4
     noise_draws_per_iter: int = 8
     kernel: KernelConfig = field(default_factory=KernelConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
@@ -70,8 +69,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr < 0:  # zero is allowed as an explicit no-op probe
             raise ValueError("lr must be >= 0")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,6 @@ class _DsfObjective(_Objective):
         self.kcfg = kcfg
         self.radius_sq = kcfg.radius**2
         self.k = k
-        self.analytic = hasattr(decoder, "jacobian")
 
     def evaluate(self, params: np.ndarray, grad: bool = False):
         codes = params.reshape(self.k, self.decoder.n_z)
@@ -181,7 +177,8 @@ class _DsfObjective(_Objective):
         g_items, g_codes = dpp._cardinality_grads(
             items, codes, s, r, lam, u, self.kcfg.sim_scale, self.radius_sq
         )
-        return bd, -(g_items @ self.decoder.jacobian() + g_codes).reshape(-1)
+        g_codes += np.einsum("kf,kfn->kn", g_items, self.decoder.jacobian_batch(codes))
+        return bd, -g_codes.reshape(-1)
 
 
 class _DlowObjective(_Objective):
@@ -191,7 +188,7 @@ class _DlowObjective(_Objective):
     (flow 0 excluded when it is pinned to the identity), then the optional
     per-context featurization blocks. With featurization enabled the flows
     become A_k + fold(Ma_k @ f), b_k + Mb_k @ f per example, stacked on a
-    leading example axis (finite-difference gradients only).
+    leading example axis.
     """
 
     def __init__(self, decoder, examples, cfg: TrainConfig, eps_draws: np.ndarray):
@@ -202,7 +199,6 @@ class _DlowObjective(_Objective):
         self.n_z = decoder.n_z
         self.fix_first = cfg.fix_first_identity
         self.featurized = cfg.context_featurization
-        self.analytic = hasattr(decoder, "jacobian") and not self.featurized
         t_steps, state_dim = examples[0].future.shape
         self.ecfg.validate_split(state_dim)
         self.targets = np.stack(  # (M, 1, F): one target per example, for every draw
@@ -251,23 +247,13 @@ class _DlowObjective(_Objective):
         a, b, feat = self.unpack(params)
         if not self.featurized:
             return a[None], b[None]
-        k_t, n_z, m = self.k - self.k0, self.n_z, self.features.shape[0]
-        n_ma = k_t * n_z * n_z * self.features.shape[1]
-        ma = feat[:n_ma].reshape(k_t, n_z, n_z, -1)
-        mb = feat[n_ma:].reshape(k_t, n_z, -1)
-        a = np.repeat(a[None], m, axis=0)
-        b = np.repeat(b[None], m, axis=0)
-        a[:, self.k0 :] += np.einsum("kijf,mf->mkij", ma, self.features)
-        b[:, self.k0 :] += np.einsum("kif,mf->mki", mb, self.features)
-        return a, b
+        return _fold_features(a, b, feat, self.features, self.k0)
 
     # --- loss ----------------------------------------------------------------
     def _flow_dets_ok(self, a: np.ndarray) -> bool:
         return bool(np.all(np.abs(np.linalg.det(a)) > DET_TOL))
 
     def evaluate(self, params: np.ndarray, grad: bool = False):
-        if grad and self.featurized:
-            raise NotImplementedError("featurized flows train via finite differences")
         a, b = self._flows(params)
         if not self._flow_dets_ok(a):
             raise ValueError("flow not invertible")
@@ -282,11 +268,17 @@ class _DlowObjective(_Objective):
         bd = {"total": float(sum(terms.values())), "terms": terms}
         if not grad:
             return bd, None
-        kl_a, kl_b = g_kl
-        g_z = g_v[0] @ self.decoder.jacobian()  # (E, K, n_z), the one shared flow set
-        g_a = cfg.beta * kl_a[0] + np.einsum("ekn,em->knm", g_z, self.eps)
-        g_b = cfg.beta * kl_b[0] + g_z.sum(axis=0)
-        return bd, np.concatenate([g_a[self.k0 :].reshape(-1), g_b[self.k0 :].reshape(-1)])
+        jac = self.decoder.jacobian_batch(z.reshape(-1, self.n_z)).reshape(*g_v.shape, self.n_z)
+        g_z = np.einsum("mekf,mekfn->mekn", g_v, jac)
+        # per flow set (M', K, ...): summed for the base flows, and taken as
+        # outer products with each example's features for the feature blocks
+        g_a = (cfg.beta / len(kl)) * g_kl[0] + np.einsum("mekn,ej->mknj", g_z, self.eps)
+        g_b = (cfg.beta / len(kl)) * g_kl[1] + g_z.sum(axis=1)
+        g_a, g_b = g_a[:, self.k0 :], g_b[:, self.k0 :]
+        parts = [g_a.sum(axis=0), g_b.sum(axis=0)]
+        if self.featurized:
+            parts += [np.einsum("mk...,mf->k...f", g, self.features) for g in (g_a, g_b)]
+        return bd, np.concatenate([part.reshape(-1) for part in parts])
 
 
 def _as_examples(data) -> list[Example]:
@@ -318,11 +310,9 @@ def _run_optimizer(objective, params: np.ndarray, cfg: TrainConfig, singular_che
     trace = []
     start = time.perf_counter()
     for i in range(cfg.iters):
-        bd, grad = objective.evaluate(params, grad=objective.analytic)
+        bd, grad = objective.evaluate(params, grad=True)
         _check_finite(bd, i)
         trace.append({"iter": i, "total": bd["total"], "terms": bd["terms"]})
-        if grad is None:
-            grad = numeric_gradient(objective.loss, params, cfg.fd_step)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite gradient at iteration {i}")
         params, state = adam_step(params, grad, state, cfg.lr)
@@ -377,6 +367,8 @@ def train_dlow(data, decoder, cfg: TrainConfig, init_flows=None) -> tuple[Affine
     """
     if cfg.mode != "dlow":
         raise ValueError("config mode must be 'dlow'")
+    if cfg.k < 2:
+        raise ValueError(f"DLow training requires K >= 2 for its diversity energy, got K={cfg.k}")
     examples = _as_examples(data)
     if not examples:
         raise ValueError("training data must contain at least one example with a future")

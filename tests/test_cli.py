@@ -12,7 +12,9 @@ from divtraj import (
     EnergyConfig,
     Example,
     KernelConfig,
+    AffineFlowSet,
     TrainConfig,
+    apply_flows,
     generate_crossroad,
 )
 from divtraj.cli import main
@@ -77,6 +79,12 @@ class TestFileFormats:
         bad2["kernel"] = dict(block["kernel"], scale=1.0)
         with pytest.raises(ValueError, match="unknown keys"):
             train_config_from_dict(bad2)
+
+    def test_version1_config_with_fd_step_still_loads(self):
+        # configs and models written while training used finite differences carry fd_step
+        cfg = TrainConfig(mode="dlow", k=4, iters=10, seed=2)
+        block = dict(train_config_to_dict(cfg), fd_step=1e-4)
+        assert train_config_from_dict(block) == cfg
 
 
 @pytest.fixture()
@@ -173,6 +181,15 @@ class TestTrain:
         # so the final diversity energy is higher (less diverse)
         assert finals[100.0] > finals[1.0]
 
+    def test_config_with_fd_step_trains(self, workdir):
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        (workdir / "fd.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, fd_step=1e-4)))
+        assert run([
+            "train", "--config", workdir / "fd.json", "--dataset", workdir / "d.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 0
+        assert "fd_step" not in read_model(workdir / "m.json")["train_config"]
+
 
 def _train_model(workdir):
     run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
@@ -241,6 +258,76 @@ class TestSample:
         ]) == 0
         records = read_samples(workdir / "s.jsonl")
         assert all(set(rec["dpp_map"]) <= set(range(4)) for rec in records)
+
+    def train_featurized(self, workdir, fix_first, n_features=3):
+        """A linear-decoder DLow model (K=3) trained with context featurization
+        on 6 examples; returns the examples, the decoder weights and the model."""
+        rng = np.random.default_rng(20)
+        examples = [
+            Example(
+                context=Context(past=rng.normal(size=(2, 2)), features=rng.normal(size=n_features)),
+                future=rng.normal(size=(3, 2)),
+                id=i,
+            )
+            for i in range(6)
+        ]
+        write_dataset(workdir / "f.jsonl", Dataset(examples=tuple(examples)))
+        w = rng.normal(size=(6, 2))
+        cfg = {
+            "mode": "dlow", "k": 3, "iters": 30, "lr": 0.05, "seed": 0,
+            "context_featurization": True, "fix_first_identity": fix_first,
+            "energy": {"sigma_d": 5.0, "lambda_d": 2.0, "lambda_r": 1.0, "beta": 0.5},
+            "decoder": {
+                "kind": "linear", "W": w.tolist(), "c0": [0.0] * 6, "t_steps": 3, "state_dim": 2,
+            },
+        }
+        (workdir / "feat.json").write_text(json.dumps(cfg))
+        assert run([
+            "train", "--config", workdir / "feat.json", "--dataset", workdir / "f.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 0
+        return examples, w, read_model(workdir / "m.json")
+
+    def sample_records(self, workdir, model_path, out_name):
+        assert run([
+            "sample", "--model", model_path, "--dataset", workdir / "f.jsonl",
+            "--out", workdir / out_name,
+        ]) == 0
+        return read_samples(workdir / out_name)
+
+    def test_featurized_model_samples_use_per_example_flows(self, workdir):
+        for fix_first in (False, True):
+            examples, w, model = self.train_featurized(workdir, fix_first)
+            k_t, n_f = 3 - fix_first, 3
+            block = np.asarray(model["params"]["featurization"])
+            assert block.size == k_t * (2 * 2 + 2) * n_f and np.abs(block).max() > 0.1
+            ma = block[: k_t * 2 * 2 * n_f].reshape(k_t, 2, 2, n_f)
+            mb = block[k_t * 2 * 2 * n_f :].reshape(k_t, 2, n_f)
+            records = self.sample_records(workdir, workdir / "m.json", "s.jsonl")
+            for ex, rec in zip(examples, records):
+                a, b = np.array(model["params"]["A"]), np.array(model["params"]["b"])
+                a[fix_first:] += ma @ ex.context.features
+                b[fix_first:] += mb @ ex.context.features
+                eps = np.random.default_rng([model["seed"], ex.id]).standard_normal(2)
+                z = apply_flows(AffineFlowSet(A=a, b=b), eps)
+                np.testing.assert_allclose(rec["samples"], (z @ w.T).reshape(3, 3, 2), atol=1e-12)
+            # the same model with its featurization block zeroed samples differently
+            model["params"]["featurization"] = [0.0] * block.size
+            (workdir / "m0.json").write_text(json.dumps(model))
+            for rec, rec0 in zip(records, self.sample_records(workdir, workdir / "m0.json", "s0.jsonl")):
+                assert np.abs(rec["samples"] - rec0["samples"]).max() > 1e-6
+
+    def test_featurized_model_rejects_feature_length_mismatch(self, workdir, capsys):
+        self.train_featurized(workdir, fix_first=False)
+        examples = [
+            Example(context=Context(past=np.zeros((2, 2)), features=np.ones(2)), future=np.zeros((3, 2)), id=0)
+        ]
+        write_dataset(workdir / "f2.jsonl", Dataset(examples=tuple(examples)))
+        assert run([
+            "sample", "--model", workdir / "m.json", "--dataset", workdir / "f2.jsonl",
+            "--out", workdir / "s.jsonl",
+        ]) == 1
+        assert "featurization block has 54 entries, 2 features need 36" in capsys.readouterr().err
 
     def test_larger_omega_selects_no_fewer_items(self, workdir):
         _train_model(workdir)

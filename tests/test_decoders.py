@@ -8,8 +8,17 @@ from divtraj import (
     LinearDecoder,
     TabulatedDecoder,
     decoder_from_config,
+    numeric_gradient,
     route_templates,
 )
+
+
+def fd_jacobian(dec, z, step=1e-6):
+    """Central-difference Jacobian of the flattened decode, one output at a time."""
+    n_out = dec.t_steps * dec.state_dim
+    return np.stack(
+        [numeric_gradient(lambda x: dec.decode_batch(x[None]).reshape(-1)[i], z, step) for i in range(n_out)]
+    )
 
 
 class TestLinearDecoder:
@@ -53,6 +62,14 @@ class TestLinearDecoder:
         dec = LinearDecoder(W=np.eye(6), c0=np.zeros(6), t_steps=3, state_dim=2)
         with pytest.raises(ValueError):
             dec.decode(np.zeros(4))
+
+    def test_jacobian_is_w_at_every_code(self):
+        rng = np.random.default_rng(4)
+        dec = self.make(rng)
+        jac = dec.jacobian_batch(rng.normal(size=(5, 3)))
+        assert jac.shape == (5, 4, 3)
+        for j in jac:
+            np.testing.assert_array_equal(j, dec.W)
 
     def test_config_round_trip(self):
         rng = np.random.default_rng(3)
@@ -110,6 +127,39 @@ class TestCrossroadDecoder:
             count += 1
         assert count > 150
 
+    def boundaries(self):
+        return np.concatenate([self.DEC._centers - self.DEC._half, self.DEC._centers + self.DEC._half])
+
+    def test_jacobian_matches_fd_inside_sectors(self):
+        # 150 codes at least 1e-3 rad from every sector boundary and 0.2 from the origin
+        rng = np.random.default_rng(6)
+        theta = rng.uniform(-np.pi, np.pi, size=400)
+        gap = np.abs(np.mod(theta[:, None] - self.boundaries()[None] + np.pi, 2 * np.pi) - np.pi)
+        theta = theta[gap.min(axis=1) > 1e-3][:150]
+        assert theta.size == 150
+        Z = rng.uniform(0.2, 3.0, size=(150, 1)) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        jac = self.DEC.jacobian_batch(Z)
+        assert jac.shape == (150, 6, 2)
+        for z, j in zip(Z, jac):
+            np.testing.assert_allclose(j, fd_jacobian(self.DEC, z), rtol=0, atol=1e-7)
+
+    def test_jacobian_matches_fd_just_inside_each_boundary(self):
+        # each sector's lower and upper edge, 1e-3 rad inside, with steps that stay in the sector
+        for s, (center, half) in enumerate(zip(self.DEC._centers, self.DEC._half)):
+            for theta in (center - half + 1e-3, center + half - 1e-3):
+                for radius in (0.5, 1.0, 2.5):
+                    z = radius * np.array([np.cos(theta), np.sin(theta)])
+                    h = 1e-6 * max(1.0, np.abs(z).max())
+                    probes = z + h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+                    assert np.all(self.DEC.sector_of(probes) == s)
+                    np.testing.assert_allclose(
+                        self.DEC.jacobian_batch(z)[0], fd_jacobian(self.DEC, z), rtol=0, atol=1e-7
+                    )
+
+    def test_jacobian_at_origin_is_finite_zero(self):
+        jac = self.DEC.jacobian_batch(np.zeros((2, 2)))
+        assert np.all(np.isfinite(jac)) and np.all(jac == 0.0)
+
     def test_anchored_at_context_endpoint(self):
         ctx = Context(past=np.array([[0.0, 0.0], [3.0, -2.0]]))
         z = np.array([1.0, 0.0])
@@ -161,6 +211,42 @@ class TestTabulatedDecoder:
         clone = decoder_from_config(tab.to_config())
         z = np.array([0.7, 0.2])
         np.testing.assert_allclose(clone.decode(z), tab.decode(z))
+
+    def make_random(self, rng, n_z):
+        axes = tuple(np.sort(rng.uniform(-2.0, 2.0, size=6 + i)) for i in range(n_z))
+        table = rng.normal(size=tuple(len(ax) for ax in axes) + (3, 2))
+        return TabulatedDecoder(z_grid=axes, table=table, t_steps=3, state_dim=2)
+
+    def inside_cells(self, rng, tab, n):
+        # a random cell per dimension, 5-95% of the way across it: FD steps stay in the cell
+        cols = []
+        for ax in tab.z_grid:
+            j = rng.integers(0, len(ax) - 1, size=n)
+            cols.append(ax[j] + rng.uniform(0.05, 0.95, size=n) * (ax[j + 1] - ax[j]))
+        return np.stack(cols, axis=1)
+
+    def test_jacobian_matches_fd_inside_cells(self):
+        rng = np.random.default_rng(7)
+        for n_z in (1, 2, 3):
+            tab = self.make_random(rng, n_z)
+            Z = self.inside_cells(rng, tab, 100)
+            jac = tab.jacobian_batch(Z)
+            assert jac.shape == (100, 6, n_z)
+            for z, j in zip(Z, jac):
+                np.testing.assert_allclose(j, fd_jacobian(tab, z), rtol=0, atol=1e-7)
+
+    def test_jacobian_zero_along_off_grid_dimension(self):
+        rng = np.random.default_rng(8)
+        tab = self.make_random(rng, 2)
+        for dim in (0, 1):
+            Z = self.inside_cells(rng, tab, 100)
+            ax = tab.z_grid[dim]
+            Z[:, dim] = np.where(rng.random(100) < 0.5, ax[0] - 0.5, ax[-1] + 0.5)
+            jac = tab.jacobian_batch(Z)
+            assert np.all(jac[:, :, dim] == 0.0)
+            assert np.all(np.abs(jac[:, :, 1 - dim]).max(axis=1) > 0)
+            for z, j in zip(Z, jac):
+                np.testing.assert_allclose(j, fd_jacobian(tab, z), rtol=0, atol=1e-7)
 
     def test_table_shape_validated(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from divtraj import (
     Example,
     KernelConfig,
     LinearDecoder,
+    TabulatedDecoder,
     TrainConfig,
     adam_step,
     apply_flows,
@@ -76,6 +77,13 @@ def linear_decoder(rng, n_z=3, t=2, d=2):
     )
 
 
+def tabulated_decoder(rng, n_z=2, t=2, d=2):
+    axes = tuple(np.linspace(-3.0, 3.0, 13) for _ in range(n_z))
+    return TabulatedDecoder(
+        z_grid=axes, table=rng.normal(size=(13,) * n_z + (t, d)), t_steps=t, state_dim=d
+    )
+
+
 class TestGradientFidelity:
     """Analytic vs central-difference gradients; mandatory for every
     differentiable path."""
@@ -101,16 +109,27 @@ class TestGradientFidelity:
 
     def test_dlow_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
+        cases = []
         for _ in range(10):
             n_z = int(rng.integers(2, 5))
             k = int(rng.integers(2, 6))
-            dec = linear_decoder(rng, n_z=n_z)
+            cases.append((linear_decoder(rng, n_z=n_z), k, False, False))
+        # featurized flows on every decoder kind, first flow free and pinned
+        for dec in (linear_decoder(rng), CrossroadDecoder((0.8, 0.1, 0.1), t_steps=2), tabulated_decoder(rng)):
+            cases += [(dec, 3, True, False), (dec, 3, True, True)]
+        for dec, k, featurized, fix_first in cases:
+            n_z = dec.n_z
             examples = [
-                Example(context=Context(past=np.zeros((1, 2))), future=rng.normal(size=(2, 2)), id=i)
+                Example(
+                    context=Context(past=np.zeros((1, 2)), features=rng.normal(size=2 * featurized)),
+                    future=rng.normal(size=(2, 2)),
+                    id=i,
+                )
                 for i in range(2)
             ]
             cfg = TrainConfig(
                 mode="dlow", k=k, noise_draws_per_iter=3, seed=0,
+                context_featurization=featurized, fix_first_identity=fix_first,
                 energy=EnergyConfig(
                     sigma_d=float(rng.uniform(1.0, 10.0)), lambda_d=5.0, lambda_r=1.5, beta=0.7
                 ),
@@ -120,6 +139,9 @@ class TestGradientFidelity:
             a = np.tile(np.eye(n_z), (k, 1, 1)) + rng.normal(scale=0.15, size=(k, n_z, n_z))
             b = rng.normal(scale=0.4, size=(k, n_z))
             params = obj.pack(AffineFlowSet(A=a, b=b))
+            if featurized:  # a nonzero featurization block
+                n_base = (k - fix_first) * (n_z * n_z + n_z)
+                params[n_base:] = rng.normal(scale=0.2, size=params.size - n_base)
             g_a = obj.grad(params)
             g_n = numeric_gradient(obj.loss, params, 1e-5)
             assert self.rel_err(g_a, g_n) < 1e-4
@@ -283,6 +305,17 @@ class TestTrainDlow:
             )
             with pytest.raises(ValueError, match=r"\(2, 2, 2\).*got \(3, 2, 2\)"):
                 train_dlow([example], dec, cfg, init_flows=AffineFlowSet.identity(3, 2))
+
+    def test_k_below_two_rejected_up_front(self):
+        # the diversity energy divides by K(K-1): refused before any iteration
+        rng = np.random.default_rng(19)
+        cfg = TrainConfig(mode="dlow", k=1, iters=2, noise_draws_per_iter=2)
+        for dec in (linear_decoder(rng, n_z=2, t=3), CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1))):
+            example = Example(
+                context=Context(past=np.zeros((1, 2))), future=rng.normal(size=(3, 2)), id=0
+            )
+            with pytest.raises(ValueError, match="K >= 2.*got K=1"):
+                train_dlow([example], dec, cfg)
 
     def test_nonfinite_term_fails_fast_on_both_gradient_paths(self):
         rng = np.random.default_rng(17)
