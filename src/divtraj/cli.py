@@ -211,6 +211,8 @@ def cmd_eval(args) -> int:
             "baseline: "
             + " ".join(f"{name}={payload['baseline_means'][name]:.4f}" for name in METRIC_NAMES)
         )
+    sizes = report.group_sizes
+    print(f"groups: min={min(sizes)} mean={np.mean(sizes):.1f} max={max(sizes)}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

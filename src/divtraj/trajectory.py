@@ -149,6 +149,7 @@ class MetricsReport:
     per_example: tuple  # of dicts: {"id": int, "apd": float, ...}
     means: dict
     conventions: str = METRIC_CONVENTIONS
+    group_sizes: tuple = ()  # multi-modal group member counts, in dataset order
 
     def mean(self, name: str) -> float:
         return self.means[name]
@@ -167,23 +168,27 @@ def traj_distance(a, b) -> float:
     return float(np.linalg.norm((a - b).reshape(-1)))
 
 
-def _per_step_mean_dist(samples: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    # samples: (K, T, D), gt: (T, D) -> (K,) mean-over-t pose distance
-    return np.linalg.norm(samples - gt[None], axis=2).mean(axis=1)
+def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
+    """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures (G, T, D)."""
+    _check_same_shape(samples[0], futures[0])  # before broadcasting: (K, 1, D) would stretch
+    return np.linalg.norm(samples[:, None] - futures[None], axis=3)
+
+
+def _best_of_k(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-future (ADE, FDE), each (G,): mean over T (FDE: last step), then min over K."""
+    return dists.mean(axis=2).min(axis=0), dists[:, :, -1].min(axis=0)
 
 
 def ade(samples: SampleSet, gt) -> float:
     """Min over samples of the per-timestep mean Euclidean pose distance."""
     gt = as_trajectory(gt)
-    _check_same_shape(samples.samples[0], gt)
-    return float(_per_step_mean_dist(samples.samples, gt).min())
+    return float(_best_of_k(_pose_dists(samples.samples, gt[None]))[0][0])
 
 
 def fde(samples: SampleSet, gt) -> float:
     """Min over samples of the final-pose Euclidean distance."""
     gt = as_trajectory(gt)
-    _check_same_shape(samples.samples[0], gt)
-    return float(np.linalg.norm(samples.samples[:, -1] - gt[-1], axis=1).min())
+    return float(_best_of_k(_pose_dists(samples.samples, gt[None]))[1][0])
 
 
 def apd(samples: SampleSet) -> float:
@@ -218,6 +223,32 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
     return float(asd_val), float(fsd_val)
 
 
+# Bytes of one grouping block's (rows, M, F) context differences; the norm
+# allocates a second array of the same size.
+_GROUP_BLOCK_BYTES = 4 << 20
+
+
+def _context_groups(dataset: Dataset, eps: float):
+    """Yield each example's multi-modal member indices, in dataset order.
+
+    Example j is a member of anchor i iff ||ctx_j - ctx_i|| <= eps on
+    flattened contexts: pairwise to the anchor, no transitive closure. The
+    distances are computed a block of anchors at a time, so memory stays
+    bounded by the block size plus O(M) whatever the dataset size.
+    """
+    if not eps >= 0:  # also rejects NaN, which would leave every group a singleton
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    ctx = np.stack([ex.context.flat() for ex in dataset.examples])
+    rows = max(1, _GROUP_BLOCK_BYTES // ctx.nbytes)
+    for start in range(0, len(ctx), rows):
+        near = np.linalg.norm(ctx[start : start + rows, None] - ctx[None], axis=2) <= eps
+        for i, row in enumerate(near, start):
+            members = np.flatnonzero(row)
+            if not row[i]:  # guard against float noise on the self distance
+                members = np.concatenate(([i], members))
+            yield members
+
+
 def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarray]]:
     """Group futures of examples whose contexts lie within eps of each anchor.
 
@@ -225,26 +256,19 @@ def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarr
     contributes its future to anchor i iff ||ctx_j - ctx_i|| <= eps on
     flattened contexts. Each anchor always keeps its own future.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    ctx = np.stack([ex.context.flat() for ex in dataset.examples])
-    dists = np.linalg.norm(ctx[:, None, :] - ctx[None, :, :], axis=2)
-    out: dict[int, list[np.ndarray]] = {}
-    for i, ex in enumerate(dataset.examples):
-        members = np.flatnonzero(dists[i] <= eps)
-        futures = [dataset.examples[j].future for j in members]
-        if i not in members:  # guard against float noise on the self distance
-            futures.insert(0, ex.future)
-        out[ex.id] = futures
-    return out
+    examples = dataset.examples
+    return {
+        ex.id: [examples[j].future for j in members]
+        for ex, members in zip(examples, _context_groups(dataset, eps))
+    }
 
 
 def mm_metrics(samples: SampleSet, gt_set: list) -> tuple[float, float]:
     """ADE/FDE averaged over a multi-modal ground-truth set."""
     if len(gt_set) == 0:
         raise ValueError("gt_set must be non-empty")
-    ades = [ade(samples, gt) for gt in gt_set]
-    fdes = [fde(samples, gt) for gt in gt_set]
+    futures = np.stack([as_trajectory(gt) for gt in gt_set])
+    ades, fdes = _best_of_k(_pose_dists(samples.samples, futures))
     return float(np.mean(ades)), float(np.mean(fdes))
 
 
@@ -257,23 +281,25 @@ def evaluate_sample_sets(dataset: Dataset, sample_sets: dict[int, SampleSet], ep
     missing = [ex.id for ex in dataset.examples if ex.id not in sample_sets]
     if missing:
         raise ValueError(f"missing sample sets for example ids {missing}")
-    mm_gt = build_multimodal_gt(dataset, eps)
-    rows = []
-    for ex in dataset.examples:
+    futures = np.stack([ex.future for ex in dataset.examples])
+    rows, sizes = [], []
+    for i, (ex, members) in enumerate(zip(dataset.examples, _context_groups(dataset, eps))):
         ss = sample_sets[ex.id]
+        ades, fdes = _best_of_k(_pose_dists(ss.samples, futures[members]))
+        own = np.flatnonzero(members == i)[0]
         asd_val, fsd_val = asd_fsd(ss)
-        mmade, mmfde = mm_metrics(ss, mm_gt[ex.id])
         rows.append(
             {
                 "id": ex.id,
                 "apd": apd(ss),
                 "asd": asd_val,
                 "fsd": fsd_val,
-                "ade": ade(ss, ex.future),
-                "fde": fde(ss, ex.future),
-                "mmade": mmade,
-                "mmfde": mmfde,
+                "ade": float(ades[own]),
+                "fde": float(fdes[own]),
+                "mmade": float(np.mean(ades)),
+                "mmfde": float(np.mean(fdes)),
             }
         )
+        sizes.append(len(members))
     means = {name: float(np.mean([r[name] for r in rows])) for name in METRIC_NAMES}
-    return MetricsReport(per_example=tuple(rows), means=means)
+    return MetricsReport(per_example=tuple(rows), means=means, group_sizes=tuple(sizes))

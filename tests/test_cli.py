@@ -430,6 +430,46 @@ class TestEval:
         records = read_samples(workdir / "tab_s.jsonl")
         assert records[0]["samples"].shape == (3, 3, 2)
 
+    def test_nan_eps_rejected(self, workdir, capsys):
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        from divtraj.fileio import write_samples
+
+        ds = read_dataset(workdir / "d.jsonl")
+        write_samples(workdir / "s.jsonl", [{"id": ex.id, "samples": np.stack([ex.future] * 2)} for ex in ds.examples])
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
+            "--eps", "nan", "--out", workdir / "report",
+        ]) == 1
+        assert "eps must be >= 0, got nan" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
+
+    def test_group_sizes_printed_not_written(self, workdir, capsys):
+        from divtraj import SampleSet, evaluate_sample_sets
+        from divtraj.fileio import metrics_to_csv, write_report, write_samples
+
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        ds = read_dataset(workdir / "d.jsonl")
+        rng = np.random.default_rng(2)
+        records = [{"id": ex.id, "samples": ex.future + rng.normal(size=(3, 3, 2))} for ex in ds.examples]
+        write_samples(workdir / "s.jsonl", records)
+        capsys.readouterr()
+        for eps, line in (("1.0", "groups: min=24 mean=24.0 max=24"), ("0", "groups: min=1 mean=1.0 max=1")):
+            assert run([
+                "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
+                "--eps", eps, "--out", workdir / "report",
+            ]) == 0
+            assert line in capsys.readouterr().out.splitlines()
+        # the files hold only the metric table: their bytes do not depend on group_sizes
+        report = evaluate_sample_sets(
+            ds, {rec["id"]: SampleSet(samples=rec["samples"]) for rec in read_samples(workdir / "s.jsonl")}, 0.0
+        )
+        write_report(workdir / "expected.json", {
+            "conventions": report.conventions, "eps": 0.0, "means": report.means,
+            "per_example": list(report.per_example),
+        })
+        assert (workdir / "report.json").read_bytes() == (workdir / "expected.json").read_bytes()
+        assert (workdir / "report.csv").read_text() == metrics_to_csv(report)
+
     def test_misaligned_ids_listed(self, workdir, capsys):
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
         from divtraj.fileio import write_samples

@@ -1,4 +1,7 @@
 """Metric suite unit tests: worked examples and structural invariants."""
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from divtraj import (
     mm_metrics,
     traj_distance,
 )
+from divtraj import trajectory
 
 
 def make_samples(*trajs):
@@ -170,6 +174,31 @@ class TestBuildMultimodalGt:
         with pytest.raises(ValueError):
             build_multimodal_gt(ds, -0.1)
 
+    def test_nan_eps_rejected_inf_groups_everything(self):
+        # NaN compares False with every distance: groups would silently shrink to the anchor
+        ds = _dataset_from_contexts([np.zeros((2, 2)), np.ones((2, 2))], [np.zeros((3, 2))] * 2)
+        with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+            build_multimodal_gt(ds, float("nan"))
+        assert [len(g) for g in build_multimodal_gt(ds, float("inf")).values()] == [2, 2]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    def test_blocked_groups_equal_dense_definition(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(4)
+        pasts = rng.normal(size=(20, 2, 2))
+        pasts[5] = pasts[2]  # an exact duplicate
+        ds = _dataset_from_contexts(pasts, rng.normal(size=(20, 3, 2)))
+        ctx = np.stack([ex.context.flat() for ex in ds.examples])
+        if block_rows is not None:
+            monkeypatch.setattr(trajectory, "_GROUP_BLOCK_BYTES", block_rows * ctx.nbytes)
+        dense = np.linalg.norm(ctx[:, None, :] - ctx[None, :, :], axis=2)
+        for eps in (0.0, dense[0, 7], dense[3, 11], 1.5, np.inf):
+            groups = build_multimodal_gt(ds, eps)
+            for i, ex in enumerate(ds.examples):
+                expected = [ds.examples[j].future for j in np.flatnonzero(dense[i] <= eps)]
+                assert len(groups[ex.id]) == len(expected)
+                assert all(a is b for a, b in zip(groups[ex.id], expected))
+        assert len(build_multimodal_gt(ds, dense[0, 7])[0]) >= 2  # the boundary is inclusive
+
 
 class TestMmMetrics:
     def test_singleton_reduces_to_unimodal(self):
@@ -277,3 +306,92 @@ class TestEvaluateSampleSets:
         ds = _dataset_from_contexts([np.zeros((2, 2))], [np.zeros((3, 2))])
         with pytest.raises(ValueError, match="missing"):
             evaluate_sample_sets(ds, {}, eps=0.0)
+
+    def test_nan_eps_rejected(self):
+        ds = _dataset_from_contexts([np.zeros((2, 2))], [np.zeros((3, 2))])
+        sets = {0: make_samples(ZERO32, ONES32)}
+        with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+            evaluate_sample_sets(ds, sets, eps=float("nan"))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (2, 3, 3)])
+    def test_mis_shaped_sample_set_rejected_not_broadcast(self, shape):
+        # (K, 1, D) would broadcast silently against T = 3 futures
+        ds = _dataset_from_contexts([np.zeros((2, 2)), np.ones((2, 2))], [ZERO32, ONES32])
+        bad = SampleSet(samples=np.zeros(shape))
+        message = re.escape(f"{shape[1:]} vs (3, 2)")
+        with pytest.raises(ValueError, match=message):
+            evaluate_sample_sets(ds, {0: make_samples(ZERO32, ONES32), 1: bad}, eps=np.inf)
+        with pytest.raises(ValueError, match=message):
+            ade(bad, ZERO32)
+        with pytest.raises(ValueError, match=message):
+            fde(bad, ZERO32)
+        with pytest.raises(ValueError, match=message):
+            mm_metrics(bad, [ZERO32, ONES32])
+
+    @staticmethod
+    def _case(name, rng):
+        m, n_features, ids = 20, 0, None
+        pasts = rng.normal(scale=0.5, size=(m, 2, 2))
+        if name == "duplicated contexts":
+            pasts[1::2] = pasts[0::2]
+        if name == "side features":
+            n_features = 3
+        if name == "non-contiguous ids":
+            ids = [int(j) for j in rng.permutation(1000)[:m]]
+        feats = rng.normal(size=(m, n_features))
+        examples = tuple(
+            Example(context=Context(past=pasts[i], features=feats[i]), future=rng.normal(size=(3, 2)),
+                    id=i if ids is None else ids[i])
+            for i in range(m)
+        )
+        ds = Dataset(examples=examples)
+        sets = {ex.id: SampleSet(samples=rng.normal(size=(4, 3, 2))) for ex in examples}
+        ctx = np.stack([ex.context.flat() for ex in examples])
+        dense = np.linalg.norm(ctx[:, None, :] - ctx[None, :, :], axis=2)
+        eps = {"eps zero": 0.0, "eps inf": np.inf, "exact pair distance": dense[2, 9]}.get(name, 1.0)
+        return ds, sets, eps, ctx.nbytes
+
+    @pytest.mark.parametrize(
+        "name",
+        ["duplicated contexts", "exact pair distance", "eps zero", "eps inf", "side features",
+         "non-contiguous ids", "several grouping blocks"],
+    )
+    def test_rows_equal_per_pair_definition_bitwise(self, monkeypatch, name):
+        ds, sets, eps, row_bytes = self._case(name, np.random.default_rng(21))
+        if name == "several grouping blocks":
+            monkeypatch.setattr(trajectory, "_GROUP_BLOCK_BYTES", 3 * row_bytes)  # 7 blocks, the last ragged
+        groups = build_multimodal_gt(ds, eps)
+        expected = []
+        for ex in ds.examples:
+            ss = sets[ex.id]
+            asd_val, fsd_val = asd_fsd(ss)
+            mmade, mmfde = mm_metrics(ss, groups[ex.id])
+            # the per-pair loop mm_metrics stands for
+            assert mmade == float(np.mean([ade(ss, gt) for gt in groups[ex.id]]))
+            assert mmfde == float(np.mean([fde(ss, gt) for gt in groups[ex.id]]))
+            expected.append({
+                "id": ex.id, "apd": apd(ss), "asd": asd_val, "fsd": fsd_val,
+                "ade": ade(ss, ex.future), "fde": fde(ss, ex.future), "mmade": mmade, "mmfde": mmfde,
+            })
+        report = evaluate_sample_sets(ds, sets, eps)
+        assert report.per_example == tuple(expected)
+        assert report.group_sizes == tuple(len(groups[ex.id]) for ex in ds.examples)
+        if name == "exact pair distance":
+            assert len(groups[ds.examples[2].id]) >= 2  # the pair at distance eps is grouped
+        if name == "duplicated contexts":
+            assert min(report.group_sizes) >= 2
+
+    def test_memory_bounded_at_3000_examples(self):
+        # a dense (M, M, F) context-difference tensor would peak near 700 MiB here
+        rng = np.random.default_rng(8)
+        m = 3000
+        ds = _dataset_from_contexts(rng.normal(size=(m, 2, 2)), rng.normal(size=(m, 3, 2)))
+        sets = {i: SampleSet(samples=s) for i, s in enumerate(rng.normal(size=(m, 2, 3, 2)))}
+        tracemalloc.start()
+        try:
+            report = evaluate_sample_sets(ds, sets, eps=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.group_sizes == (1,) * m
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
