@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .decoders import decoder_from_config
-from .dpp import GroundSet, KernelConfig, build_kernel, greedy_map
+from .dpp import KernelConfig, _greedy_map_sets
 from .fileio import (
     FORMAT_VERSION,
     metrics_to_csv,
@@ -31,7 +31,7 @@ from .fileio import (
     write_report,
     write_samples,
 )
-from .flows import AffineFlowSet, _fold_features, apply_flows
+from .flows import AffineFlowSet, _apply_flows, _fold_features
 from .synth import CrossroadConfig, generate_crossroad
 from .trajectory import METRIC_NAMES, Dataset, SampleSet, evaluate_sample_sets
 from .training import train_dlow, train_dsf
@@ -115,21 +115,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_model_samples(model: dict, decoder, example, seed: int):
-    """Decode the model's K samples for one example; returns (samples, latents)."""
+def _decode(decoder, latents: np.ndarray, examples) -> np.ndarray:
+    """Samples (M, K, T, D) from (M, K, n_z) latents: one decode of every
+    code, plus each example's context offset."""
+    samples = decoder.decode_batch(latents)
+    offsets = np.stack([decoder.context_offset(ex.context) for ex in examples])
+    return samples + offsets.reshape(len(examples), 1, *samples.shape[2:])
+
+
+def _model_latents(model: dict, examples, seed: int) -> np.ndarray:
+    """The model's (M, K, n_z) latent codes for each example: the DSF codes, or
+    the DLow flows applied to the example's own noise draw."""
+    params = model["params"]
     if model["mode"] == "dsf":
-        latents = np.asarray(model["params"]["codes"], dtype=float)
-    else:
-        params = model["params"]
-        a, b = np.asarray(params["A"], dtype=float), np.asarray(params["b"], dtype=float)
-        if "featurization" in params:  # this example's own flows
-            k0 = int(model["train_config"].get("fix_first_identity", False))
-            (a,), (b,) = _fold_features(a, b, params["featurization"], example.context.features, k0)
-        flows = AffineFlowSet(A=a, b=b)
-        eps = np.random.default_rng([seed, example.id]).standard_normal(flows.n_z)
-        latents = apply_flows(flows, eps)
-    samples = decoder.decode_batch(latents, example.context)
-    return samples, latents
+        codes = np.asarray(params["codes"], dtype=float)
+        return np.broadcast_to(codes, (len(examples),) + codes.shape)
+    a, b = np.asarray(params["A"], dtype=float), np.asarray(params["b"], dtype=float)
+    if "featurization" in params:  # each example's own flows, (M, K, n_z, n_z) and (M, K, n_z)
+        k0 = int(model["train_config"].get("fix_first_identity", False))
+        features = np.stack([ex.context.features for ex in examples])
+        a, b = _fold_features(a, b, params["featurization"], features, k0)
+    flows = AffineFlowSet(A=a.reshape(-1, *a.shape[-2:]), b=b.reshape(-1, b.shape[-1]))  # all valid
+    eps = np.stack([np.random.default_rng([seed, ex.id]).standard_normal(flows.n_z) for ex in examples])
+    return _apply_flows(a, b, eps)
 
 
 def cmd_sample(args) -> int:
@@ -144,21 +152,20 @@ def cmd_sample(args) -> int:
     kernel_block["base_quality"] = args.omega
     kernel_block["latent_dim"] = model["n_z"]  # the kernel's latents are the model's codes
     kcfg = KernelConfig(**kernel_block)
+    examples = dataset.examples
     records = []
-    map_sizes = Counter()
-    for example in dataset.examples:
-        samples, latents = _decode_model_samples(model, decoder, example, seed)
-        rec = {"id": example.id, "samples": samples}
+    if examples:  # nothing to stack: an empty dataset gets a header-only file
+        latents = _model_latents(model, examples, seed)
+        samples = _decode(decoder, latents, examples)
+        records = [{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]
         if args.dpp_map:
-            kernel = build_kernel(
-                GroundSet(items=samples.reshape(k, -1), latents=latents), kcfg
-            )
-            rec["dpp_map"] = greedy_map(kernel)
-            map_sizes[len(rec["dpp_map"])] += 1
-        records.append(rec)
+            maps = _greedy_map_sets(samples.reshape(len(examples), k, -1), latents, kcfg)
+            for rec, selected in zip(records, maps):
+                rec["dpp_map"] = selected
     meta = {"model_mode": model["mode"], "K": k, "seed": seed, "omega": args.omega}
     write_samples(args.out, records, meta=meta)
     read_samples(args.out)
+    map_sizes = Counter(len(rec["dpp_map"]) for rec in records if "dpp_map" in rec)
     note = f" map sizes={dict(sorted(map_sizes.items()))}" if args.dpp_map else ""
     print(f"wrote {len(records)} sample sets (K={k}) to {args.out}{note}")
     return 0
@@ -192,13 +199,12 @@ def cmd_eval(args) -> int:
         model = read_model(args.model)
         decoder = decoder_from_config(model["decoder"])
         k = args.k if args.k is not None else int(model["K"])
-        base_records = []
-        for example in dataset.examples:
-            rng = np.random.default_rng([args.seed, example.id])
-            latents = rng.standard_normal((k, int(model["n_z"])))
-            base_records.append(
-                {"id": example.id, "samples": decoder.decode_batch(latents, example.context)}
-            )
+        examples = dataset.examples
+        latents = np.stack(
+            [np.random.default_rng([args.seed, ex.id]).standard_normal((k, int(model["n_z"]))) for ex in examples]
+        )
+        samples = _decode(decoder, latents, examples)
+        base_records = [{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]
         baseline = _metric_report(dataset, base_records, args.eps)
         payload["baseline_means"] = baseline.means
     csv_path = out_prefix.with_suffix(".csv")

@@ -14,7 +14,9 @@ each decoder's per-code derivative, through which both trainers chain.
 
 All decoders here are additive in the context:
 ``decode(z, ctx) == decode(z, None) + context_offset(ctx)`` (reshaped), a
-property the trainers rely on to batch latent codes across contexts.
+property the trainers and the CLI rely on to batch latent codes across
+contexts. ``decode_batch`` takes codes with any leading axes, (..., n_z) to
+(..., T, D), and decodes each code as it would alone.
 
 Route template geometry (speed s, T future steps): forward continues the +x
 heading at s per step; left/right are quarter-circle arcs of radius
@@ -59,6 +61,14 @@ def route_templates(speed: float, t_steps: int) -> dict[str, np.ndarray]:
     left = np.stack([radius * np.sin(phi), radius * (1.0 - np.cos(phi))], axis=1)
     right = left * np.array([1.0, -1.0])
     return {"forward": forward, "left": left, "right": right}
+
+
+def _over_leading_axes(decode_codes, Z) -> np.ndarray:
+    """Apply a decode of (N, n_z) codes to (..., n_z) codes; one code decodes
+    as a batch of one."""
+    Z = np.atleast_1d(np.asarray(Z, dtype=float))
+    out = decode_codes(Z.reshape(-1, Z.shape[-1]))
+    return out.reshape(*(Z.shape[:-1] or (1,)), *out.shape[1:])
 
 
 def _wrap_angle(theta):
@@ -108,8 +118,10 @@ class LinearDecoder:
         Z = np.asarray(Z, dtype=float)
         if Z.shape[-1] != self.n_z:
             raise ValueError(f"latent dim mismatch: got {Z.shape[-1]}, decoder has {self.n_z}")
-        flat = Z @ self.W.T + (self.c0 + self.context_offset(ctx))[None, :]
-        return flat.reshape(Z.shape[0], self.t_steps, self.state_dim)
+        # over leading axes, matmul runs each (K, n_z) stack through the BLAS
+        # call that the stack alone gets, so stacking never changes a bit
+        flat = Z @ self.W.T + self.c0 + self.context_offset(ctx)
+        return flat.reshape(*Z.shape[:-1], self.t_steps, self.state_dim)
 
     def jacobian_batch(self, Z) -> np.ndarray:
         """(N, T*D, n_z) derivative of the flattened decode at each code: W."""
@@ -209,17 +221,18 @@ class CrossroadDecoder:
         return Z, sectors, offset, np.sqrt(np.einsum("ij,ij->i", Z, Z))
 
     def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+        out = _over_leading_axes(self._decode_codes, Z)
+        return out if ctx is None else out + ctx.past[-1]
+
+    def _decode_codes(self, Z) -> np.ndarray:
         Z, sectors, offset, radius = self._polar(Z)
         radial = np.tanh(radius - 1.0)
         wobble_dir = (
             offset[:, None] * self._lateral[sectors] + radial[:, None] * self._heading[sectors]
         )  # (n, 2)
-        out = self._templates[sectors] + self.within_mode_scale * (
+        return self._templates[sectors] + self.within_mode_scale * (
             self._ramp[None, :, None] * wobble_dir[:, None, :]
         )
-        if ctx is not None:
-            out = out + ctx.past[-1][None, None, :]
-        return out
 
     def jacobian_batch(self, Z) -> np.ndarray:
         """(N, T*2, 2) derivative of the flattened decode at each code: inside a
@@ -294,9 +307,11 @@ class TabulatedDecoder:
         )
 
     def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+        return _over_leading_axes(self._decode_codes, Z)
+
+    def _decode_codes(self, Z) -> np.ndarray:
         Z, clamped = self._clamped(Z)
-        flat = self._interp(clamped)
-        return flat.reshape(Z.shape[0], self.t_steps, self.state_dim)
+        return self._interp(clamped).reshape(Z.shape[0], self.t_steps, self.state_dim)
 
     def jacobian_batch(self, Z) -> np.ndarray:
         """(N, T*D, n_z) cell slopes of the multilinear interpolant at the

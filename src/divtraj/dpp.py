@@ -232,6 +232,40 @@ def brute_force_oracle(kernel: DppKernel) -> dict:
     return {"normalization": total, "expected_card": weighted_size / total}
 
 
+def _greedy_map(L: np.ndarray) -> list[list[int]]:
+    """Greedy MAP of each kernel of a (B, N, N) stack: the items of each in
+    selection order. Every row takes the same steps as ``greedy_map`` and stops
+    on its own; a stopped row keeps running on masked-out garbage, which is
+    never read, so the arithmetic of a row is the same in any stack."""
+    b, n = L.shape[:2]
+    rows = np.arange(b)
+    c = np.zeros((b, n, n))
+    d2 = np.diagonal(L, axis1=1, axis2=2).copy()
+    order = np.zeros((b, n), dtype=int)
+    sizes = np.zeros(b, dtype=int)
+    taken = np.zeros((b, n), dtype=bool)
+    active = np.ones(b, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(n):
+            gains = np.full((b, n), -np.inf)
+            np.log(d2, out=gains, where=d2 > 0)
+            gains[taken] = -np.inf
+            best = gains.argmax(axis=1)  # first max -> lowest index tie-break
+            top = gains[rows, best]
+            active &= np.isfinite(top) & (top >= 0)
+            if not active.any():
+                break
+            # (1, m) @ (m, N) per row: the product greedy_map computed per kernel
+            proj = (c[rows, best, None, :m] @ np.swapaxes(c[:, :, :m], 1, 2))[:, 0]
+            e = (L[rows, best] - proj) / np.sqrt(d2[rows, best])[:, None]
+            c[:, :, m] = e
+            d2 -= e * e
+            taken[rows, best] = True
+            order[:, m] = best
+            sizes[active] = m + 1
+    return [row[:size].tolist() for row, size in zip(order, sizes)]
+
+
 def greedy_map(kernel: DppKernel) -> list[int]:
     """Greedy MAP inference: grow Y by the best log-det marginal gain.
 
@@ -242,20 +276,27 @@ def greedy_map(kernel: DppKernel) -> list[int]:
     factor of L_Y. Each step extends every c_i and updates every d_i^2 in
     O(N |Y|) (Chen, Zhang & Zhou, NeurIPS 2018).
     """
-    n = kernel.n
-    c = np.zeros((n, n))
-    d2 = np.diag(kernel.L).copy()
-    selected: list[int] = []
-    while len(selected) < n:
-        gains = np.full(n, -np.inf)
-        np.log(d2, out=gains, where=d2 > 0)
-        gains[selected] = -np.inf
-        best = int(np.argmax(gains))  # first max -> lowest index tie-break
-        if not np.isfinite(gains[best]) or gains[best] < 0:
-            break
-        m = len(selected)
-        e = (kernel.L[best] - c[best, :m] @ c[:, :m].T) / np.sqrt(d2[best])
-        c[:, m] = e
-        d2 -= e * e
-        selected.append(best)
-    return selected
+    return _greedy_map(kernel.L[None])[0]
+
+
+# Bytes of one block's (sets, N, N, F) item differences, the largest array of
+# a kernel build; the block's kernels and greedy state are smaller.
+_KERNEL_BLOCK_BYTES = 4 << 20
+
+
+def _greedy_map_sets(items: np.ndarray, latents: np.ndarray, config: KernelConfig) -> list[list[int]]:
+    """``greedy_map(build_kernel(GroundSet(items[i], latents[i]), config))``
+    for each of B ground sets, (B, N, F) items and (B, N, n_z) latents. The
+    kernels of a block of sets are built, PSD-checked and searched together."""
+    if not (np.all(np.isfinite(items)) and np.all(np.isfinite(latents))):
+        raise ValueError("ground set contains non-finite entries")
+    radius_sq = config.radius**2
+    step = max(1, _KERNEL_BLOCK_BYTES // (items.shape[1] * items[:1].nbytes))
+    selections = []
+    for first in range(0, len(items), step):
+        block = slice(first, first + step)
+        s = _rbf_similarity(items[block], config.sim_scale)
+        L = _l_ensemble(s, _latent_quality(latents[block], radius_sq, config.base_quality))
+        _psd_spectrum(L, vectors=False)
+        selections += _greedy_map(L)
+    return selections

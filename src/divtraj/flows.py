@@ -85,7 +85,13 @@ def apply_flows(flows: AffineFlowSet, eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (flows.n_z,):
         raise ValueError(f"eps must have shape ({flows.n_z},), got {eps.shape}")
-    return np.einsum("kij,j->ki", flows.A, eps) + flows.b
+    return _apply_flows(flows.A, flows.b, eps)
+
+
+def _apply_flows(A: np.ndarray, b: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """z_k = A_k @ eps + b_k for (..., K, n, n) maps, (..., K, n) shifts and
+    (..., n) noise, the leading axes broadcast: (..., K, n) codes."""
+    return np.einsum("...kij,...j->...ki", A, eps) + b
 
 
 def invert_flow(flows: AffineFlowSet, k: int, z) -> np.ndarray:

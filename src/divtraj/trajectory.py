@@ -12,8 +12,10 @@ headers):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "Context",
@@ -169,14 +171,23 @@ def traj_distance(a, b) -> float:
 
 
 def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
-    """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures (G, T, D)."""
-    _check_same_shape(samples[0], futures[0])  # before broadcasting: (K, 1, D) would stretch
-    return np.linalg.norm(samples[:, None] - futures[None], axis=3)
+    """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures
+    (G, T, D), one ``cdist`` per timestep. For D < 8 they equal
+    ``norm(samples[:, None] - futures[None], axis=3)`` bitwise; from D = 8 on,
+    numpy sums the squares pairwise and the two can differ in the last bit.
+    The array is a view of (T, K, G) memory, so a mean over T adds the
+    timesteps in order, elementwise over (K, G)."""
+    _check_same_shape(samples[0], futures[0])  # (K, 1, D) must not pass as (K, T, D)
+    out = np.empty((samples.shape[1], len(samples), len(futures)))
+    for t, dists in enumerate(out):
+        cdist(samples[:, t], futures[:, t], out=dists)
+    return out.transpose(1, 2, 0)
 
 
 def _best_of_k(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-future (ADE, FDE), each (G,): mean over T (FDE: last step), then min over K."""
-    return dists.mean(axis=2).min(axis=0), dists[:, :, -1].min(axis=0)
+    """Per-future (ADE, FDE), each (..., G), of (..., K, G, T) distances:
+    mean over T (FDE: last step), then min over K."""
+    return dists.mean(axis=-1).min(axis=-2), dists[..., -1].min(axis=-2)
 
 
 def ade(samples: SampleSet, gt) -> float:
@@ -191,17 +202,32 @@ def fde(samples: SampleSet, gt) -> float:
     return float(_best_of_k(_pose_dists(samples.samples, gt[None]))[1][0])
 
 
+def _self_metrics(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(APD, ASD, FSD), each (B,), of B sample sets stacked as (B, K, T, D)."""
+    b, k = sets.shape[:2]
+    if k < 2:
+        raise ValueError("asd/fsd require at least 2 samples")
+    diff = sets[:, :, None] - sets[:, None]  # (B, K, K, T, D)
+    apd_vals = np.linalg.norm(diff.reshape(b, k, k, -1), axis=3).sum(axis=(1, 2)) / (k * (k - 1))
+    step_dists = np.linalg.norm(diff, axis=4)  # (B, K, K, T)
+    off = ~np.eye(k, dtype=bool)
+
+    def nearest_mean(dists):  # (B, K, K) -> mean over i of min over j != i
+        # a reduction's result can come out F-ordered; summed in that order
+        # the mean over a row would differ from the 1-d mean in the last bit
+        return np.ascontiguousarray(dists[:, off].reshape(b, k, k - 1).min(axis=2)).mean(axis=1)
+
+    return apd_vals, nearest_mean(step_dists.mean(axis=3)), nearest_mean(step_dists[..., -1])
+
+
 def apd(samples: SampleSet) -> float:
     """Average pairwise Euclidean distance between flattened samples.
 
     Requires K >= 2; permutation invariant; zero iff all samples coincide.
     """
-    k = samples.k
-    if k < 2:
+    if samples.k < 2:
         raise ValueError("apd requires at least 2 samples")
-    flat = samples.flat()
-    dists = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
-    return float(dists.sum() / (k * (k - 1)))
+    return float(_self_metrics(samples.samples[None])[0][0])
 
 
 def asd_fsd(samples: SampleSet) -> tuple[float, float]:
@@ -210,22 +236,15 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
     ASD_i = min_{j != i} mean_t ||x_i^t - x_j^t||; FSD_i uses the final pose
     only. Both are averaged over i. The two minima are taken independently.
     """
-    k = samples.k
-    if k < 2:
-        raise ValueError("asd/fsd require at least 2 samples")
-    arr = samples.samples
-    step_dists = np.linalg.norm(arr[:, None] - arr[None, :], axis=3)  # (K, K, T)
-    mean_dists = step_dists.mean(axis=2)
-    final_dists = step_dists[:, :, -1]
-    off = ~np.eye(k, dtype=bool)
-    asd_val = mean_dists[off].reshape(k, k - 1).min(axis=1).mean()
-    fsd_val = final_dists[off].reshape(k, k - 1).min(axis=1).mean()
-    return float(asd_val), float(fsd_val)
+    _, asd_vals, fsd_vals = _self_metrics(samples.samples[None])
+    return float(asd_vals[0]), float(fsd_vals[0])
 
 
-# Bytes of one grouping block's (rows, M, F) context differences; the norm
-# allocates a second array of the same size.
-_GROUP_BLOCK_BYTES = 4 << 20
+# Bytes of one block's largest array: the (rows, M, F) context differences of
+# the grouping, or for a block of sample sets their (B*K, M, T) pose distances
+# and (B, K, K, T, D) sample differences. Each pass allocates about one more
+# array of that size while it works.
+_GROUP_BLOCK_BYTES = 1 << 20
 
 
 def _context_groups(dataset: Dataset, eps: float):
@@ -272,32 +291,62 @@ def mm_metrics(samples: SampleSet, gt_set: list) -> tuple[float, float]:
     return float(np.mean(ades)), float(np.mean(fdes))
 
 
+def _blocks(sets: list, set_bytes):
+    """Stacks (B, K, T, D) of consecutive sample sets of equal K, about
+    ``_GROUP_BLOCK_BYTES // set_bytes(first set of the run)`` sets each."""
+    for _, run in groupby(sets, key=len):
+        run = list(run)
+        step = max(1, _GROUP_BLOCK_BYTES // set_bytes(run[0]))
+        for first in range(0, len(run), step):
+            yield np.stack(run[first : first + step])
+
+
+def _accuracy_rows(sets: list, futures: np.ndarray):
+    """Yield each sample set's per-future (ADE, FDE) rows, each (M,), against
+    all M futures, in order: one ``cdist`` per timestep over a block of sets."""
+    row_bytes = futures[..., 0].nbytes  # one sample's (M, T) distances
+    for block in _blocks(sets, lambda s: len(s) * row_bytes):
+        dists = _pose_dists(block.reshape(-1, *block.shape[2:]), futures)
+        yield from zip(*_best_of_k(dists.reshape(*block.shape[:2], *dists.shape[1:])))
+
+
+def _self_rows(sets: list):
+    """Yield each sample set's (APD, ASD, FSD), in order, a block at a time."""
+    for block in _blocks(sets, lambda s: len(s) * s.nbytes):  # (K, K, T, D) differences
+        yield from zip(*_self_metrics(block))
+
+
 def evaluate_sample_sets(dataset: Dataset, sample_sets: dict[int, SampleSet], eps: float) -> MetricsReport:
     """Compute the full metric table for per-example sample sets.
 
     ``sample_sets`` maps example id -> SampleSet; every dataset example must
-    be covered. ``eps`` is the multi-modal context-grouping threshold.
+    be covered. ``eps`` is the multi-modal context-grouping threshold. Each
+    example's ADE/FDE rows against every future are computed in blocks of
+    examples; its multi-modal metrics average the rows at its group members.
     """
-    missing = [ex.id for ex in dataset.examples if ex.id not in sample_sets]
+    examples = dataset.examples
+    if not examples:
+        raise ValueError("dataset has no examples")
+    missing = [ex.id for ex in examples if ex.id not in sample_sets]
     if missing:
         raise ValueError(f"missing sample sets for example ids {missing}")
-    futures = np.stack([ex.future for ex in dataset.examples])
+    futures = np.stack([ex.future for ex in examples])
+    sets = [sample_sets[ex.id].samples for ex in examples]
+    for s in sets:
+        _check_same_shape(s[0], futures[0])
     rows, sizes = [], []
-    for i, (ex, members) in enumerate(zip(dataset.examples, _context_groups(dataset, eps))):
-        ss = sample_sets[ex.id]
-        ades, fdes = _best_of_k(_pose_dists(ss.samples, futures[members]))
-        own = np.flatnonzero(members == i)[0]
-        asd_val, fsd_val = asd_fsd(ss)
+    per_anchor = zip(examples, _context_groups(dataset, eps), _accuracy_rows(sets, futures), _self_rows(sets))
+    for i, (ex, members, (ade_row, fde_row), (apd_val, asd_val, fsd_val)) in enumerate(per_anchor):
         rows.append(
             {
                 "id": ex.id,
-                "apd": apd(ss),
-                "asd": asd_val,
-                "fsd": fsd_val,
-                "ade": float(ades[own]),
-                "fde": float(fdes[own]),
-                "mmade": float(np.mean(ades)),
-                "mmfde": float(np.mean(fdes)),
+                "apd": float(apd_val),
+                "asd": float(asd_val),
+                "fsd": float(fsd_val),
+                "ade": float(ade_row[i]),
+                "fde": float(fde_row[i]),
+                "mmade": float(np.mean(ade_row[members])),
+                "mmfde": float(np.mean(fde_row[members])),
             }
         )
         sizes.append(len(members))

@@ -11,13 +11,20 @@ from divtraj import (
     Dataset,
     EnergyConfig,
     Example,
+    GroundSet,
     KernelConfig,
     AffineFlowSet,
+    SampleSet,
     TrainConfig,
     apply_flows,
+    build_kernel,
+    decoder_from_config,
+    evaluate_sample_sets,
     generate_crossroad,
+    greedy_map,
 )
 from divtraj.cli import main
+from divtraj.flows import _fold_features
 from divtraj.fileio import (
     read_dataset,
     read_model,
@@ -25,6 +32,7 @@ from divtraj.fileio import (
     train_config_from_dict,
     train_config_to_dict,
     write_dataset,
+    write_model,
 )
 
 
@@ -342,6 +350,96 @@ class TestSample:
         assert sum(sizes[10.0]) > sum(sizes[1.0])  # strictly more somewhere
 
 
+    @pytest.mark.parametrize(
+        "name", ["crossroad dsf", "linear dlow", "linear dlow ctx_proj", "featurized dlow", "featurized dlow k0"]
+    )
+    def test_dpp_map_equals_per_example_kernels(self, tmp_path, name):
+        # the per-example loop the batched sampler replaced: each example's
+        # own latents, decode with its context, build_kernel, greedy_map
+        rng = np.random.default_rng(40)
+        k, n_z, n_f = (10, 2, 0) if name == "crossroad dsf" else (7, 3, 2)
+        examples = tuple(
+            Example(context=Context(past=rng.normal(size=(2, 2)), features=rng.normal(size=n_f)),
+                    future=rng.normal(size=(3, 2)), id=int(i))
+            for i in rng.permutation(90)[:60]
+        )
+        write_dataset(tmp_path / "d.jsonl", Dataset(examples=examples))
+        train_config = {"kernel": {"sim_scale": 2.0, "rho": 0.9}, "fix_first_identity": name.endswith("k0")}
+        if name == "crossroad dsf":
+            decoder = DSF_TRAIN_CONFIG["decoder"]
+            params = {"codes": rng.normal(size=(k, n_z)).tolist()}
+        else:
+            decoder = {"kind": "linear", "W": rng.normal(size=(6, n_z)).tolist(),
+                       "c0": rng.normal(size=6).tolist(), "t_steps": 3, "state_dim": 2}
+            if name == "linear dlow ctx_proj":
+                decoder["ctx_proj"] = rng.normal(size=(6, n_f)).tolist()
+            a = np.eye(n_z) + rng.normal(scale=0.3, size=(k, n_z, n_z))
+            params = {"A": a.tolist(), "b": rng.normal(size=(k, n_z)).tolist()}
+            if name.startswith("featurized"):
+                k_t = k - int(train_config["fix_first_identity"])
+                params["featurization"] = rng.normal(scale=0.2, size=k_t * (n_z * n_z + n_z) * n_f).tolist()
+        model = {"mode": "dsf" if "dsf" in name else "dlow", "n_z": n_z, "K": k, "params": params,
+                 "decoder": decoder, "train_config": train_config, "seed": 9}
+        write_model(tmp_path / "m.json", model)
+        assert run([
+            "sample", "--model", tmp_path / "m.json", "--dataset", tmp_path / "d.jsonl",
+            "--out", tmp_path / "s.jsonl", "--dpp-map", "--omega", "3.0",
+        ]) == 0
+        dec = decoder_from_config(decoder)
+        kcfg = KernelConfig(sim_scale=2.0, base_quality=3.0, rho=0.9, latent_dim=n_z)
+        sizes = set()
+        for ex, rec in zip(examples, read_samples(tmp_path / "s.jsonl")):
+            if model["mode"] == "dsf":
+                latents = np.asarray(params["codes"])
+            else:
+                a, b = np.array(params["A"]), np.array(params["b"])
+                if "featurization" in params:
+                    k0 = int(train_config["fix_first_identity"])
+                    (a,), (b,) = _fold_features(a, b, params["featurization"], ex.context.features, k0)
+                eps = np.random.default_rng([9, ex.id]).standard_normal(n_z)
+                latents = apply_flows(AffineFlowSet(A=a, b=b), eps)
+            samples = dec.decode_batch(latents, ex.context)
+            kernel = build_kernel(GroundSet(items=samples.reshape(k, -1), latents=latents), kcfg)
+            assert rec["id"] == ex.id and np.array_equal(rec["samples"], samples)
+            assert rec["dpp_map"] == greedy_map(kernel)
+            sizes.add(len(rec["dpp_map"]))
+        assert len(sizes) > 1 or model["mode"] == "dsf"  # DLow sets stop at different lengths
+
+    def test_featurized_flow_singular_for_one_example_rejected(self, tmp_path, capsys):
+        # A_k + Ma_k f = I - I = 0 for the example with feature 1.0 only
+        examples = tuple(
+            Example(context=Context(past=np.zeros((2, 2)), features=[f]), future=np.zeros((3, 2)), id=i)
+            for i, f in enumerate((2.0, 1.0, 3.0))
+        )
+        write_dataset(tmp_path / "d.jsonl", Dataset(examples=examples))
+        block = np.concatenate([np.tile(-np.eye(2)[..., None], (2, 1, 1, 1)).ravel(), np.zeros(4)])
+        model = {
+            "mode": "dlow", "n_z": 2, "K": 2, "seed": 0, "train_config": {},
+            "params": {"A": np.tile(np.eye(2), (2, 1, 1)).tolist(), "b": np.zeros((2, 2)).tolist(),
+                       "featurization": block.tolist()},
+            "decoder": {"kind": "linear", "W": np.ones((6, 2)).tolist(), "c0": [0.0] * 6,
+                        "t_steps": 3, "state_dim": 2},
+        }
+        write_model(tmp_path / "m.json", model)
+        assert run([
+            "sample", "--model", tmp_path / "m.json", "--dataset", tmp_path / "d.jsonl",
+            "--out", tmp_path / "s.jsonl",
+        ]) == 1
+        assert "flow not invertible" in capsys.readouterr().err
+
+    def test_empty_dataset_writes_header_only(self, workdir, capsys):
+        _train_model(workdir)
+        write_dataset(workdir / "empty.jsonl", Dataset(examples=()))
+        for extra in ([], ["--dpp-map"]):
+            assert run([
+                "sample", "--model", workdir / "m.json", "--dataset", workdir / "empty.jsonl",
+                "--out", workdir / "s.jsonl", *extra,
+            ]) == 0
+            assert len((workdir / "s.jsonl").read_text().splitlines()) == 1
+            assert read_samples(workdir / "s.jsonl") == []
+        assert "wrote 0 sample sets" in capsys.readouterr().out
+
+
 class TestEval:
     def test_repeated_gt_scores_zero(self, workdir):
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
@@ -377,6 +475,36 @@ class TestEval:
         payload = json.loads((workdir / "report.json").read_text())
         assert payload["means"]["mmade"] == pytest.approx(payload["means"]["ade"], rel=1e-12)
         assert payload["means"]["mmfde"] == pytest.approx(payload["means"]["fde"], rel=1e-12)
+
+    def test_empty_dataset_rejected(self, workdir, capsys):
+        _train_model(workdir)
+        write_dataset(workdir / "empty.jsonl", Dataset(examples=()))
+        assert run([
+            "sample", "--model", workdir / "m.json", "--dataset", workdir / "empty.jsonl",
+            "--out", workdir / "s.jsonl",
+        ]) == 0
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "empty.jsonl",
+            "--eps", "1.0", "--out", workdir / "report",
+        ]) == 1
+        assert "error: dataset has no examples" in capsys.readouterr().err
+
+    def test_baseline_equals_per_example_decodes(self, workdir):
+        _train_model(workdir)
+        run(["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl", "--out", workdir / "s.jsonl"])
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl", "--eps", "1.0",
+            "--out", workdir / "report", "--model", workdir / "m.json", "--seed", "77",
+        ]) == 0
+        ds, model = read_dataset(workdir / "d.jsonl"), read_model(workdir / "m.json")
+        dec = decoder_from_config(model["decoder"])
+        sets = {
+            ex.id: SampleSet(samples=dec.decode_batch(
+                np.random.default_rng([77, ex.id]).standard_normal((6, 2)), ex.context))
+            for ex in ds.examples
+        }
+        payload = json.loads((workdir / "report.json").read_text())
+        assert payload["baseline_means"] == evaluate_sample_sets(ds, sets, 1.0).means
 
     def test_trained_beats_iid_baseline_on_imbalanced_data(self, workdir):
         # needs the tuned full config: K=10, 300 iters

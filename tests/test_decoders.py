@@ -253,3 +253,33 @@ class TestTabulatedDecoder:
             TabulatedDecoder(
                 z_grid=(np.linspace(0, 1, 3),), table=np.zeros((4, 2, 2)), t_steps=2, state_dim=2
             )
+
+
+def _decoders(rng):
+    ax = np.linspace(-3.0, 3.0, 7)
+    return {
+        "linear": LinearDecoder(W=rng.normal(size=(6, 3)), c0=rng.normal(size=6), t_steps=3, state_dim=2),
+        "linear ctx_proj": LinearDecoder(
+            W=rng.normal(size=(6, 3)), c0=rng.normal(size=6), t_steps=3, state_dim=2,
+            ctx_proj=rng.normal(size=(6, 2)),
+        ),
+        "crossroad": CrossroadDecoder(mode_probs=(0.6, 0.3, 0.1)),
+        "tabulated": TabulatedDecoder(z_grid=(ax, ax), table=rng.normal(size=(7, 7, 3, 2)), t_steps=3, state_dim=2),
+    }
+
+
+@pytest.mark.parametrize("name", ["linear", "linear ctx_proj", "crossroad", "tabulated"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_leading_axes_decode_each_code_as_alone(name, k):
+    # the sampler decodes (M, K, n_z) codes at once and adds each example's
+    # context offset: that must equal decoding each example's codes alone
+    rng = np.random.default_rng(50)
+    dec = _decoders(rng)[name]
+    Z = rng.normal(scale=2.0, size=(5, k, dec.n_z))
+    ctxs = [Context(past=rng.normal(size=(2, 2)), features=rng.normal(size=2)) for _ in range(5)]
+    batched = dec.decode_batch(Z)
+    assert batched.shape == (5, k, 3, 2)
+    for z, ctx, out in zip(Z, ctxs, batched):
+        assert np.array_equal(out, dec.decode_batch(z))
+        with_ctx = dec.decode_batch(z, ctx)
+        assert np.array_equal(with_ctx, out + dec.context_offset(ctx).reshape(3, 2))

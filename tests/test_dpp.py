@@ -1,4 +1,6 @@
 """DPP kernel unit tests: worked examples, oracles, and invariants."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -15,6 +17,7 @@ from divtraj import (
     greedy_map,
     quality_radius,
 )
+from divtraj import dpp
 from divtraj.dpp import DppKernel
 
 
@@ -387,3 +390,98 @@ class TestKernelInvariants:
         ground = GroundSet(items=np.zeros((2, 2)), latents=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="not PSD"):
             build_kernel(ground, cfg)
+
+
+def _greedy_map_ref(L):
+    """The per-kernel incremental greedy MAP the batched one replaced."""
+    n = L.shape[0]
+    c = np.zeros((n, n))
+    d2 = np.diag(L).copy()
+    selected = []
+    while len(selected) < n:
+        gains = np.full(n, -np.inf)
+        np.log(d2, out=gains, where=d2 > 0)
+        gains[selected] = -np.inf
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains[best]) or gains[best] < 0:
+            break
+        m = len(selected)
+        e = (L[best] - c[best, :m] @ c[:, :m].T) / np.sqrt(d2[best])
+        c[:, m] = e
+        d2 -= e * e
+        selected.append(best)
+    return selected
+
+
+def _mixed_kernels(rng, n, count):
+    """Random PSD kernels, diagonal ones with tied and zero gains (entries 1),
+    kernels with duplicated items, and scaled identities, interleaved."""
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            a = rng.normal(size=(n, n + 1))
+            out.append(a @ a.T * rng.uniform(0.2, 2.0))
+        elif kind == 1:
+            out.append(np.diag(rng.choice([0.5, 1.0, 2.0, 4.0], size=n)))
+        elif kind == 2:
+            base = rng.normal(size=(max(1, n // 2), 3))
+            items = base[rng.integers(0, len(base), n)]
+            r = rng.choice([1.0, 2.0, 3.0], size=n)
+            out.append(r[:, None] * np.exp(-((items[:, None] - items[None]) ** 2).sum(axis=2)) * r[None])
+        else:
+            out.append(np.eye(n) * rng.choice([0.99, 1.0, 1.01]))
+    return np.stack(out)
+
+
+class TestBatchedGreedyMap:
+    def test_equals_per_kernel_loop_on_3000_kernels(self):
+        rng = np.random.default_rng(14)
+        lengths = set()
+        for n in range(1, 13):
+            stack = _mixed_kernels(rng, n, 250)
+            got = dpp._greedy_map(stack)
+            assert got == [_greedy_map_ref(L) for L in stack]
+            assert got[:20] == [greedy_map(kernel_from_matrix(L)) for L in stack[:20]]
+            lengths.update((n, len(sel)) for sel in got)
+        # rows of one stack stop at different lengths, empty and full included
+        assert all({(n, 0), (n, n)} <= lengths for n in range(2, 13))
+        assert len({size for n, size in lengths if n == 12}) >= 6
+
+    def test_sets_equal_build_kernel_then_greedy_map(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        cfg = KernelConfig(sim_scale=2.0, base_quality=3.0, rho=0.9, latent_dim=2)
+        items, latents = rng.normal(size=(40, 7, 6)), rng.normal(size=(40, 7, 2)) * 1.5
+        items[3, 4] = items[3, 1]  # a duplicated item
+        latents[3, 4] = latents[3, 1]
+        expected = [greedy_map(build_kernel(GroundSet(items=x, latents=z), cfg)) for x, z in zip(items, latents)]
+        assert dpp._greedy_map_sets(items, latents, cfg) == expected
+        monkeypatch.setattr(dpp, "_KERNEL_BLOCK_BYTES", 3 * items[0].nbytes * 7)  # 3 sets a block
+        assert dpp._greedy_map_sets(items, latents, cfg) == expected
+
+    def test_sets_reject_non_finite_and_non_psd(self, monkeypatch):
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        items, latents = np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+        bad = items.copy()
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dpp._greedy_map_sets(bad, latents, cfg)
+        broken = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues {-1, 3}
+        monkeypatch.setattr(dpp, "_rbf_similarity", lambda x, scale: np.broadcast_to(broken, (len(x), 2, 2)))
+        with pytest.raises(ValueError, match="not PSD"):
+            dpp._greedy_map_sets(items, latents, cfg)
+
+    def test_memory_bounded_at_k100_over_1000_sets(self):
+        # one (M, N, N, F) difference array would take 460 MiB here; items
+        # this close keep 11-20 of 100, so the search stays short
+        rng = np.random.default_rng(16)
+        cfg = KernelConfig(sim_scale=8.0, base_quality=10.0, rho=0.9, latent_dim=4)
+        items, latents = rng.normal(scale=0.03, size=(1000, 100, 6)), rng.normal(size=(1000, 100, 4))
+        tracemalloc.start()
+        try:
+            maps = dpp._greedy_map_sets(items, latents, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(maps) == 1000 and len({len(sel) for sel in maps}) > 5
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"

@@ -313,9 +313,10 @@ class TestEvaluateSampleSets:
         with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
             evaluate_sample_sets(ds, sets, eps=float("nan"))
 
-    @pytest.mark.parametrize("shape", [(2, 1, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (2, 3, 3), (1, 1, 2), (5, 3, 3)])
     def test_mis_shaped_sample_set_rejected_not_broadcast(self, shape):
-        # (K, 1, D) would broadcast silently against T = 3 futures
+        # (K, 1, D) would broadcast silently against T = 3 futures; the shape
+        # is checked before the sets are stacked, whatever their K
         ds = _dataset_from_contexts([np.zeros((2, 2)), np.ones((2, 2))], [ZERO32, ONES32])
         bad = SampleSet(samples=np.zeros(shape))
         message = re.escape(f"{shape[1:]} vs (3, 2)")
@@ -382,16 +383,109 @@ class TestEvaluateSampleSets:
             assert min(report.group_sizes) >= 2
 
     def test_memory_bounded_at_3000_examples(self):
-        # a dense (M, M, F) context-difference tensor would peak near 700 MiB here
+        # a dense (M, M, F) context-difference tensor would peak near 700 MiB
+        # here; at K = 10 and eps = inf, unblocked (K, M, T) pose distances
+        # or stacked self distances would grow with M as well
         rng = np.random.default_rng(8)
         m = 3000
         ds = _dataset_from_contexts(rng.normal(size=(m, 2, 2)), rng.normal(size=(m, 3, 2)))
-        sets = {i: SampleSet(samples=s) for i, s in enumerate(rng.normal(size=(m, 2, 3, 2)))}
-        tracemalloc.start()
-        try:
-            report = evaluate_sample_sets(ds, sets, eps=0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.group_sizes == (1,) * m
-        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+        for k, eps, size in ((2, 0.0, 1), (10, np.inf, m)):
+            sets = {i: SampleSet(samples=s) for i, s in enumerate(rng.normal(size=(m, k, 3, 2)))}
+            tracemalloc.start()
+            try:
+                report = evaluate_sample_sets(ds, sets, eps=eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.group_sizes == (size,) * m
+            assert peak < 32 * 2**20, f"K={k}: traced peak {peak / 2**20:.1f} MiB"
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="dataset has no examples"):
+            evaluate_sample_sets(Dataset(examples=()), {}, eps=1.0)
+
+    def test_k1_set_rejected(self):
+        ds = _dataset_from_contexts([np.zeros((2, 2)), np.ones((2, 2))], [ZERO32, ONES32])
+        sets = {0: make_samples(ZERO32, ONES32), 1: make_samples(ONES32)}
+        # the first self metric taken per example was ASD/FSD, so this is the message
+        with pytest.raises(ValueError, match="asd/fsd require at least 2 samples"):
+            evaluate_sample_sets(ds, sets, eps=np.inf)
+        with pytest.raises(ValueError, match="apd requires at least 2 samples"):
+            apd(sets[1])
+
+    @pytest.mark.parametrize("blocks", ["one block", "several blocks"])
+    def test_mixed_k_rows_equal_per_set_definitions(self, monkeypatch, blocks):
+        rng = np.random.default_rng(31)
+        m, ks = 23, (2, 5, 10, 3)
+        ds = _dataset_from_contexts(rng.normal(scale=0.5, size=(m, 2, 2)), rng.normal(size=(m, 3, 2)))
+        sets = {i: SampleSet(samples=rng.normal(size=(ks[i % 4], 3, 2))) for i in range(m)}
+        if blocks == "several blocks":  # a few examples per pass, ragged last block
+            monkeypatch.setattr(trajectory, "_GROUP_BLOCK_BYTES", 2 * 10 * m * 3 * 8)
+        report = evaluate_sample_sets(ds, sets, eps=1.0)
+        groups = build_multimodal_gt(ds, 1.0)
+        for ex, row in zip(ds.examples, report.per_example):
+            arr = sets[ex.id].samples
+            ades = np.stack([_ade_fde_ref(arr, gt) for gt in groups[ex.id]])
+            assert row == {
+                "id": ex.id, "apd": _apd_ref(arr), "asd": _asd_fsd_ref(arr)[0], "fsd": _asd_fsd_ref(arr)[1],
+                "ade": _ade_fde_ref(arr, ex.future)[0], "fde": _ade_fde_ref(arr, ex.future)[1],
+                "mmade": float(np.mean(ades[:, 0])), "mmfde": float(np.mean(ades[:, 1])),
+            }
+
+
+# The per-set definitions the batched passes replaced, kept as references.
+def _pose_dists_ref(samples, futures):
+    return np.linalg.norm(samples[:, None] - futures[None], axis=3)
+
+
+def _ade_fde_ref(samples, gt):
+    dists = _pose_dists_ref(samples, gt[None])
+    return float(dists.mean(axis=2).min(axis=0)[0]), float(dists[:, :, -1].min(axis=0)[0])
+
+
+def _apd_ref(arr):
+    k = len(arr)
+    flat = arr.reshape(k, -1)
+    return float(np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2).sum() / (k * (k - 1)))
+
+
+def _asd_fsd_ref(arr):
+    k = len(arr)
+    step_dists = np.linalg.norm(arr[:, None] - arr[None, :], axis=3)
+    off = ~np.eye(k, dtype=bool)
+    asd_val = step_dists.mean(axis=2)[off].reshape(k, k - 1).min(axis=1).mean()
+    fsd_val = step_dists[:, :, -1][off].reshape(k, k - 1).min(axis=1).mean()
+    return float(asd_val), float(fsd_val)
+
+
+class TestBatchedDefinitions:
+    @pytest.mark.parametrize("t_steps", [1, 3, 12])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 12])
+    def test_pose_dists_equal_norm_definition(self, dim, t_steps):
+        rng = np.random.default_rng(dim * 100 + t_steps)
+        scale = 10.0 ** rng.integers(-3, 4, size=(10, t_steps, dim))  # six decades of magnitude
+        samples, futures = rng.normal(size=(10, t_steps, dim)) * scale, rng.normal(size=(37, t_steps, dim))
+        got, want = trajectory._pose_dists(samples, futures), _pose_dists_ref(samples, futures)
+        ades, fdes = trajectory._best_of_k(got)
+        ref_ades, ref_fdes = want.mean(axis=2).min(axis=0), want[:, :, -1].min(axis=0)
+        # numpy sums eight or more squares pairwise, cdist in order; ADE adds
+        # the T step distances in order, as numpy's reduction over a
+        # contiguous T axis does below eight steps, pairwise above
+        if dim < 8:
+            assert np.array_equal(got, want) and np.array_equal(fdes, ref_fdes)
+            assert np.array_equal(ades, ref_ades) or t_steps >= 8
+        rtol = (dim + t_steps) * np.finfo(float).eps
+        for new, ref in ((got, want), (ades, ref_ades), (fdes, ref_fdes)):
+            np.testing.assert_allclose(new, ref, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("t_steps", [3, 12])
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_self_metrics_equal_per_set_definitions(self, k, t_steps):
+        rng = np.random.default_rng(k + t_steps)
+        sets = rng.normal(size=(5, k, t_steps, 2))
+        sets[1, -1] = sets[1, 0]  # a duplicated sample: a nearest distance of exactly 0
+        apd_vals, asd_vals, fsd_vals = trajectory._self_metrics(sets)
+        for i, arr in enumerate(sets):
+            asd_val, fsd_val = _asd_fsd_ref(arr)
+            assert (float(apd_vals[i]), float(asd_vals[i]), float(fsd_vals[i])) == (_apd_ref(arr), asd_val, fsd_val)
+            assert (apd(SampleSet(samples=arr)), asd_fsd(SampleSet(samples=arr))) == (_apd_ref(arr), (asd_val, fsd_val))
