@@ -19,6 +19,7 @@ from .decoders import decoder_from_config
 from .dpp import KernelConfig, _greedy_map_sets
 from .fileio import (
     FORMAT_VERSION,
+    _reject_unknown,
     metrics_to_csv,
     read_dataset,
     read_model,
@@ -60,11 +61,7 @@ def cmd_gen_data(args) -> int:
     if out_path is None:
         raise ValueError("no output path: pass --out or an 'out' config key")
     block = _apply_overrides(block, args, ["seed"])
-    unknown = set(block) - set(CrossroadConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown keys in gen-data config: {sorted(unknown)}")
-    if "mode_probs" in block:
-        block["mode_probs"] = tuple(block["mode_probs"])
+    _reject_unknown(block, CrossroadConfig.__dataclass_fields__, "gen-data config")
     cfg = CrossroadConfig(**block)
     dataset = generate_crossroad(cfg)
     write_dataset(out_path, dataset)

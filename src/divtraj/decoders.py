@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from .fileio import _reject_unknown
 from .trajectory import Context
 
 __all__ = [
@@ -124,8 +125,9 @@ class LinearDecoder:
         return flat.reshape(*Z.shape[:-1], self.t_steps, self.state_dim)
 
     def jacobian_batch(self, Z) -> np.ndarray:
-        """(N, T*D, n_z) derivative of the flattened decode at each code: W."""
-        return np.broadcast_to(self.W, (np.atleast_2d(Z).shape[0],) + self.W.shape)
+        """(..., T*D, n_z) derivative of the flattened decode at each of the
+        (..., n_z) codes: W."""
+        return np.broadcast_to(self.W, np.shape(Z)[:-1] + self.W.shape)
 
     def to_config(self) -> dict:
         cfg = {
@@ -235,9 +237,13 @@ class CrossroadDecoder:
         )
 
     def jacobian_batch(self, Z) -> np.ndarray:
-        """(N, T*2, 2) derivative of the flattened decode at each code: inside a
-        sector, d offset/dz = (-z_1, z_0) / (|z|^2 half) and d radial/dz =
-        (1 - radial^2) z / |z|; zero at z = 0, where the angle is undefined."""
+        """(..., T*2, 2) derivative of the flattened decode at each of the
+        (..., 2) codes: inside a sector, d offset/dz = (-z_1, z_0) / (|z|^2
+        half) and d radial/dz = (1 - radial^2) z / |z|; zero at z = 0, where
+        the angle is undefined."""
+        return _over_leading_axes(self._jacobian_codes, Z)
+
+    def _jacobian_codes(self, Z) -> np.ndarray:
         Z, sectors, _, radius = self._polar(Z)
         safe = np.where(radius > 0, radius, 1.0)
         d_offset = np.stack([-Z[:, 1], Z[:, 0]], axis=1) / (safe**2 * self._half[sectors])[:, None]
@@ -314,10 +320,13 @@ class TabulatedDecoder:
         return self._interp(clamped).reshape(Z.shape[0], self.t_steps, self.state_dim)
 
     def jacobian_batch(self, Z) -> np.ndarray:
-        """(N, T*D, n_z) cell slopes of the multilinear interpolant at the
-        clamped codes; zero along a dimension where the code is off the grid.
-        The interpolant is linear along each axis inside a cell, so a slope is
-        the difference across the cell's two faces over its width."""
+        """(..., T*D, n_z) cell slopes of the multilinear interpolant at the
+        clamped (..., n_z) codes; zero along a dimension where the code is off
+        the grid. The interpolant is linear along each axis inside a cell, so a
+        slope is the difference across the cell's two faces over its width."""
+        return _over_leading_axes(self._jacobian_codes, Z)
+
+    def _jacobian_codes(self, Z) -> np.ndarray:
         Z, z = self._clamped(Z)
         slopes = []
         for i, ax in enumerate(self.z_grid):
@@ -338,9 +347,20 @@ class TabulatedDecoder:
         }
 
 
+_CONFIG_KEYS = {
+    "linear": ("kind", "W", "c0", "t_steps", "state_dim", "ctx_proj"),
+    "crossroad": ("kind", "mode_probs", "speed", "t_steps", "within_mode_scale"),
+    "tabulated": ("kind", "z_grid", "T", "D", "table"),
+}
+
+
 def decoder_from_config(cfg: dict):
-    """Rebuild a decoder from its serialized config block."""
+    """Rebuild a decoder from its serialized config block; a key its kind
+    does not use is rejected."""
     kind = cfg.get("kind")
+    if kind not in _CONFIG_KEYS:
+        raise ValueError(f"unknown decoder kind: {kind!r}")
+    _reject_unknown(cfg, _CONFIG_KEYS[kind], "decoder config")
     if kind == "linear":
         return LinearDecoder(
             W=np.asarray(cfg["W"], dtype=float),
@@ -356,12 +376,9 @@ def decoder_from_config(cfg: dict):
             t_steps=int(cfg["t_steps"]),
             within_mode_scale=float(cfg["within_mode_scale"]),
         )
-    if kind == "tabulated":
-        table = np.asarray(cfg["table"], dtype=float)
-        return TabulatedDecoder(
-            z_grid=tuple(np.asarray(ax, dtype=float) for ax in cfg["z_grid"]),
-            table=table,
-            t_steps=int(cfg["T"]),
-            state_dim=int(cfg["D"]),
-        )
-    raise ValueError(f"unknown decoder kind: {kind!r}")
+    return TabulatedDecoder(
+        z_grid=tuple(np.asarray(ax, dtype=float) for ax in cfg["z_grid"]),
+        table=np.asarray(cfg["table"], dtype=float),
+        t_steps=int(cfg["T"]),
+        state_dim=int(cfg["D"]),
+    )

@@ -105,13 +105,18 @@ def _similarity(v: np.ndarray, grad: bool = False):
     return value, (4.0 / (k * (k - 1))) * (k * v - v.sum(axis=-2, keepdims=True))
 
 
-def _energies(v: np.ndarray, gt: np.ndarray, cfg: EnergyConfig, cols_d, cols_s, grad: bool = False):
+def _energies(v: np.ndarray, gt: np.ndarray, cfg: EnergyConfig, state_dim: int, grad: bool = False):
     """Mean diversity, reconstruction and similar-slice energies of the
-    (..., K, F) sample sets ``v``; ``gt`` is (..., F) and broadcasts with,
-    without adding to, ``v``'s leading axes. Diversity acts on the columns
-    ``cols_d``, the similar-slice energy on ``cols_s`` (None: E_s = 0). With
-    ``grad`` also returns the gradient of lambda_d * E_d + lambda_r * E_r +
-    lambda_s * E_s wrt ``v``, else None."""
+    (..., K, F) sample sets ``v`` of flattened (T, state_dim) trajectories;
+    ``gt`` is (..., F) and broadcasts with, without adding to, ``v``'s leading
+    axes. With ``cfg.joint_split`` = (J_s, J_d), diversity acts on the J_d
+    columns and the similar-slice energy on the J_s columns; without it, E_s
+    = 0. With ``grad`` also returns the gradient of lambda_d * E_d + lambda_r
+    * E_r + lambda_s * E_s wrt ``v``, else None."""
+    cols_d, cols_s = slice(None), None
+    if cfg.joint_split is not None:
+        t_steps = v.shape[-1] // state_dim
+        cols_s, cols_d = (_dim_columns(dims, t_steps, state_dim) for dims in cfg.joint_split)
     e_d, g_d = _diversity(v[..., cols_d], cfg.sigma_d, grad)
     e_r, g_r = _reconstruction(v, gt, grad)
     e_s, g_s = (np.zeros(1), None) if cols_s is None else _similarity(v[..., cols_s], grad)
@@ -184,15 +189,13 @@ def dlow_loss(flows: AffineFlowSet, samples: SampleSet, gt, cfg: EnergyConfig) -
     E_d then restricted to the J_d slice).
     """
     cfg.validate_split(samples.samples.shape[2])
+    if samples.k < 2:
+        raise ValueError("diversity energy requires K >= 2")
+    gt = as_trajectory(gt)
+    if samples.samples[0].shape != gt.shape:
+        raise ValueError(f"shape mismatch: {samples.samples[0].shape} vs {gt.shape}")
     kl_sum = float(np.sum(kl_to_standard_normal(flows)))
-    if cfg.joint_split is None:
-        e_d = diversity_energy(samples, cfg.sigma_d)
-        e_s = 0.0
-    else:
-        j_s, j_d = cfg.joint_split
-        e_d = diversity_energy(samples, cfg.sigma_d, dims=j_d)
-        e_s = similarity_energy(samples, (j_s, j_d))
-    e_r = reconstruction_energy(samples, gt)
+    (e_d, e_r, e_s), _ = _energies(samples.flat(), gt.reshape(-1), cfg, gt.shape[1])
     terms = _weighted_terms(cfg, kl_sum, e_d, e_r, e_s)
     return {
         "total": float(sum(terms.values())),

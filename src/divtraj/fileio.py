@@ -146,12 +146,7 @@ def read_samples(path) -> list[dict]:
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
-    out = asdict(cfg)
-    out["kernel"] = asdict(cfg.kernel)
-    out["energy"] = asdict(cfg.energy)
-    if cfg.energy.joint_split is not None:
-        out["energy"]["joint_split"] = [list(part) for part in cfg.energy.joint_split]
-    return out
+    return asdict(cfg)
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -168,9 +163,6 @@ def train_config_from_dict(block: dict) -> TrainConfig:
     _reject_unknown(block, TrainConfig.__dataclass_fields__, "train config")
     _reject_unknown(kernel_block, KernelConfig.__dataclass_fields__, "kernel config")
     _reject_unknown(energy_block, EnergyConfig.__dataclass_fields__, "energy config")
-    if energy_block.get("joint_split") is not None:
-        j_s, j_d = energy_block["joint_split"]
-        energy_block["joint_split"] = (tuple(j_s), tuple(j_d))
     return TrainConfig(
         kernel=KernelConfig(**kernel_block), energy=EnergyConfig(**energy_block), **block
     )

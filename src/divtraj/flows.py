@@ -38,9 +38,7 @@ class AffineFlowSet:
             raise ValueError(f"b must be (K, n_z), got {b.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("flow parameters contain non-finite entries")
-        dets = np.linalg.det(A)
-        if np.any(np.abs(dets) <= DET_TOL):
-            raise ValueError("flow not invertible: |det A_k| below threshold")
+        _check_invertible(A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -80,6 +78,12 @@ class DsfCodes:
         return self.codes.shape[1]
 
 
+def _check_invertible(A: np.ndarray) -> None:
+    """Reject a stack of (..., n, n) maps unless every |det A| exceeds DET_TOL."""
+    if np.any(np.abs(np.linalg.det(A)) <= DET_TOL):
+        raise ValueError("flow not invertible: |det A_k| below threshold")
+
+
 def apply_flows(flows: AffineFlowSet, eps) -> np.ndarray:
     """Map one shared noise vector through all K flows: z_k = A_k @ eps + b_k."""
     eps = np.asarray(eps, dtype=float)
@@ -99,10 +103,8 @@ def invert_flow(flows: AffineFlowSet, k: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (flows.n_z,):
         raise ValueError(f"z must have shape ({flows.n_z},), got {z.shape}")
-    A = flows.A[k]
-    if abs(np.linalg.det(A)) <= DET_TOL:
-        raise ValueError("flow not invertible")
-    return np.linalg.solve(A, z - flows.b[k])
+    _check_invertible(flows.A[k])
+    return np.linalg.solve(flows.A[k], z - flows.b[k])
 
 
 def _kl(A: np.ndarray, b: np.ndarray, grad: bool = False):

@@ -14,12 +14,15 @@ reconstruction term folds the context offset into its target. Gradients
 are exact on every path: the chain rule through each decoder's per-code
 ``jacobian_batch`` and, for featurized flows, through the per-example fold.
 
-The objectives hold no sampler math of their own. They pack parameters,
-apply the flows, decode once per evaluation and chain gradients through the
-decoder Jacobian. The kernel, its spectrum, E|Y| and E|Y|'s gradient come
-from the batched private functions in ``dpp``, the flow KL and its gradient
-from ``flows``, and each energy with its gradient from ``energy``; the public
-functions of those modules wrap the same code.
+The objectives hold no sampler math of their own. Each has one entry point,
+``evaluate(params, grad)``, which returns the loss breakdown and, with
+``grad``, the gradient (else None): it unpacks the parameters, decodes once
+and chains gradients through the decoder Jacobian. The kernel, its spectrum,
+E|Y| and E|Y|'s gradient come from the batched private functions in ``dpp``;
+flow application, the invertibility check, the flow KL and its gradient from
+``flows``; the three energies, their J_d/J_s columns and their gradient from
+``energy``. The public functions of those modules wrap the same code. The
+optimizer names the iteration in any error an evaluation raises.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ import numpy as np
 from . import dpp, energy
 from .dpp import KernelConfig
 from .energy import EnergyConfig
-from .flows import DET_TOL, AffineFlowSet, DsfCodes, _fold_features, _kl
-from .trajectory import Dataset, Example
+from .flows import AffineFlowSet, DsfCodes, _apply_flows, _check_invertible, _fold_features, _kl
+from .trajectory import Context, Dataset, Example
 
 __all__ = [
     "TrainConfig",
@@ -135,21 +138,7 @@ def adam_step(params, grad, state: AdamState, lr: float) -> tuple[np.ndarray, Ad
     return new_params, replace(state, m=m, v=v, t=t)
 
 
-class _Objective:
-    """Entry points over ``evaluate(params, grad)``, which returns the loss
-    breakdown and, with ``grad``, the gradient (else None) from one decode."""
-
-    def breakdown(self, params: np.ndarray) -> dict:
-        return self.evaluate(params)[0]
-
-    def loss(self, params: np.ndarray) -> float:
-        return self.evaluate(params)[0]["total"]
-
-    def grad(self, params: np.ndarray) -> np.ndarray:
-        return self.evaluate(params, grad=True)[1]
-
-
-class _DsfObjective(_Objective):
+class _DsfObjective:
     """Negated expected cardinality of the kernel over the decoded code set.
 
     Context offsets cancel in pairwise similarities and qualities are
@@ -181,7 +170,7 @@ class _DsfObjective(_Objective):
         return bd, -g_codes.reshape(-1)
 
 
-class _DlowObjective(_Objective):
+class _DlowObjective:
     """Noise-averaged energy objective over flow parameters.
 
     Parameter vector layout: trainable A blocks, then trainable b blocks
@@ -199,18 +188,11 @@ class _DlowObjective(_Objective):
         self.n_z = decoder.n_z
         self.fix_first = cfg.fix_first_identity
         self.featurized = cfg.context_featurization
-        t_steps, state_dim = examples[0].future.shape
-        self.ecfg.validate_split(state_dim)
+        self.ecfg.validate_split(decoder.state_dim)
         self.targets = np.stack(  # (M, 1, F): one target per example, for every draw
             [ex.future.reshape(1, -1) - decoder.context_offset(ex.context) for ex in examples]
         )
         self.features = np.stack([ex.context.features for ex in examples])
-        if self.ecfg.joint_split is None:
-            self.cols_d, self.cols_s = slice(None), None
-        else:
-            j_s, j_d = self.ecfg.joint_split
-            self.cols_d = energy._dim_columns(j_d, t_steps, state_dim)
-            self.cols_s = energy._dim_columns(j_s, t_steps, state_dim)
 
     # --- parameter packing -------------------------------------------------
     @property
@@ -250,26 +232,19 @@ class _DlowObjective(_Objective):
         return _fold_features(a, b, feat, self.features, self.k0)
 
     # --- loss ----------------------------------------------------------------
-    def _flow_dets_ok(self, a: np.ndarray) -> bool:
-        return bool(np.all(np.abs(np.linalg.det(a)) > DET_TOL))
-
     def evaluate(self, params: np.ndarray, grad: bool = False):
         a, b = self._flows(params)
-        if not self._flow_dets_ok(a):
-            raise ValueError("flow not invertible")
+        _check_invertible(a)
         cfg = self.ecfg
         kl, g_kl = _kl(a, b, grad)
-        z = np.einsum("mkij,ej->meki", a, self.eps) + b[:, None]  # (M', E, K, n_z)
+        z = _apply_flows(a[:, None], b[:, None], self.eps[None])  # (M', E, K, n_z)
         v = self.decoder.decode_batch(z.reshape(-1, self.n_z), None).reshape(*z.shape[:3], -1)
-        (e_d, e_r, e_s), g_v = energy._energies(
-            v, self.targets, cfg, self.cols_d, self.cols_s, grad
-        )
+        (e_d, e_r, e_s), g_v = energy._energies(v, self.targets, cfg, self.decoder.state_dim, grad)
         terms = energy._weighted_terms(cfg, float(kl.sum()) / len(kl), e_d, e_r, e_s)
         bd = {"total": float(sum(terms.values())), "terms": terms}
         if not grad:
             return bd, None
-        jac = self.decoder.jacobian_batch(z.reshape(-1, self.n_z)).reshape(*g_v.shape, self.n_z)
-        g_z = np.einsum("mekf,mekfn->mekn", g_v, jac)
+        g_z = np.einsum("mekf,mekfn->mekn", g_v, self.decoder.jacobian_batch(z))
         # per flow set (M', K, ...): summed for the base flows, and taken as
         # outer products with each example's features for the feature blocks
         g_a = (cfg.beta / len(kl)) * g_kl[0] + np.einsum("mekn,ej->mknj", g_z, self.eps)
@@ -282,44 +257,49 @@ class _DlowObjective(_Objective):
 
 
 def _as_examples(data) -> list[Example]:
+    """The examples of a Dataset, of one Example or Context, or of a sequence
+    of them; a context has no future and gives none."""
     if isinstance(data, Dataset):
-        return list(data.examples)
-    if isinstance(data, Example):
-        return [data]
-    return list(data)
+        data = data.examples
+    elif isinstance(data, (Example, Context)):
+        data = [data]
+    return [ex for ex in data if not isinstance(ex, Context)]
 
 
 def _check_decoder_shape(decoder, examples) -> None:
-    if examples and hasattr(decoder, "t_steps"):
-        t, d = examples[0].future.shape
-        if (decoder.t_steps, decoder.state_dim) != (t, d):
+    for ex in examples:
+        if ex.future.shape != (decoder.t_steps, decoder.state_dim):
             raise ValueError(
                 f"decoder output shape ({decoder.t_steps}, {decoder.state_dim}) "
-                f"does not match data ({t}, {d})"
+                f"does not match data {ex.future.shape}"
             )
 
 
-def _check_finite(bd: dict, i: int) -> None:
+def _evaluate(objective, params: np.ndarray, i: int, grad: bool = False):
+    """``objective.evaluate`` at iteration ``i``: a rejected input, a
+    non-finite term or a non-finite gradient raises a ValueError that names
+    the iteration."""
+    try:
+        bd, g = objective.evaluate(params, grad)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at iteration {i}") from exc
     for name, value in [*bd["terms"].items(), ("total", bd["total"])]:
         if not np.isfinite(value):
             raise ValueError(f"non-finite {name} term ({value}) at iteration {i}")
+    if grad and not np.all(np.isfinite(g)):
+        raise ValueError(f"non-finite gradient at iteration {i}")
+    return bd, g
 
 
-def _run_optimizer(objective, params: np.ndarray, cfg: TrainConfig, singular_check=None):
+def _run_optimizer(objective, params: np.ndarray, cfg: TrainConfig):
     state = AdamState.init(params.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     trace = []
     start = time.perf_counter()
     for i in range(cfg.iters):
-        bd, grad = objective.evaluate(params, grad=True)
-        _check_finite(bd, i)
+        bd, grad = _evaluate(objective, params, i, grad=True)
         trace.append({"iter": i, "total": bd["total"], "terms": bd["terms"]})
-        if not np.all(np.isfinite(grad)):
-            raise ValueError(f"non-finite gradient at iteration {i}")
         params, state = adam_step(params, grad, state, cfg.lr)
-        if singular_check is not None and not singular_check(params):
-            raise ValueError(f"flow became singular at iteration {i}")
-    final, _ = objective.evaluate(params)
-    _check_finite(final, cfg.iters)
+    final, _ = _evaluate(objective, params, cfg.iters)
     wall = time.perf_counter() - start
     report = TrainReport(
         trace=tuple(trace),
@@ -341,8 +321,7 @@ def train_dsf(data, decoder, cfg: TrainConfig, init_codes=None) -> tuple[DsfCode
     """
     if cfg.mode != "dsf":
         raise ValueError("config mode must be 'dsf'")
-    if isinstance(data, Dataset):
-        _check_decoder_shape(decoder, list(data.examples))
+    _check_decoder_shape(decoder, _as_examples(data))
     objective = _DsfObjective(decoder, cfg.kernel, cfg.k)
     rng = np.random.default_rng(cfg.seed)
     if init_codes is None:
@@ -389,13 +368,7 @@ def train_dlow(data, decoder, cfg: TrainConfig, init_flows=None) -> tuple[Affine
             f"got {flows0.A.shape} and {flows0.b.shape}"
         )
     objective = _DlowObjective(decoder, examples, cfg, eps_draws)
-    params0 = objective.pack(flows0)
-
-    def dets_ok(params: np.ndarray) -> bool:
-        a, _, _ = objective.unpack(params)
-        return objective._flow_dets_ok(a)
-
-    params, report = _run_optimizer(objective, params0, cfg, singular_check=dets_ok)
+    params, report = _run_optimizer(objective, objective.pack(flows0), cfg)
     a, b, feat = objective.unpack(params)
     flows = AffineFlowSet(A=a, b=b)
     if feat is not None:

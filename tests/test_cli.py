@@ -158,6 +158,17 @@ class TestTrain:
         assert model["mode"] == "dsf" and model["K"] == 6
         assert "iter" in capsys.readouterr().out
 
+    def test_unknown_decoder_key_fails(self, workdir, capsys):
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        decoder = dict(DSF_TRAIN_CONFIG["decoder"], within_mode_scal=9.0)
+        (workdir / "bad.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, decoder=decoder)))
+        assert run([
+            "train", "--config", workdir / "bad.json", "--dataset", workdir / "d.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 1
+        assert "unknown keys in decoder config: ['within_mode_scal']" in capsys.readouterr().err
+        assert not (workdir / "m.json").exists()
+
     def test_missing_dataset_fails(self, workdir, capsys):
         code = run([
             "train", "--config", workdir / "train.json", "--dataset", workdir / "nope.jsonl",

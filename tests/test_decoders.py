@@ -279,7 +279,18 @@ def test_leading_axes_decode_each_code_as_alone(name, k):
     ctxs = [Context(past=rng.normal(size=(2, 2)), features=rng.normal(size=2)) for _ in range(5)]
     batched = dec.decode_batch(Z)
     assert batched.shape == (5, k, 3, 2)
-    for z, ctx, out in zip(Z, ctxs, batched):
+    jac = dec.jacobian_batch(Z)
+    assert jac.shape == (5, k, 6, dec.n_z)
+    for z, ctx, out, j in zip(Z, ctxs, batched, jac):
         assert np.array_equal(out, dec.decode_batch(z))
         with_ctx = dec.decode_batch(z, ctx)
         assert np.array_equal(with_ctx, out + dec.context_offset(ctx).reshape(3, 2))
+        assert np.array_equal(j, dec.jacobian_batch(z))
+
+
+@pytest.mark.parametrize("name", ["linear", "crossroad", "tabulated"])
+def test_unknown_config_key_rejected(name):
+    # a misspelt key must not fall back to the field's default
+    cfg = dict(_decoders(np.random.default_rng(51))[name].to_config(), within_mode_scal=9.0)
+    with pytest.raises(ValueError, match=r"unknown keys in decoder config: \['within_mode_scal'\]"):
+        decoder_from_config(cfg)

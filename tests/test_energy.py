@@ -205,6 +205,20 @@ class TestDlowLoss:
         out = dlow_loss(flows, ss, BASE, cfg)
         assert out["total"] == pytest.approx(sum(out["terms"].values()), rel=1e-12)
         assert set(out["terms"]) == {"kl", "diversity", "reconstruction", "similarity"}
+        # diversity acts on J_d, the similar-slice energy on J_s
+        assert out["raw"]["e_d"] == diversity_energy(ss, 3.0, dims=(1,))
+        assert out["raw"]["e_s"] == similarity_energy(ss, ((0,), (1,)))
+
+    def test_malformed_inputs_rejected(self):
+        flows = AffineFlowSet.identity(2, 2)
+        cfg = EnergyConfig(sigma_d=5.0)
+        with pytest.raises(ValueError, match="K >= 2"):
+            dlow_loss(AffineFlowSet.identity(1, 2), make_samples(BASE), BASE, cfg)
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 2\) vs \(2, 2\)"):
+            dlow_loss(flows, make_samples(BASE, BASE + 1.0), BASE[:2], cfg)
+        with pytest.raises(ValueError, match="invalid partition"):
+            split = EnergyConfig(sigma_d=5.0, joint_split=((0,), (0, 1)))
+            dlow_loss(flows, make_samples(BASE, BASE + 1.0), BASE, split)
 
 
 class TestJointSamplerLoss:
@@ -272,7 +286,7 @@ class TestGradientDescentIncreasesApd:
             flows_cur = dt.AffineFlowSet(A=a_cur, b=b_cur)
             decoded = dec.decode_batch(apply_flows(flows_cur, draws[0]), None)
             apds.append(apd(SampleSet(samples=decoded)))
-            grad = obj.grad(params)
+            _, grad = obj.evaluate(params, grad=True)
             params, state = adam_step(params, grad, state, cfg.lr)
         diffs = np.diff(apds)
         assert (diffs <= 0).sum() <= 5

@@ -9,6 +9,7 @@ from divtraj import (
     AffineFlowSet,
     Context,
     CrossroadDecoder,
+    Dataset,
     EnergyConfig,
     Example,
     KernelConfig,
@@ -28,7 +29,7 @@ from divtraj import (
 )
 from divtraj.dpp import GroundSet
 from divtraj.synth import CrossroadConfig
-from divtraj.training import _DlowObjective, _DsfObjective
+from divtraj.training import _DlowObjective, _DsfObjective, _run_optimizer
 
 
 class TestNumericGradient:
@@ -103,8 +104,8 @@ class TestGradientFidelity:
             )
             obj = _DsfObjective(dec, kcfg, k)
             params = rng.normal(scale=1.1, size=k * n_z)
-            g_a = obj.grad(params)
-            g_n = numeric_gradient(obj.loss, params, 1e-5)
+            g_a = obj.evaluate(params, grad=True)[1]
+            g_n = numeric_gradient(lambda p: obj.evaluate(p)[0]["total"], params, 1e-5)
             assert self.rel_err(g_a, g_n) < 1e-4
 
     def test_dlow_gradient_matches_fd(self):
@@ -142,8 +143,8 @@ class TestGradientFidelity:
             if featurized:  # a nonzero featurization block
                 n_base = (k - fix_first) * (n_z * n_z + n_z)
                 params[n_base:] = rng.normal(scale=0.2, size=params.size - n_base)
-            g_a = obj.grad(params)
-            g_n = numeric_gradient(obj.loss, params, 1e-5)
+            g_a = obj.evaluate(params, grad=True)[1]
+            g_n = numeric_gradient(lambda p: obj.evaluate(p)[0]["total"], params, 1e-5)
             assert self.rel_err(g_a, g_n) < 1e-4
 
     def test_dlow_controllable_gradient_matches_fd(self):
@@ -163,7 +164,8 @@ class TestGradientFidelity:
         obj = _DlowObjective(dec, examples, cfg, eps)
         a = np.tile(np.eye(4), (3, 1, 1)) + rng.normal(scale=0.1, size=(3, 4, 4))
         params = obj.pack(AffineFlowSet(A=a, b=rng.normal(scale=0.3, size=(3, 4))))
-        assert self.rel_err(obj.grad(params), numeric_gradient(obj.loss, params, 1e-5)) < 1e-4
+        g_n = numeric_gradient(lambda p: obj.evaluate(p)[0]["total"], params, 1e-5)
+        assert self.rel_err(obj.evaluate(params, grad=True)[1], g_n) < 1e-4
 
     def test_trainer_fast_loss_equals_public_path(self):
         rng = np.random.default_rng(3)
@@ -173,8 +175,52 @@ class TestGradientFidelity:
         codes = rng.normal(size=(4, 2))
         items = dec.decode_batch(codes, None).reshape(4, -1)
         kernel = build_kernel(GroundSet(items=items, latents=codes), kcfg)
-        assert obj.loss(codes.reshape(-1)) == pytest.approx(dsf_loss(kernel), abs=1e-14)
+        assert obj.evaluate(codes.reshape(-1))[0]["total"] == pytest.approx(dsf_loss(kernel), abs=1e-14)
         assert dsf_loss(kernel) == -expected_cardinality(kernel)
+
+
+class TestRunOptimizer:
+    class FailingObjective:
+        """A zero loss whose ``fail_at``-th evaluation rejects its input, as
+        a singular flow does."""
+
+        def __init__(self, fail_at: int):
+            self.fail_at, self.calls = fail_at, 0
+
+        def evaluate(self, params, grad=False):
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise ValueError("flow not invertible")
+            return {"total": 0.0, "terms": {}}, (np.zeros_like(params) if grad else None)
+
+    def test_rejected_evaluation_names_the_iteration(self):
+        cfg = TrainConfig(mode="dlow", k=2, iters=4)
+        with pytest.raises(ValueError, match=r"^flow not invertible at iteration 2$"):
+            _run_optimizer(self.FailingObjective(3), np.zeros(3), cfg)
+        # the evaluation after the last step is iteration ``iters``
+        with pytest.raises(ValueError, match=r"^flow not invertible at iteration 4$"):
+            _run_optimizer(self.FailingObjective(5), np.zeros(3), cfg)
+        _, report = _run_optimizer(self.FailingObjective(6), np.zeros(3), cfg)
+        assert len(report.trace) == 4 and report.final_loss == 0.0
+
+    def test_singular_featurized_flow_names_the_iteration(self):
+        # invertible base flows; the example with feature 1 folds flow 0 to I - I
+        rng = np.random.default_rng(21)
+        examples = [
+            Example(
+                context=Context(past=np.zeros((1, 2)), features=np.array([f])),
+                future=rng.normal(size=(2, 2)),
+                id=i,
+            )
+            for i, f in enumerate((0.0, 1.0))
+        ]
+        cfg = TrainConfig(mode="dlow", k=2, iters=3, noise_draws_per_iter=2, context_featurization=True)
+        obj = _DlowObjective(linear_decoder(rng, n_z=2), examples, cfg, rng.standard_normal((2, 2)))
+        block = np.zeros(2 * (4 + 2))  # Ma (K, 2, 2, 1), then Mb (K, 2, 1)
+        block[:4] = -np.eye(2).reshape(-1)
+        params = obj.pack(AffineFlowSet.identity(2, 2), block)
+        with pytest.raises(ValueError, match=r"^flow not invertible: .* at iteration 0$"):
+            _run_optimizer(obj, params, cfg)
 
 
 class TestTrainDsf:
@@ -233,6 +279,17 @@ class TestTrainDsf:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
             train_dsf(Context(past=np.zeros((1, 2))), linear_decoder(rng), TrainConfig(mode="dlow"))
+
+    def test_data_shape_checked_for_every_data_form(self):
+        # a (5, 2) future against a (3, 2) decoder, as train_dlow refuses it
+        rng = np.random.default_rng(20)
+        dec = linear_decoder(rng, n_z=2, t=3)
+        cfg = TrainConfig(mode="dsf", k=2, iters=2, kernel=KernelConfig(latent_dim=2))
+        ex = Example(context=Context(past=np.zeros((1, 2))), future=np.zeros((5, 2)), id=0)
+        ok = Example(context=Context(past=np.zeros((1, 2))), future=np.zeros((3, 2)), id=1)
+        for data in (Dataset(examples=(ex,)), [ex], ex, [ex.context, ex], [ok, ex]):
+            with pytest.raises(ValueError, match=r"\(3, 2\) does not match data \(5, 2\)"):
+                train_dsf(data, dec, cfg)
 
 
 class TestTrainDlow:
@@ -359,7 +416,7 @@ class TestTrainDlow:
                 assert got["terms"][name] == pytest.approx(value, rel=1e-12), name
 
         # an all-zero featurization block gives every example the plain flows
-        assert_terms_equal(feat.breakdown(feat.pack(flows)), plain.breakdown(plain.pack(flows)))
+        assert_terms_equal(feat.evaluate(feat.pack(flows))[0], plain.evaluate(plain.pack(flows))[0])
         # a nonzero block: the mean over examples of each example's own loss
         block = rng.normal(scale=0.1, size=k * (n_z * n_z + n_z) * f_dim)
         ma = block[: k * n_z * n_z * f_dim].reshape(k, n_z, n_z, f_dim)
@@ -369,14 +426,14 @@ class TestTrainDlow:
             f = ex.context.features
             own = AffineFlowSet(A=flows.A + ma @ f, b=flows.b + mb @ f)
             single = _DlowObjective(dec, [ex], cfg, eps)
-            per_example.append(single.breakdown(single.pack(own)))
+            per_example.append(single.evaluate(single.pack(own))[0])
         mean = {
             "terms": {
                 name: float(np.mean([bd["terms"][name] for bd in per_example]))
                 for name in per_example[0]["terms"]
             }
         }
-        assert_terms_equal(feat.breakdown(feat.pack(flows, block)), mean)
+        assert_terms_equal(feat.evaluate(feat.pack(flows, block))[0], mean)
 
     def test_bit_identical_reports_same_seed(self):
         rng = np.random.default_rng(9)
