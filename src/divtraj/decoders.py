@@ -65,11 +65,11 @@ def route_templates(speed: float, t_steps: int) -> dict[str, np.ndarray]:
 
 
 def _over_leading_axes(decode_codes, Z) -> np.ndarray:
-    """Apply a decode of (N, n_z) codes to (..., n_z) codes; one code decodes
-    as a batch of one."""
+    """Apply a decode of (N, n_z) codes to (..., n_z) codes; a single (n_z,)
+    code gives a single output, without a leading axis."""
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
     out = decode_codes(Z.reshape(-1, Z.shape[-1]))
-    return out.reshape(*(Z.shape[:-1] or (1,)), *out.shape[1:])
+    return out.reshape(*Z.shape[:-1], *out.shape[1:])
 
 
 def _wrap_angle(theta):
@@ -113,7 +113,7 @@ class LinearDecoder:
         return self.ctx_proj @ ctx.features
 
     def decode(self, z, ctx: Context | None = None) -> np.ndarray:
-        return self.decode_batch(np.asarray(z, dtype=float)[None], ctx)[0]
+        return self.decode_batch(z, ctx)
 
     def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -127,7 +127,10 @@ class LinearDecoder:
     def jacobian_batch(self, Z) -> np.ndarray:
         """(..., T*D, n_z) derivative of the flattened decode at each of the
         (..., n_z) codes: W."""
-        return np.broadcast_to(self.W, np.shape(Z)[:-1] + self.W.shape)
+        shape = np.shape(Z)
+        if shape[-1] != self.n_z:
+            raise ValueError(f"latent dim mismatch: got {shape[-1]}, decoder has {self.n_z}")
+        return np.broadcast_to(self.W, shape[:-1] + self.W.shape)
 
     def to_config(self) -> dict:
         cfg = {
@@ -209,7 +212,7 @@ class CrossroadDecoder:
         return np.tile(ctx.past[-1], self.t_steps)
 
     def decode(self, z, ctx: Context | None = None) -> np.ndarray:
-        return self.decode_batch(np.asarray(z, dtype=float)[None], ctx)[0]
+        return self.decode_batch(z, ctx)
 
     def _polar(self, Z):
         """Checked (N, 2) codes, their sectors, in-sector offsets rel / half, radii."""
@@ -301,7 +304,7 @@ class TabulatedDecoder:
         return np.zeros(self.t_steps * self.state_dim)
 
     def decode(self, z, ctx: Context | None = None) -> np.ndarray:
-        return self.decode_batch(np.asarray(z, dtype=float)[None], ctx)[0]
+        return self.decode_batch(z, ctx)
 
     def _clamped(self, Z):
         """Checked (N, n_z) codes and the same codes clamped to the grid."""

@@ -8,11 +8,13 @@ three terms over whole multi-agent trajectories.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .dpp import DppKernel, _pairwise_sq_dists, expected_cardinality
+from .dpp import DppKernel, expected_cardinality
 from .flows import AffineFlowSet, kl_to_standard_normal
 from .trajectory import SampleSet, as_trajectory
 
@@ -71,11 +73,28 @@ def _dim_columns(dims, t_steps: int, state_dim: int) -> np.ndarray:
     return (np.arange(t_steps)[:, None] * state_dim + np.asarray(dims, dtype=int)).reshape(-1)
 
 
+def _set_sq_dists(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the samples of each (..., K, F)
+    sample set, (..., K, K): one ``cdist`` per set into one preallocated
+    array, so no (..., K, K, F) difference tensor is built. ``cdist`` sums the
+    squares in feature order and gives an exact zero diagonal. The DPP kernel
+    keeps its own order; ``dpp._pairwise_sq_dists`` says why."""
+    *lead, k, f = v.shape
+    sets = v.reshape(math.prod(lead), k, f)  # not -1: F may be 0
+    out = np.empty((len(sets), k, k))
+    for x, dists in zip(sets, out):
+        cdist(x, x, "sqeuclidean", out=dists)
+    return out.reshape(*lead, k, k)
+
+
 def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
     """Mean RBF proximity exp(-d^2 / sigma_d) over the ordered pairs of each
-    (..., K, F) sample set; with ``grad`` also its gradient wrt ``v``, else None."""
+    (..., K, F) sample set, d^2 from ``_set_sq_dists``; with ``grad`` also
+    its gradient wrt ``v``, else None."""
     k = v.shape[-2]
-    w = np.exp(-_pairwise_sq_dists(v) / sigma_d) * (1.0 - np.eye(k))  # pairs i != j
+    w = _set_sq_dists(v)
+    np.exp(np.divide(w, -sigma_d, out=w), out=w)
+    w.reshape(-1, k * k)[:, :: k + 1] = 0.0  # pairs i != j only
     value = w.sum(axis=(-2, -1)) / (k * (k - 1))
     if not grad:
         return value, None
@@ -84,22 +103,32 @@ def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
 
 def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
     """Min squared distance from each (..., K, F) sample set to its (..., F)
-    ground truth; with ``grad`` also its gradient wrt the samples (nonzero at
-    the first nearest sample only), else None."""
+    ground truth, the squares summed by einsum; with ``grad`` also its
+    gradient wrt ``v``, else None. That gradient is 2 (v - gt) at each set's
+    first nearest sample and zero elsewhere, summed in C order over the axes
+    along which ``gt`` broadcasts ``v``, so it is shaped like ``v``."""
     diff = v - gt[..., None, :]
     dist2 = np.einsum("...kf,...kf->...k", diff, diff)
     value = dist2.min(axis=-1)
     if not grad:
         return value, None
-    nearest = np.arange(v.shape[-2]) == dist2.argmin(axis=-1)[..., None]
-    return value, 2.0 * diff * nearest[..., None]
+    k, f = v.shape[-2:]
+    # flat (..., F) row of each set's first nearest sample in v; the row
+    # broadcasts like dist2, so sets that share a sample set share its rows
+    rows = np.arange(v.size // (k * f)).reshape(v.shape[:-2]) * k + dist2.argmin(axis=-1)
+    step = 2.0 * (v.reshape(-1, f)[rows] - gt)
+    # bincount adds the steps in C order, as a sum over the broadcast axes would
+    cols = (rows[..., None] * f + np.arange(f)).reshape(-1)
+    g_v = np.bincount(cols, weights=step.reshape(-1), minlength=v.size).reshape(v.shape)
+    return value, g_v
 
 
 def _similarity(v: np.ndarray, grad: bool = False):
     """Mean squared distance over the ordered pairs of each (..., K, F) sample
-    set (0 for F = 0); with ``grad`` also its gradient wrt ``v``, else None."""
+    set (0 for F = 0), d^2 from ``_set_sq_dists``; with ``grad`` also its
+    gradient wrt ``v``, else None."""
     k = v.shape[-2]
-    value = _pairwise_sq_dists(v).sum(axis=(-2, -1)) / (k * (k - 1))
+    value = _set_sq_dists(v).sum(axis=(-2, -1)) / (k * (k - 1))
     if not grad:
         return value, None
     return value, (4.0 / (k * (k - 1))) * (k * v - v.sum(axis=-2, keepdims=True))
@@ -123,8 +152,7 @@ def _energies(v: np.ndarray, gt: np.ndarray, cfg: EnergyConfig, state_dim: int, 
     means = tuple(float(e.sum()) / e.size for e in (e_d, e_r, e_s))
     if not grad:
         return means, None
-    shared = tuple(i for i, (n_v, n_g) in enumerate(zip(v.shape, g_r.shape)) if n_v < n_g)
-    g_v = (cfg.lambda_r / e_r.size) * g_r.sum(axis=shared, keepdims=True)
+    g_v = (cfg.lambda_r / e_r.size) * g_r
     g_v[..., cols_d] += (cfg.lambda_d / e_d.size) * g_d
     if g_s is not None:
         g_v[..., cols_s] += (cfg.lambda_s / e_s.size) * g_s

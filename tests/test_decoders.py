@@ -62,6 +62,9 @@ class TestLinearDecoder:
         dec = LinearDecoder(W=np.eye(6), c0=np.zeros(6), t_steps=3, state_dim=2)
         with pytest.raises(ValueError):
             dec.decode(np.zeros(4))
+        for Z in (np.zeros((4, 3)), np.zeros(3)):
+            with pytest.raises(ValueError, match="latent dim mismatch: got 3, decoder has 6"):
+                dec.jacobian_batch(Z)
 
     def test_jacobian_is_w_at_every_code(self):
         rng = np.random.default_rng(4)
@@ -153,7 +156,7 @@ class TestCrossroadDecoder:
                     probes = z + h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
                     assert np.all(self.DEC.sector_of(probes) == s)
                     np.testing.assert_allclose(
-                        self.DEC.jacobian_batch(z)[0], fd_jacobian(self.DEC, z), rtol=0, atol=1e-7
+                        self.DEC.jacobian_batch(z), fd_jacobian(self.DEC, z), rtol=0, atol=1e-7
                     )
 
     def test_jacobian_at_origin_is_finite_zero(self):
@@ -286,6 +289,16 @@ def test_leading_axes_decode_each_code_as_alone(name, k):
         with_ctx = dec.decode_batch(z, ctx)
         assert np.array_equal(with_ctx, out + dec.context_offset(ctx).reshape(3, 2))
         assert np.array_equal(j, dec.jacobian_batch(z))
+        # a single (n_z,) code has no leading axis: it gives what a batch of
+        # one gives, (T, D) and (T*D, n_z)
+        for code in z:
+            alone = dec.decode_batch(code[None])[0]
+            assert dec.decode_batch(code).shape == (3, 2)
+            assert np.array_equal(dec.decode_batch(code), alone)
+            assert np.array_equal(dec.decode(code), alone)
+            assert np.array_equal(dec.decode(code, ctx), dec.decode_batch(code[None], ctx)[0])
+            assert dec.jacobian_batch(code).shape == (6, dec.n_z)
+            assert np.array_equal(dec.jacobian_batch(code), dec.jacobian_batch(code[None])[0])
 
 
 @pytest.mark.parametrize("name", ["linear", "crossroad", "tabulated"])

@@ -19,6 +19,7 @@ from divtraj import (
     reconstruction_energy,
     similarity_energy,
 )
+from divtraj import energy
 from tests.test_dpp import kernel_from_matrix
 
 
@@ -110,6 +111,85 @@ class TestSimilarityEnergy:
             similarity_energy(make_samples(BASE, BASE), ((0,), (0, 1)))
         with pytest.raises(ValueError, match="partition"):
             similarity_energy(make_samples(BASE, BASE), ((0,), ()))
+
+
+def feature_order_sq_dists(v):
+    """(..., K, K) squared distances of (..., K, F) sets, the squares added
+    one feature after another."""
+    acc = np.zeros(v.shape[:-1] + v.shape[-2:-1])
+    for f in range(v.shape[-1]):
+        d = v[..., :, None, f] - v[..., None, :, f]
+        acc = acc + d * d
+    return acc
+
+
+def dense_reconstruction(v, gt):
+    """Reference reconstruction energy and gradient: a dense 2 (v - gt)
+    masked to each set's first nearest sample, summed over the axes along
+    which gt broadcasts v."""
+    diff = v - gt[..., None, :]
+    dist2 = np.einsum("...kf,...kf->...k", diff, diff)
+    nearest = np.arange(v.shape[-2]) == dist2.argmin(axis=-1)[..., None]
+    g = 2.0 * diff * nearest[..., None]
+    shared = tuple(i for i, (n_v, n_g) in enumerate(zip(v.shape, g.shape)) if n_v < n_g)
+    return dist2.min(axis=-1), g.sum(axis=shared, keepdims=True)
+
+
+class TestEnergyKernels:
+    """The batched energies behind the public wrappers and the DLow trainer."""
+
+    @pytest.mark.parametrize("f", [1, 6, 12])
+    def test_set_distances_sum_squares_in_feature_order(self, f):
+        rng = np.random.default_rng(20 + f)
+        v = rng.normal(scale=3.0, size=(2, 3, 7, f))
+        k = v.shape[-2]
+        ref = feature_order_sq_dists(v)
+        dists = energy._set_sq_dists(v)
+        assert np.array_equal(dists, ref)
+        assert np.all(dists[..., np.arange(k), np.arange(k)] == 0.0)
+        off = 1.0 - np.eye(k)
+        e_d = energy._diversity(v, 5.0)[0]
+        assert np.array_equal(e_d, (np.exp(-ref / 5.0) * off).sum(axis=(-2, -1)) / (k * (k - 1)))
+        e_s = energy._similarity(v)[0]
+        assert np.array_equal(e_s, ref.sum(axis=(-2, -1)) / (k * (k - 1)))
+
+    @pytest.mark.parametrize(
+        "v_shape, gt_shape",
+        [
+            ((1, 3, 5, 6), (4, 1, 6)),  # one flow set shared by every example
+            ((4, 3, 5, 6), (4, 1, 6)),  # featurized: one flow set per example
+            ((5, 6), (6,)),  # one sample set, one ground truth
+        ],
+    )
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_reconstruction_equals_dense_definition(self, v_shape, gt_shape, duplicated):
+        rng = np.random.default_rng(30)
+        v = rng.normal(size=v_shape)
+        gt = rng.normal(size=gt_shape)
+        if duplicated:  # ties: every set's nearest sample appears twice
+            v = np.round(v)
+            gt = np.round(gt)
+            v[..., 3, :] = v[..., 1, :]
+            v[..., 4, :] = v[..., 2, :]
+        value, grad = energy._reconstruction(v, gt, grad=True)
+        ref_value, ref_grad = dense_reconstruction(v, gt)
+        assert grad.shape == v.shape
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+        # only each set's first nearest sample carries gradient
+        assert np.count_nonzero(np.any(grad != 0.0, axis=-1)) <= ref_value.size
+
+    def test_empty_similar_slice_is_zero_over_leading_axes(self):
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=(2, 3, 4, 6))
+        value, grad = energy._similarity(v[..., []], grad=True)
+        assert value.shape == (2, 3) and np.all(value == 0.0)
+        assert grad.shape == (2, 3, 4, 0)
+        cfg = EnergyConfig(sigma_d=4.0, lambda_s=2.0, joint_split=((), (0, 1)))
+        (e_d, _, e_s), _ = energy._energies(v, rng.normal(size=(2, 1, 6)), cfg, 2, grad=True)
+        assert e_s == 0.0
+        per_set = energy._diversity(v, 4.0)[0]
+        assert e_d == float(per_set.sum()) / per_set.size
 
 
 class TestDsfLoss:

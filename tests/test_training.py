@@ -1,5 +1,6 @@
 """Optimizer and trainer tests: oracles, worked examples, determinism."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,32 @@ class TestGradientFidelity:
         kernel = build_kernel(GroundSet(items=items, latents=codes), kcfg)
         assert obj.evaluate(codes.reshape(-1))[0]["total"] == pytest.approx(dsf_loss(kernel), abs=1e-14)
         assert dsf_loss(kernel) == -expected_cardinality(kernel)
+
+
+class TestDlowObjectiveMemory:
+    def test_large_ground_set_evaluation_memory_bound(self):
+        # K = 400 samples, 8 draws, 64 examples, F = 6: a dense (E, K, K, F)
+        # pair difference alone is 59 MiB, a dense (M, E, K, F) reconstruction
+        # gradient 9.4 MiB; one evaluation with its gradient stays under 32
+        rng = np.random.default_rng(15)
+        k, draws, n_z = 400, 8, 4
+        dec = LinearDecoder(W=rng.normal(size=(6, n_z)), c0=np.zeros(6), t_steps=3, state_dim=2)
+        examples = [
+            Example(context=Context(past=np.zeros((1, 2))), future=rng.normal(size=(3, 2)), id=i)
+            for i in range(64)
+        ]
+        cfg = TrainConfig(mode="dlow", k=k, noise_draws_per_iter=draws, seed=0)
+        obj = _DlowObjective(dec, examples, cfg, rng.standard_normal((draws, n_z)))
+        a = np.tile(np.eye(n_z), (k, 1, 1)) + rng.normal(scale=0.1, size=(k, n_z, n_z))
+        params = obj.pack(AffineFlowSet(A=a, b=rng.normal(size=(k, n_z))))
+        tracemalloc.start()
+        try:
+            _, grad = obj.evaluate(params, grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(grad))
+        assert peak < 32 * 2**20
 
 
 class TestRunOptimizer:
