@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .decoders import decoder_from_config
-from .dpp import KernelConfig, _greedy_map_sets
+from .dpp import _greedy_map_sets
 from .fileio import (
     FORMAT_VERSION,
+    _kernel_config,
     _reject_unknown,
     metrics_to_csv,
     read_dataset,
@@ -32,7 +33,7 @@ from .fileio import (
     write_report,
     write_samples,
 )
-from .flows import AffineFlowSet, _apply_flows, _fold_features
+from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
 from .trajectory import METRIC_NAMES, Dataset, SampleSet, evaluate_sample_sets
 from .training import train_dlow, train_dsf
@@ -133,7 +134,7 @@ def _model_latents(model: dict, examples, seed: int) -> np.ndarray:
         features = np.stack([ex.context.features for ex in examples])
         a, b = _fold_features(a, b, params["featurization"], features, k0)
     flows = AffineFlowSet(A=a.reshape(-1, *a.shape[-2:]), b=b.reshape(-1, b.shape[-1]))  # all valid
-    eps = np.stack([np.random.default_rng([seed, ex.id]).standard_normal(flows.n_z) for ex in examples])
+    eps = np.stack([sample_noise([seed, ex.id], flows.n_z) for ex in examples])
     return _apply_flows(a, b, eps)
 
 
@@ -145,10 +146,7 @@ def cmd_sample(args) -> int:
     if k != int(model["K"]):
         raise ValueError(f"requested K={k} but the model was trained with K={model['K']}")
     seed = args.seed if args.seed is not None else int(model["seed"])
-    kernel_block = dict(model["train_config"].get("kernel", {}))
-    kernel_block["base_quality"] = args.omega
-    kernel_block["latent_dim"] = model["n_z"]  # the kernel's latents are the model's codes
-    kcfg = KernelConfig(**kernel_block)
+    kcfg = _kernel_config(dict(model["train_config"].get("kernel", {}), base_quality=args.omega))
     examples = dataset.examples
     records = []
     if examples:  # nothing to stack: an empty dataset gets a header-only file
@@ -197,9 +195,7 @@ def cmd_eval(args) -> int:
         decoder = decoder_from_config(model["decoder"])
         k = args.k if args.k is not None else int(model["K"])
         examples = dataset.examples
-        latents = np.stack(
-            [np.random.default_rng([args.seed, ex.id]).standard_normal((k, int(model["n_z"]))) for ex in examples]
-        )
+        latents = np.stack([sample_noise([args.seed, ex.id], (k, int(model["n_z"]))) for ex in examples])
         samples = _decode(decoder, latents, examples)
         base_records = [{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]
         baseline = _metric_report(dataset, base_records, args.eps)

@@ -192,10 +192,8 @@ class CrossroadDecoder:
         return route_templates(self.speed, self.t_steps)
 
     def sector_of(self, Z) -> np.ndarray:
-        """Route index (0 forward, 1 left, 2 right) for each latent code."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        theta = np.arctan2(Z[:, 1], Z[:, 0])
-        return self._sectors_from_angle(theta)[0]
+        """Route index (0 forward, 1 left, 2 right) for each 2-d latent code."""
+        return self._polar(Z)[1]
 
     def _sectors_from_angle(self, theta: np.ndarray):
         rel = _wrap_angle(theta[:, None] - self._centers[None, :])  # (n, 3)

@@ -4,7 +4,7 @@ The L-ensemble kernel is L = Diag(r) * S * Diag(r) with an RBF similarity
 matrix S over flattened trajectories and a latent-space quality vector r
 that is flat inside a sphere of radius R and decays exponentially outside.
 R is the chi-squared quantile radius containing a target fraction of
-standard-normal mass.
+standard-normal mass in the codes' own dimension n_z.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ class KernelConfig:
     sim_scale: float = 1.0
     base_quality: float = 1.0
     rho: float = 0.9
-    latent_dim: int = 2
 
     def __post_init__(self):
         if self.sim_scale <= 0:
@@ -51,12 +50,6 @@ class KernelConfig:
             raise ValueError("base_quality must be > 0")
         if not 0 < self.rho < 1:
             raise ValueError("rho must be in (0, 1)")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-
-    @property
-    def radius(self) -> float:
-        return quality_radius(self.latent_dim, self.rho)
 
 
 @dataclass(frozen=True)
@@ -134,30 +127,29 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     return float(np.sqrt(2.0 * gammaincinv(latent_dim / 2.0, rho)))
 
 
-def _latent_quality(latents: np.ndarray, radius_sq: float, omega: float) -> np.ndarray:
+def _latent_quality(latents: np.ndarray, config: KernelConfig) -> np.ndarray:
+    # the sphere is the one of the codes' own dimension n_z
+    radius_sq = quality_radius(latents.shape[-1], config.rho) ** 2
     sq_norms = np.einsum("...i,...i->...", latents, latents)
+    omega = config.base_quality
     return np.where(sq_norms <= radius_sq, omega, omega * np.exp(-(sq_norms - radius_sq)))
 
 
 def build_quality(latents, config: KernelConfig) -> np.ndarray:
-    """Latent-space quality: flat at the base value inside the sphere,
-    exponentially decaying outside; continuous at the boundary."""
-    latents = np.atleast_2d(np.asarray(latents, dtype=float))
-    if latents.shape[1] != config.latent_dim:
-        raise ValueError(
-            f"latent dim mismatch: got {latents.shape[1]}, config has {config.latent_dim}"
-        )
-    return _latent_quality(latents, config.radius**2, config.base_quality)
+    """Latent-space quality: flat at the base value inside the sphere of the
+    codes' dimension, exponentially decaying outside; continuous at the boundary."""
+    return _latent_quality(np.atleast_2d(np.asarray(latents, dtype=float)), config)
 
 
-def _l_ensemble(s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return r[..., :, None] * s * r[..., None, :]
-
-
-def _psd_spectrum(L: np.ndarray, vectors: bool = True):
-    """Ascending eigenvalues of each (..., N, N) kernel, and with ``vectors``
-    its eigenvectors (else None). Eigenvalues in [floor, 0) are clamped to 0;
-    one below the floor means a broken input and raises."""
+def _kernel(items: np.ndarray, latents: np.ndarray, config: KernelConfig, vectors: bool = False):
+    """(S, r, L, lam, u) of the kernel L = Diag(r) S Diag(r) over each of the
+    (..., N, F) item sets and its (..., N, n_z) codes: lam holds the ascending
+    eigenvalues of L, u its eigenvectors with ``vectors``, else None.
+    Eigenvalues in [floor, 0) are clamped to 0; one below the floor means a
+    broken input and raises."""
+    s = _rbf_similarity(items, config.sim_scale)
+    r = _latent_quality(latents, config)
+    L = r[..., :, None] * s * r[..., None, :]
     lam, u = np.linalg.eigh(L) if vectors else (np.linalg.eigvalsh(L), None)
     floor = -PSD_TOL * np.maximum(1.0, lam[..., -1])
     bad = lam[..., 0] < floor
@@ -165,7 +157,7 @@ def _psd_spectrum(L: np.ndarray, vectors: bool = True):
         i = np.unravel_index(np.argmax(bad), bad.shape)  # the first failing kernel
         low, floor = lam[..., 0][i], floor[i]
         raise ValueError(f"kernel not PSD: min eigenvalue {low:.3e} below {floor:.3e}")
-    return np.maximum(lam, 0.0), u
+    return s, r, L, np.maximum(lam, 0.0), u
 
 
 def _cardinality(lam: np.ndarray) -> np.ndarray:
@@ -187,10 +179,7 @@ def _cardinality_grads(items, latents, s, r, lam, u, sim_scale: float, radius_sq
 
 def build_kernel(ground: GroundSet, config: KernelConfig) -> DppKernel:
     """Assemble L = Diag(r) * S * Diag(r) and cache its eigendecomposition."""
-    s = build_similarity(ground.items, config.sim_scale)
-    r = build_quality(ground.latents, config)
-    L = _l_ensemble(s, r)
-    eigvals, eigvecs = _psd_spectrum(L)
+    s, r, L, eigvals, eigvecs = _kernel(ground.items, ground.latents, config, vectors=True)
     return DppKernel(L=L, S=s, r=r, eigvals=eigvals, eigvecs=eigvecs)
 
 
@@ -295,13 +284,10 @@ def _greedy_map_sets(items: np.ndarray, latents: np.ndarray, config: KernelConfi
     kernels of a block of sets are built, PSD-checked and searched together."""
     if not (np.all(np.isfinite(items)) and np.all(np.isfinite(latents))):
         raise ValueError("ground set contains non-finite entries")
-    radius_sq = config.radius**2
     step = max(1, _KERNEL_BLOCK_BYTES // (items.shape[1] * items[:1].nbytes))
     selections = []
     for first in range(0, len(items), step):
         block = slice(first, first + step)
-        s = _rbf_similarity(items[block], config.sim_scale)
-        L = _l_ensemble(s, _latent_quality(latents[block], radius_sq, config.base_quality))
-        _psd_spectrum(L, vectors=False)
+        _, _, L, _, _ = _kernel(items[block], latents[block], config)
         selections += _greedy_map(L)
     return selections

@@ -155,17 +155,22 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _kernel_config(block: dict) -> KernelConfig:
+    """The KernelConfig of a kernel block, from a train config or a saved model."""
+    block = dict(block)
+    block.pop("latent_dim", None)  # older files; the quality sphere now takes the codes' n_z
+    _reject_unknown(block, KernelConfig.__dataclass_fields__, "kernel config")
+    return KernelConfig(**block)
+
+
 def train_config_from_dict(block: dict) -> TrainConfig:
     block = dict(block)
     block.pop("fd_step", None)  # finite-difference step of older configs, now unused
-    kernel_block = dict(block.pop("kernel", {}))
+    kernel = _kernel_config(block.pop("kernel", {}))
     energy_block = dict(block.pop("energy", {}))
     _reject_unknown(block, TrainConfig.__dataclass_fields__, "train config")
-    _reject_unknown(kernel_block, KernelConfig.__dataclass_fields__, "kernel config")
     _reject_unknown(energy_block, EnergyConfig.__dataclass_fields__, "energy config")
-    return TrainConfig(
-        kernel=KernelConfig(**kernel_block), energy=EnergyConfig(**energy_block), **block
-    )
+    return TrainConfig(kernel=kernel, energy=EnergyConfig(**energy_block), **block)
 
 
 def report_to_dict(report: TrainReport) -> dict:

@@ -147,6 +147,9 @@ def kl_to_standard_normal(flows: AffineFlowSet, k: int | None = None):
 
 
 def sample_noise(seed, n_z: int) -> np.ndarray:
-    """n_z i.i.d. standard normal draws from a seeded, platform-stable generator."""
+    """n_z i.i.d. standard normal draws from a seeded, platform-stable generator.
+
+    ``n_z`` goes straight to ``standard_normal`` as its size, so a shape such
+    as (K, n_z) draws K codes at once."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n_z)

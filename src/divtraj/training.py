@@ -146,19 +146,15 @@ class _DsfObjective:
     """
 
     def __init__(self, decoder, kcfg: KernelConfig, k: int):
-        if kcfg.latent_dim != decoder.n_z:
-            raise ValueError("kernel latent_dim must match the decoder latent dim")
         self.decoder = decoder
         self.kcfg = kcfg
-        self.radius_sq = kcfg.radius**2
+        self.radius_sq = dpp.quality_radius(decoder.n_z, kcfg.rho) ** 2
         self.k = k
 
     def evaluate(self, params: np.ndarray, grad: bool = False):
         codes = params.reshape(self.k, self.decoder.n_z)
         items = self.decoder.decode_batch(codes, None).reshape(self.k, -1)
-        s = dpp._rbf_similarity(items, self.kcfg.sim_scale)
-        r = dpp._latent_quality(codes, self.radius_sq, self.kcfg.base_quality)
-        lam, u = dpp._psd_spectrum(dpp._l_ensemble(s, r), vectors=grad)
+        s, r, _, lam, u = dpp._kernel(items, codes, self.kcfg, vectors=grad)
         total = float(-dpp._cardinality(lam))
         bd = {"total": total, "terms": {"neg_expected_cardinality": total}}
         if not grad:

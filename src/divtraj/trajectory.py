@@ -240,10 +240,11 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
     return float(asd_vals[0]), float(fsd_vals[0])
 
 
-# Bytes of one block's largest array: the (rows, M, F) context differences of
-# the grouping, or for a block of sample sets their (B*K, M, T) pose distances
-# and (B, K, K, T, D) sample differences. Each pass allocates about one more
-# array of that size while it works.
+# Bytes of one block's largest array: for a block of sample sets their
+# (B*K, M, T) pose distances and (B, K, K, T, D) sample differences. Each pass
+# allocates about one more array of that size while it works. The grouping
+# takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its (rows, M)
+# distances stay below the bound.
 _GROUP_BLOCK_BYTES = 1 << 20
 
 
@@ -252,20 +253,20 @@ def _context_groups(dataset: Dataset, eps: float):
 
     Example j is a member of anchor i iff ||ctx_j - ctx_i|| <= eps on
     flattened contexts: pairwise to the anchor, no transitive closure. The
-    distances are computed a block of anchors at a time, so memory stays
-    bounded by the block size plus O(M) whatever the dataset size.
+    distances are computed a block of anchors at a time with ``cdist``, so
+    memory stays bounded by the block size plus O(M) whatever the dataset
+    size. For F < 8 context features they equal
+    ``norm(ctx[block, None] - ctx[None], axis=2)`` bitwise; from F = 8 on,
+    numpy sums the squares pairwise and the two can differ in the last bit.
+    A context is finite, so its distance to itself is exactly 0 and every
+    anchor is its own member.
     """
     if not eps >= 0:  # also rejects NaN, which would leave every group a singleton
         raise ValueError(f"eps must be >= 0, got {eps}")
     ctx = np.stack([ex.context.flat() for ex in dataset.examples])
     rows = max(1, _GROUP_BLOCK_BYTES // ctx.nbytes)
     for start in range(0, len(ctx), rows):
-        near = np.linalg.norm(ctx[start : start + rows, None] - ctx[None], axis=2) <= eps
-        for i, row in enumerate(near, start):
-            members = np.flatnonzero(row)
-            if not row[i]:  # guard against float noise on the self distance
-                members = np.concatenate(([i], members))
-            yield members
+        yield from map(np.flatnonzero, cdist(ctx[start : start + rows], ctx) <= eps)
 
 
 def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarray]]:

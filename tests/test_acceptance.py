@@ -79,14 +79,14 @@ def test_criterion_2_cardinality_three_way():
 @checked(3, "quality scaling strictly increases expected cardinality")
 def test_criterion_3_quality_scaling():
     rng = np.random.default_rng(3)
-    cfg = dt.KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+    cfg = dt.KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
     for _ in range(100):
         n = int(rng.integers(2, 8))
         ground = dt.GroundSet(items=rng.normal(size=(n, 4)), latents=rng.normal(size=(n, 2)))
         base = dt.expected_cardinality(dt.build_kernel(ground, cfg))
         assert base > 0
         for c in (1.5, 2.0, 4.0):
-            scaled_cfg = dt.KernelConfig(sim_scale=1.0, base_quality=c, rho=0.9, latent_dim=2)
+            scaled_cfg = dt.KernelConfig(sim_scale=1.0, base_quality=c, rho=0.9)
             scaled = dt.expected_cardinality(dt.build_kernel(ground, scaled_cfg))
             assert scaled > base
 
@@ -155,7 +155,6 @@ def test_criterion_6_gradient_fidelity():
                 sim_scale=float(rng.uniform(0.3, 2.0)),
                 base_quality=float(rng.uniform(0.5, 2.0)),
                 rho=0.9,
-                latent_dim=n_z,
             )
             obj = _DsfObjective(dec, kcfg, k)
             params = rng.normal(scale=1.2, size=k * n_z)
@@ -189,7 +188,7 @@ def test_criterion_6_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 PROBS = (0.8, 0.1, 0.1)
-DSF_KERNEL = dt.KernelConfig(sim_scale=8.0, base_quality=1.0, rho=0.9, latent_dim=2)
+DSF_KERNEL = dt.KernelConfig(sim_scale=8.0, base_quality=1.0, rho=0.9)
 DSF_DECODER = dt.CrossroadDecoder(mode_probs=PROBS, speed=1.0, t_steps=3, within_mode_scale=0.3)
 
 
@@ -393,7 +392,7 @@ def test_criterion_11_pipeline_determinism(tmp_path):
     gen_cfg = {"mode_probs": [0.8, 0.1, 0.1], "n_examples": 20, "seed": 11}
     train_cfg = {
         "mode": "dsf", "k": 6, "iters": 30, "lr": 0.02, "seed": 5,
-        "kernel": {"sim_scale": 8.0, "base_quality": 1.0, "rho": 0.9, "latent_dim": 2},
+        "kernel": {"sim_scale": 8.0, "base_quality": 1.0, "rho": 0.9},
         "decoder": {
             "kind": "crossroad", "mode_probs": [0.8, 0.1, 0.1], "speed": 1.0,
             "t_steps": 3, "within_mode_scale": 0.3,

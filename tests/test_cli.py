@@ -46,7 +46,7 @@ DSF_TRAIN_CONFIG = {
     "iters": 40,
     "lr": 0.02,
     "seed": 5,
-    "kernel": {"sim_scale": 8.0, "base_quality": 1.0, "rho": 0.9, "latent_dim": 2},
+    "kernel": {"sim_scale": 8.0, "base_quality": 1.0, "rho": 0.9},
     "decoder": {
         "kind": "crossroad",
         "mode_probs": [0.8, 0.1, 0.1],
@@ -74,7 +74,7 @@ class TestFileFormats:
     def test_train_config_round_trip_and_unknown_keys(self):
         cfg = TrainConfig(
             mode="dlow", k=4, iters=10, lr=0.01, seed=2,
-            kernel=KernelConfig(sim_scale=2.0, latent_dim=2),
+            kernel=KernelConfig(sim_scale=2.0),
             energy=EnergyConfig(sigma_d=5.0, joint_split=((0,), (1,))),
         )
         block = train_config_to_dict(cfg)
@@ -91,7 +91,9 @@ class TestFileFormats:
     def test_version1_config_with_fd_step_still_loads(self):
         # configs and models written while training used finite differences carry fd_step
         cfg = TrainConfig(mode="dlow", k=4, iters=10, seed=2)
+        # and a kernel latent_dim, now taken from the codes
         block = dict(train_config_to_dict(cfg), fd_step=1e-4)
+        block["kernel"] = dict(block["kernel"], latent_dim=2)
         assert train_config_from_dict(block) == cfg
 
 
@@ -202,7 +204,8 @@ class TestTrain:
 
     def test_config_with_fd_step_trains(self, workdir):
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
-        (workdir / "fd.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, fd_step=1e-4)))
+        kernel = dict(DSF_TRAIN_CONFIG["kernel"], latent_dim=2)
+        (workdir / "fd.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, fd_step=1e-4, kernel=kernel)))
         assert run([
             "train", "--config", workdir / "fd.json", "--dataset", workdir / "d.jsonl",
             "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
@@ -254,8 +257,9 @@ class TestSample:
             assert not ({0, 1} <= set(sel))  # the duplicated pair is never co-selected
 
     def test_dpp_map_on_dlow_model_with_latent_dim_4(self, workdir):
-        # no kernel block: the saved config carries the default latent_dim 2,
-        # and the kernel must take the model's n_z instead
+        # the kernel's quality sphere follows the model's n_z = 4; a latent_dim
+        # of 2 in an older model's kernel block is ignored (a 2-d sphere would
+        # change 5 of the 24 selections here)
         rng = np.random.default_rng(3)
         cfg = {
             "mode": "dlow", "k": 4, "iters": 3, "lr": 0.01, "seed": 0,
@@ -270,13 +274,17 @@ class TestSample:
             "train", "--config", workdir / "lin.json", "--dataset", workdir / "d.jsonl",
             "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
         ]) == 0
-        assert read_model(workdir / "m.json")["train_config"]["kernel"]["latent_dim"] == 2
-        assert run([
-            "sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl",
-            "--out", workdir / "s.jsonl", "--dpp-map",
-        ]) == 0
-        records = read_samples(workdir / "s.jsonl")
+        model = read_model(workdir / "m.json")
+        model["train_config"]["kernel"]["latent_dim"] = 2
+        write_model(workdir / "old.json", model)
+        for name in ("m", "old"):
+            assert run([
+                "sample", "--model", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
+                "--out", workdir / f"{name}.jsonl", "--dpp-map",
+            ]) == 0
+        records = read_samples(workdir / "m.jsonl")
         assert all(set(rec["dpp_map"]) <= set(range(4)) for rec in records)
+        assert (workdir / "old.jsonl").read_bytes() == (workdir / "m.jsonl").read_bytes()
 
     def train_featurized(self, workdir, fix_first, n_features=3):
         """A linear-decoder DLow model (K=3) trained with context featurization
@@ -397,7 +405,7 @@ class TestSample:
             "--out", tmp_path / "s.jsonl", "--dpp-map", "--omega", "3.0",
         ]) == 0
         dec = decoder_from_config(decoder)
-        kcfg = KernelConfig(sim_scale=2.0, base_quality=3.0, rho=0.9, latent_dim=n_z)
+        kcfg = KernelConfig(sim_scale=2.0, base_quality=3.0, rho=0.9)
         sizes = set()
         for ex, rec in zip(examples, read_samples(tmp_path / "s.jsonl")):
             if model["mode"] == "dsf":

@@ -169,6 +169,13 @@ class TestCrossroadDecoder:
         shifted = self.DEC.decode(z, ctx)
         np.testing.assert_allclose(shifted, self.DEC.decode(z) + np.array([3.0, -2.0]))
 
+    def test_sector_of_rejects_3d_codes(self):
+        # (N, 3) codes must not be read through their first two columns
+        codes = np.random.default_rng(5).standard_normal((4, 3))
+        for method in (self.DEC.sector_of, self.DEC.decode_batch):
+            with pytest.raises(ValueError, match="expects 2-d latent codes"):
+                method(codes)
+
     def test_degenerate_probs_all_forward(self):
         dec = CrossroadDecoder(mode_probs=(1.0, 0.0, 0.0))
         draws = np.random.default_rng(4).standard_normal((1000, 2))

@@ -8,6 +8,7 @@ from scipy.stats import chi2
 from divtraj import (
     GroundSet,
     KernelConfig,
+    LinearDecoder,
     brute_force_oracle,
     build_kernel,
     build_quality,
@@ -19,6 +20,7 @@ from divtraj import (
 )
 from divtraj import dpp
 from divtraj.dpp import DppKernel
+from divtraj.training import _DsfObjective
 
 
 def kernel_from_matrix(L):
@@ -95,13 +97,13 @@ class TestQualityRadius:
 
 
 class TestBuildQuality:
-    CFG = KernelConfig(sim_scale=1.0, base_quality=2.0, rho=0.9, latent_dim=2)
+    CFG = KernelConfig(sim_scale=1.0, base_quality=2.0, rho=0.9)
 
     def test_origin(self):
         assert build_quality(np.zeros((1, 2)), self.CFG)[0] == pytest.approx(2.0)
 
     def test_boundary_continuity(self):
-        r = self.CFG.radius
+        r = quality_radius(2, self.CFG.rho)
         z = np.array([[r, 0.0]])
         assert build_quality(z, self.CFG)[0] == pytest.approx(2.0, rel=1e-12)
         just_out = np.array([[r + 1e-9, 0.0]])
@@ -109,23 +111,19 @@ class TestBuildQuality:
 
     def test_unit_beyond_sphere(self):
         # ||z||^2 = R^2 + 1 -> omega * exp(-1)
-        z = np.array([[np.sqrt(self.CFG.radius**2 + 1.0), 0.0]])
+        z = np.array([[np.sqrt(quality_radius(2, self.CFG.rho) ** 2 + 1.0), 0.0]])
         assert build_quality(z, self.CFG)[0] == pytest.approx(2.0 * np.exp(-1.0))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            build_quality(np.zeros((1, 3)), self.CFG)
 
 
 class TestBuildKernel:
     def test_single_item(self):
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.5, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.5, rho=0.9)
         ground = GroundSet(items=np.array([[1.0, 2.0]]), latents=np.zeros((1, 2)))
         kernel = build_kernel(ground, cfg)
         np.testing.assert_allclose(kernel.L, [[1.5**2]])
 
     def test_identical_items_rank_one(self):
-        cfg = KernelConfig(sim_scale=1.0, base_quality=0.8, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=0.8, rho=0.9)
         ground = GroundSet(items=np.zeros((2, 4)), latents=np.zeros((2, 2)))
         kernel = build_kernel(ground, cfg)
         q2 = 0.8**2
@@ -133,7 +131,7 @@ class TestBuildKernel:
         np.testing.assert_allclose(kernel.eigvals, [0.0, 2 * q2], atol=1e-12)
 
     def test_distant_items_diagonal(self):
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         r_edge = quality_radius(2, 0.9)
         # latents at 0 and at sq norm R^2 + ln 2 give qualities (1, 1/2)
         z2 = np.array([np.sqrt(r_edge**2 + np.log(2.0)), 0.0])
@@ -145,11 +143,37 @@ class TestBuildKernel:
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(2)
-        cfg = KernelConfig(sim_scale=0.5, base_quality=1.2, rho=0.8, latent_dim=3)
+        cfg = KernelConfig(sim_scale=0.5, base_quality=1.2, rho=0.8)
         ground = GroundSet(items=rng.normal(size=(6, 4)), latents=rng.normal(size=(6, 3)))
         kernel = build_kernel(ground, cfg)
         rebuilt = kernel.r[:, None] * kernel.S * kernel.r[None, :]
         np.testing.assert_allclose(kernel.L, rebuilt, rtol=1e-12)
+
+    def test_every_path_builds_the_same_kernel(self, monkeypatch):
+        # the DSF objective and the batched greedy MAP build their kernels from
+        # the same items and codes as build_kernel, bitwise: n_z = 3 codes on
+        # both sides of the quality sphere
+        rng = np.random.default_rng(21)
+        dec = LinearDecoder(W=rng.normal(size=(6, 3)), c0=rng.normal(size=6), t_steps=3, state_dim=2)
+        cfg = KernelConfig(sim_scale=0.7, base_quality=1.4, rho=0.9)
+        codes = rng.normal(scale=1.5, size=(5, 3))
+        items = dec.decode_batch(codes).reshape(5, -1)
+        kernel = build_kernel(GroundSet(items=items, latents=codes), cfg)
+        r_sq = np.sum(codes**2, axis=1)
+        assert (r_sq < quality_radius(3, 0.9) ** 2).any() and (r_sq > quality_radius(3, 0.9) ** 2).any()
+        built, kernel_fn = [], dpp._kernel
+        monkeypatch.setattr(dpp, "_kernel", lambda *a, **kw: built.append(kernel_fn(*a, **kw)) or built[-1])
+        for grad in (True, False):
+            _DsfObjective(dec, cfg, 5).evaluate(codes.reshape(-1), grad=grad)
+        dpp._greedy_map_sets(items[None], codes[None], cfg)
+        assert [u is not None for *_, u in built] == [True, False, False]
+        # without eigenvectors LAPACK takes another route to the eigenvalues,
+        # which agrees with eigvalsh of the same L, not always with eigh
+        values_only = np.maximum(np.linalg.eigvalsh(kernel.L), 0.0)
+        for s, r, L, lam, u in built:
+            eigvals = kernel.eigvals if u is not None else values_only
+            for got, want in ((s, kernel.S), (r, kernel.r), (L, kernel.L), (lam, eigvals)):
+                np.testing.assert_array_equal(got.reshape(want.shape), want)
 
 
 class TestExpectedCardinality:
@@ -298,7 +322,7 @@ class TestGreedyMap:
             latents *= (radius + rng.uniform(0.0, 0.15, n))[:, None]
             cfg = KernelConfig(
                 sim_scale=float(rng.uniform(0.5, 8.0)), base_quality=float(rng.uniform(1.05, 3.0)),
-                rho=0.9, latent_dim=2,
+                rho=0.9,
             )
             kernel = build_kernel(GroundSet(items=items, latents=latents), cfg)
             assert greedy_map(kernel) == naive_greedy(kernel.L)
@@ -337,7 +361,7 @@ class TestKernelInvariants:
                 assert expected_cardinality(scaled) > base
 
     def test_duplicates_keep_cardinality_finite(self):
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         rng = np.random.default_rng(10)
         items = rng.normal(size=(4, 6))
         latents = rng.normal(size=(4, 2))
@@ -374,7 +398,7 @@ class TestKernelInvariants:
             assert [int(perm[i]) for i in sel_p] == sel
 
     def test_exact_duplicates_clamped_to_zero(self):
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         ground = GroundSet(items=np.zeros((2, 2)), latents=np.zeros((2, 2)))
         kernel = build_kernel(ground, cfg)  # rank deficient but PSD
         assert kernel.eigvals[0] == 0.0
@@ -385,8 +409,8 @@ class TestKernelInvariants:
         import divtraj.dpp as dpp_mod
 
         broken = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues {-1, 3}
-        monkeypatch.setattr(dpp_mod, "build_similarity", lambda items, k: broken)
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        monkeypatch.setattr(dpp_mod, "_rbf_similarity", lambda items, k: broken)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         ground = GroundSet(items=np.zeros((2, 2)), latents=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="not PSD"):
             build_kernel(ground, cfg)
@@ -450,7 +474,7 @@ class TestBatchedGreedyMap:
 
     def test_sets_equal_build_kernel_then_greedy_map(self, monkeypatch):
         rng = np.random.default_rng(15)
-        cfg = KernelConfig(sim_scale=2.0, base_quality=3.0, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=2.0, base_quality=3.0, rho=0.9)
         items, latents = rng.normal(size=(40, 7, 6)), rng.normal(size=(40, 7, 2)) * 1.5
         items[3, 4] = items[3, 1]  # a duplicated item
         latents[3, 4] = latents[3, 1]
@@ -460,7 +484,7 @@ class TestBatchedGreedyMap:
         assert dpp._greedy_map_sets(items, latents, cfg) == expected
 
     def test_sets_reject_non_finite_and_non_psd(self, monkeypatch):
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         items, latents = np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
         bad = items.copy()
         bad[2, 1, 0] = np.nan
@@ -475,7 +499,7 @@ class TestBatchedGreedyMap:
         # one (M, N, N, F) difference array would take 460 MiB here; items
         # this close keep 11-20 of 100, so the search stays short
         rng = np.random.default_rng(16)
-        cfg = KernelConfig(sim_scale=8.0, base_quality=10.0, rho=0.9, latent_dim=4)
+        cfg = KernelConfig(sim_scale=8.0, base_quality=10.0, rho=0.9)
         items, latents = rng.normal(scale=0.03, size=(1000, 100, 6)), rng.normal(size=(1000, 100, 4))
         tracemalloc.start()
         try:

@@ -201,7 +201,7 @@ class TestDsfLoss:
 
     def test_duplicated_ground_set_stays_finite(self):
         rng = np.random.default_rng(2)
-        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        cfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         items = rng.normal(size=(5, 6))
         latents = rng.normal(size=(5, 2))
         k1 = build_kernel(GroundSet(items=items, latents=latents), cfg)

@@ -25,6 +25,7 @@ from divtraj import (
     generate_crossroad,
     kl_to_standard_normal,
     numeric_gradient,
+    quality_radius,
     train_dlow,
     train_dsf,
 )
@@ -101,7 +102,7 @@ class TestGradientFidelity:
             dec = linear_decoder(rng, n_z=n_z)
             kcfg = KernelConfig(
                 sim_scale=float(rng.uniform(0.3, 3.0)), base_quality=float(rng.uniform(0.5, 2.0)),
-                rho=0.9, latent_dim=n_z,
+                rho=0.9,
             )
             obj = _DsfObjective(dec, kcfg, k)
             params = rng.normal(scale=1.1, size=k * n_z)
@@ -171,7 +172,7 @@ class TestGradientFidelity:
     def test_trainer_fast_loss_equals_public_path(self):
         rng = np.random.default_rng(3)
         dec = linear_decoder(rng, n_z=2)
-        kcfg = KernelConfig(sim_scale=1.3, base_quality=1.1, rho=0.9, latent_dim=2)
+        kcfg = KernelConfig(sim_scale=1.3, base_quality=1.1, rho=0.9)
         obj = _DsfObjective(dec, kcfg, 4)
         codes = rng.normal(size=(4, 2))
         items = dec.decode_batch(codes, None).reshape(4, -1)
@@ -256,8 +257,8 @@ class TestTrainDsf:
         # quality sphere where the loss saturates at -omega^2/(omega^2+1)
         rng = np.random.default_rng(4)
         dec = linear_decoder(rng, n_z=2)
-        kcfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
-        radius = kcfg.radius
+        kcfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
+        radius = quality_radius(2, kcfg.rho)
         start = np.array([[1.3 * radius, 0.0]])  # outside the sphere, gradient alive
         cfg = TrainConfig(mode="dsf", k=1, iters=400, lr=0.05, seed=0, kernel=kcfg)
         codes, report = train_dsf(Context(past=np.zeros((1, 2))), dec, cfg, init_codes=start)
@@ -272,7 +273,7 @@ class TestTrainDsf:
     def test_imbalanced_crossroad_mode_coverage_spot_check(self):
         # 10-seed spot check; the 100-seeded-run version runs with acceptance
         dec = CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1), within_mode_scale=0.3)
-        kcfg = KernelConfig(sim_scale=8.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        kcfg = KernelConfig(sim_scale=8.0, base_quality=1.0, rho=0.9)
         ctx = Context(past=np.array([[-1.0, 0.0], [0.0, 0.0]]))
         covered = 0
         for seed in range(10):
@@ -284,7 +285,7 @@ class TestTrainDsf:
     def test_bit_identical_reports_same_seed(self):
         rng = np.random.default_rng(5)
         dec = linear_decoder(rng, n_z=2)
-        kcfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9, latent_dim=2)
+        kcfg = KernelConfig(sim_scale=1.0, base_quality=1.0, rho=0.9)
         cfg = TrainConfig(mode="dsf", k=3, iters=20, lr=0.01, seed=9, kernel=kcfg)
         ctx = Context(past=np.zeros((1, 2)))
         codes1, rep1 = train_dsf(ctx, dec, cfg)
@@ -295,7 +296,7 @@ class TestTrainDsf:
 
     def test_misshaped_init_codes_rejected(self):
         rng = np.random.default_rng(15)
-        cfg = TrainConfig(mode="dsf", k=3, iters=2, kernel=KernelConfig(latent_dim=2))
+        cfg = TrainConfig(mode="dsf", k=3, iters=2, kernel=KernelConfig())
         with pytest.raises(ValueError, match=r"\(3, 2\), got \(2, 3\)"):
             train_dsf(
                 Context(past=np.zeros((1, 2))), linear_decoder(rng, n_z=2), cfg,
@@ -311,7 +312,7 @@ class TestTrainDsf:
         # a (5, 2) future against a (3, 2) decoder, as train_dlow refuses it
         rng = np.random.default_rng(20)
         dec = linear_decoder(rng, n_z=2, t=3)
-        cfg = TrainConfig(mode="dsf", k=2, iters=2, kernel=KernelConfig(latent_dim=2))
+        cfg = TrainConfig(mode="dsf", k=2, iters=2, kernel=KernelConfig())
         ex = Example(context=Context(past=np.zeros((1, 2))), future=np.zeros((5, 2)), id=0)
         ok = Example(context=Context(past=np.zeros((1, 2))), future=np.zeros((3, 2)), id=1)
         for data in (Dataset(examples=(ex,)), [ex], ex, [ex.context, ex], [ok, ex]):
