@@ -57,19 +57,16 @@ def _apply_overrides(block: dict, args, keys) -> dict:
 
 def cmd_gen_data(args) -> int:
     block = _load_json(args.config)
-    out_path = args.out or block.pop("out", None)
-    block.pop("out", None)
-    if out_path is None:
-        raise ValueError("no output path: pass --out or an 'out' config key")
+    block.pop("out", None)  # older configs' output path; --out gives it
     block = _apply_overrides(block, args, ["seed"])
     _reject_unknown(block, CrossroadConfig.__dataclass_fields__, "gen-data config")
     cfg = CrossroadConfig(**block)
     dataset = generate_crossroad(cfg)
-    write_dataset(out_path, dataset)
-    read_dataset(out_path)  # validation round-trip
+    write_dataset(args.out, dataset)
+    read_dataset(args.out)  # validation round-trip
     histogram = Counter(ex.meta.get("route", "?") for ex in dataset.examples)
     print(
-        f"wrote {len(dataset)} examples to {out_path} "
+        f"wrote {len(dataset)} examples to {args.out} "
         f"(T={dataset.meta['T']}, H={dataset.meta['H']}, D={dataset.meta['D']}) "
         f"routes={dict(sorted(histogram.items()))}"
     )
@@ -142,9 +139,7 @@ def cmd_sample(args) -> int:
     model = read_model(args.model)
     decoder = decoder_from_config(model["decoder"])
     dataset = read_dataset(args.dataset)
-    k = args.k if args.k is not None else int(model["K"])
-    if k != int(model["K"]):
-        raise ValueError(f"requested K={k} but the model was trained with K={model['K']}")
+    k = int(model["K"])
     seed = args.seed if args.seed is not None else int(model["seed"])
     kcfg = _kernel_config(dict(model["train_config"].get("kernel", {}), base_quality=args.omega))
     examples = dataset.examples
@@ -193,9 +188,9 @@ def cmd_eval(args) -> int:
             raise ValueError("baseline comparison needs --seed alongside --model")
         model = read_model(args.model)
         decoder = decoder_from_config(model["decoder"])
-        k = args.k if args.k is not None else int(model["K"])
         examples = dataset.examples
-        latents = np.stack([sample_noise([args.seed, ex.id], (k, int(model["n_z"]))) for ex in examples])
+        shape = (int(model["K"]), int(model["n_z"]))  # best-of-K metrics compare at the model's K
+        latents = np.stack([sample_noise([args.seed, ex.id], shape) for ex in examples])
         samples = _decode(decoder, latents, examples)
         base_records = [{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]
         baseline = _metric_report(dataset, base_records, args.eps)
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic crossroad dataset")
     p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--out")
+    p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(func=cmd_gen_data)
 
@@ -242,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--model", required=True)
     p_sample.add_argument("--dataset", required=True)
     p_sample.add_argument("--out", required=True)
-    p_sample.add_argument("--k", type=int)
     p_sample.add_argument("--omega", type=float, default=1.0)
     p_sample.add_argument("--seed", type=int)
     p_sample.add_argument("--dpp-map", action="store_true")
@@ -255,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--model")
     p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--k", type=int)
     p_eval.set_defaults(func=cmd_eval)
     return parser
 

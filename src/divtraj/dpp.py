@@ -44,10 +44,10 @@ class KernelConfig:
     rho: float = 0.9
 
     def __post_init__(self):
-        if self.sim_scale <= 0:
-            raise ValueError("sim_scale must be > 0")
-        if self.base_quality <= 0:
-            raise ValueError("base_quality must be > 0")
+        if not 0 < self.sim_scale < np.inf:
+            raise ValueError(f"sim_scale must be finite and > 0, got {self.sim_scale}")
+        if not 0 < self.base_quality < np.inf:
+            raise ValueError(f"base_quality must be finite and > 0, got {self.base_quality}")
         if not 0 < self.rho < 1:
             raise ValueError("rho must be in (0, 1)")
 
@@ -127,9 +127,12 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     return float(np.sqrt(2.0 * gammaincinv(latent_dim / 2.0, rho)))
 
 
+def _radius_sq(latents: np.ndarray, config: KernelConfig) -> float:  # in the codes' own n_z
+    return quality_radius(latents.shape[-1], config.rho) ** 2
+
+
 def _latent_quality(latents: np.ndarray, config: KernelConfig) -> np.ndarray:
-    # the sphere is the one of the codes' own dimension n_z
-    radius_sq = quality_radius(latents.shape[-1], config.rho) ** 2
+    radius_sq = _radius_sq(latents, config)
     sq_norms = np.einsum("...i,...i->...", latents, latents)
     omega = config.base_quality
     return np.where(sq_norms <= radius_sq, omega, omega * np.exp(-(sq_norms - radius_sq)))
@@ -164,15 +167,15 @@ def _cardinality(lam: np.ndarray) -> np.ndarray:
     return (lam / (lam + 1.0)).sum(axis=-1)
 
 
-def _cardinality_grads(items, latents, s, r, lam, u, sim_scale: float, radius_sq: float):
+def _cardinality_grads(items, latents, s, r, lam, u, config: KernelConfig):
     """Gradients of E|Y| over L = Diag(r) S Diag(r) with respect to the
     (..., N, F) items, through S, and the (..., N, n_z) latents, through r,
     reusing the kernel's parts and its eigendecomposition (lam, u)."""
     g_l = (u * (1.0 / (1.0 + lam) ** 2)[..., None, :]) @ np.swapaxes(u, -1, -2)  # (L + I)^{-2}
     g_r = 2.0 * ((g_l * s) @ r[..., None])[..., 0]
     pair_w = g_l * (r[..., :, None] * r[..., None, :]) * s
-    g_items = -4.0 * sim_scale * (pair_w.sum(axis=-1)[..., None] * items - pair_w @ items)
-    outside = np.einsum("...i,...i->...", latents, latents) > radius_sq
+    g_items = -4.0 * config.sim_scale * (pair_w.sum(axis=-1)[..., None] * items - pair_w @ items)
+    outside = np.einsum("...i,...i->...", latents, latents) > _radius_sq(latents, config)
     g_latents = np.where(outside[..., None], (-2.0 * g_r * r)[..., None] * latents, 0.0)
     return g_items, g_latents
 

@@ -46,11 +46,11 @@ class EnergyConfig:
     joint_split: tuple | None = None
 
     def __post_init__(self):
-        if self.sigma_d <= 0:
-            raise ValueError("sigma_d must be > 0")
+        if not 0 < self.sigma_d < math.inf:
+            raise ValueError(f"sigma_d must be finite and > 0, got {self.sigma_d}")
         for name in ("lambda_d", "lambda_r", "lambda_s", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.joint_split is not None:
             j_s, j_d = self.joint_split
             object.__setattr__(self, "joint_split", (tuple(j_s), tuple(j_d)))

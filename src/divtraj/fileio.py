@@ -18,7 +18,7 @@ import numpy as np
 from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .trajectory import METRIC_NAMES, Context, Dataset, Example, MetricsReport
-from .training import TrainConfig, TrainReport
+from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -107,6 +107,12 @@ def read_model(path) -> dict:
     _check_version(model, path)
     if model.get("mode") not in ("dsf", "dlow"):
         raise ValueError(f"{path}: unknown sampler mode {model.get('mode')!r}")
+    k, n_z = int(model["K"]), int(model["n_z"])
+    shapes = {"codes": (k, n_z)} if model["mode"] == "dsf" else {"A": (k, n_z, n_z), "b": (k, n_z)}
+    for name, shape in shapes.items():
+        found = np.shape(model["params"][name])
+        if found != shape:
+            raise ValueError(f"{path}: {name} of shape {found} does not match K={k}, n_z={n_z}")
     return model
 
 
@@ -166,6 +172,9 @@ def _kernel_config(block: dict) -> KernelConfig:
 def train_config_from_dict(block: dict) -> TrainConfig:
     block = dict(block)
     block.pop("fd_step", None)  # finite-difference step of older configs, now unused
+    for key, fixed in zip(("adam_beta1", "adam_beta2", "adam_eps"), (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)):
+        if (value := block.pop(key, fixed)) != fixed:  # older configs; Adam's constants are fixed
+            raise ValueError(f"{key} is fixed at {fixed}, got {value}")
     kernel = _kernel_config(block.pop("kernel", {}))
     energy_block = dict(block.pop("energy", {}))
     _reject_unknown(block, TrainConfig.__dataclass_fields__, "train config")

@@ -47,6 +47,9 @@ __all__ = [
     "train_dlow",
 ]
 
+# Adam's decay rates and denominator guard (Kingma & Ba, ICLR 2015), fixed
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -54,9 +57,6 @@ class TrainConfig:
     k: int = 10
     iters: int = 300
     lr: float = 5e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     noise_draws_per_iter: int = 8
     kernel: KernelConfig = field(default_factory=KernelConfig)
@@ -70,8 +70,8 @@ class TrainConfig:
         for name in ("k", "iters", "noise_draws_per_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr < 0:  # zero is allowed as an explicit no-op probe
-            raise ValueError("lr must be >= 0")
+        if not 0 <= self.lr < np.inf:  # zero is allowed as an explicit no-op probe
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -114,27 +114,24 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
-    def init(n: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return AdamState(m=np.zeros(n), v=np.zeros(n), t=0, beta1=beta1, beta2=beta2, eps=eps)
+    def init(n: int) -> "AdamState":
+        return AdamState(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
 def adam_step(params, grad, state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure and deterministic."""
+    """One bias-corrected Adam update at the fixed constants; pure and deterministic."""
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if params.shape != grad.shape:
         raise ValueError("params/grad shape mismatch")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, replace(state, m=m, v=v, t=t)
 
 
@@ -148,7 +145,6 @@ class _DsfObjective:
     def __init__(self, decoder, kcfg: KernelConfig, k: int):
         self.decoder = decoder
         self.kcfg = kcfg
-        self.radius_sq = dpp.quality_radius(decoder.n_z, kcfg.rho) ** 2
         self.k = k
 
     def evaluate(self, params: np.ndarray, grad: bool = False):
@@ -159,9 +155,7 @@ class _DsfObjective:
         bd = {"total": total, "terms": {"neg_expected_cardinality": total}}
         if not grad:
             return bd, None
-        g_items, g_codes = dpp._cardinality_grads(
-            items, codes, s, r, lam, u, self.kcfg.sim_scale, self.radius_sq
-        )
+        g_items, g_codes = dpp._cardinality_grads(items, codes, s, r, lam, u, self.kcfg)
         g_codes += np.einsum("kf,kfn->kn", g_items, self.decoder.jacobian_batch(codes))
         return bd, -g_codes.reshape(-1)
 
@@ -288,7 +282,7 @@ def _evaluate(objective, params: np.ndarray, i: int, grad: bool = False):
 
 
 def _run_optimizer(objective, params: np.ndarray, cfg: TrainConfig):
-    state = AdamState.init(params.size, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    state = AdamState.init(params.size)
     trace = []
     start = time.perf_counter()
     for i in range(cfg.iters):

@@ -57,6 +57,10 @@ DSF_TRAIN_CONFIG = {
 }
 
 
+# Adam's constants, which version-1 train configs and saved models carry
+ADAM_CONSTANTS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+
+
 class TestFileFormats:
     def test_dataset_round_trip(self, tmp_path):
         ds = generate_crossroad(CrossroadConfig(n_examples=12, seed=0))
@@ -91,10 +95,13 @@ class TestFileFormats:
     def test_version1_config_with_fd_step_still_loads(self):
         # configs and models written while training used finite differences carry fd_step
         cfg = TrainConfig(mode="dlow", k=4, iters=10, seed=2)
-        # and a kernel latent_dim, now taken from the codes
-        block = dict(train_config_to_dict(cfg), fd_step=1e-4)
+        # and a kernel latent_dim, now taken from the codes, and Adam's constants, now fixed
+        block = dict(train_config_to_dict(cfg), fd_step=1e-4, **ADAM_CONSTANTS)
         block["kernel"] = dict(block["kernel"], latent_dim=2)
         assert train_config_from_dict(block) == cfg
+        for key, value in (("adam_beta1", 0.5), ("adam_beta2", 0.99), ("adam_eps", 0.0)):
+            with pytest.raises(ValueError, match=f"{key} is fixed at"):
+                train_config_from_dict(dict(block, **{key: value}))
 
 
 @pytest.fixture()
@@ -132,6 +139,20 @@ class TestGenData:
         (workdir / "bad.json").write_text(json.dumps({"n_example": 5}))
         assert run(["gen-data", "--config", workdir / "bad.json", "--out", workdir / "x.jsonl"]) != 0
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_legacy_out_key_ignored(self, workdir):
+        gen_cfg = json.loads((workdir / "gen.json").read_text())
+        (workdir / "old.json").write_text(json.dumps(dict(gen_cfg, out=str(workdir / "x.jsonl"))))
+        assert run(["gen-data", "--config", workdir / "old.json", "--out", workdir / "a.jsonl"]) == 0
+        assert run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "b.jsonl"]) == 0
+        assert sha(workdir / "a.jsonl") == sha(workdir / "b.jsonl")
+        assert not (workdir / "x.jsonl").exists()
+
+    def test_out_required(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-data", "--config", workdir / "gen.json"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_balanced_300_near_uniform_histogram(self, workdir):
         cfg = {"mode_probs": [1 / 3, 1 / 3, 1 / 3], "n_examples": 300, "seed": 4}
@@ -202,15 +223,26 @@ class TestTrain:
         # so the final diversity energy is higher (less diverse)
         assert finals[100.0] > finals[1.0]
 
-    def test_config_with_fd_step_trains(self, workdir):
+    def test_config_with_fd_step_trains(self, workdir, capsys):
+        # a version-1 config's legacy keys change no trained bit
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
         kernel = dict(DSF_TRAIN_CONFIG["kernel"], latent_dim=2)
-        (workdir / "fd.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, fd_step=1e-4, kernel=kernel)))
+        legacy = dict(DSF_TRAIN_CONFIG, fd_step=1e-4, kernel=kernel, **ADAM_CONSTANTS)
+        (workdir / "fd.json").write_text(json.dumps(legacy))
+        (workdir / "beta1.json").write_text(json.dumps(dict(legacy, adam_beta1=0.5)))
+        for name in ("train", "fd"):
+            assert run([
+                "train", "--config", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
+                "--model-out", workdir / f"m-{name}.json", "--report-out", workdir / f"r-{name}.json",
+            ]) == 0
+        for prefix in ("m", "r"):
+            assert sha(workdir / f"{prefix}-fd.json") == sha(workdir / f"{prefix}-train.json")
+        assert "fd_step" not in read_model(workdir / "m-fd.json")["train_config"]
         assert run([
-            "train", "--config", workdir / "fd.json", "--dataset", workdir / "d.jsonl",
+            "train", "--config", workdir / "beta1.json", "--dataset", workdir / "d.jsonl",
             "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
-        ]) == 0
-        assert "fd_step" not in read_model(workdir / "m.json")["train_config"]
+        ]) == 1
+        assert "adam_beta1 is fixed at 0.9, got 0.5" in capsys.readouterr().err
 
 
 def _train_model(workdir):
@@ -233,12 +265,34 @@ class TestSample:
         assert all(rec["samples"].shape == (6, 3, 2) for rec in records)
 
     def test_k_mismatch_rejected(self, workdir, capsys):
+        # K comes only from the model header, so a header that disagrees with
+        # the params is refused wherever the model is read
         _train_model(workdir)
-        assert run([
-            "sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl",
-            "--out", workdir / "s.jsonl", "--k", "4",
-        ]) != 0
-        assert "K=4" in capsys.readouterr().err
+        run(["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl",
+             "--out", workdir / "s.jsonl"])
+        capsys.readouterr()
+        model = read_model(workdir / "m.json")  # K=6 codes, n_z = 2
+        a, b = np.tile(np.eye(2), (4, 1, 1)).tolist(), np.zeros((4, 2)).tolist()
+        bad = {
+            "dsf": dict(model, K=4),
+            "dlow_A": dict(model, K=4, mode="dlow", params={"A": a[:3], "b": b}),
+            "dlow_b": dict(model, K=4, mode="dlow", params={"A": a, "b": b[:3]}),
+        }
+        for name, bad_model in bad.items():
+            write_model(workdir / f"{name}.json", bad_model)
+            for argv in (
+                ["sample", "--model", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
+                 "--out", workdir / "bad.jsonl"],
+                ["sample", "--model", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
+                 "--out", workdir / "bad.jsonl", "--dpp-map"],
+                ["eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
+                 "--eps", "1.0", "--out", workdir / "report", "--model", workdir / f"{name}.json",
+                 "--seed", "1"],
+            ):
+                assert run(argv) == 1
+                err = capsys.readouterr().err
+                assert "K=4" in err and "n_z=2" in err
+            assert not (workdir / "bad.jsonl").exists() and not (workdir / "report.json").exists()
 
     def test_dpp_map_never_selects_duplicates(self, workdir):
         _train_model(workdir)

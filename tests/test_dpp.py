@@ -69,6 +69,14 @@ class TestBuildSimilarity:
         assert np.all(s > 0.0) and np.all(s <= 1.0)
 
 
+class TestKernelConfig:
+    @pytest.mark.parametrize("name", ["sim_scale", "base_quality"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_nonpositive_or_nonfinite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            KernelConfig(**{name: value})
+
+
 class TestQualityRadius:
     def test_two_dof_closed_form(self):
         assert quality_radius(2, 0.9) ** 2 == pytest.approx(-2.0 * np.log(0.1), rel=1e-12)

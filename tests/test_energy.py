@@ -300,6 +300,15 @@ class TestDlowLoss:
             split = EnergyConfig(sigma_d=5.0, joint_split=((0,), (0, 1)))
             dlow_loss(flows, make_samples(BASE, BASE + 1.0), BASE, split)
 
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_config_rejects_negative_or_nonfinite(self, value):
+        for name in ("lambda_d", "lambda_r", "lambda_s", "beta"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                EnergyConfig(**{name: value})
+        for sigma_d in (0.0, value):
+            with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
+                EnergyConfig(sigma_d=sigma_d)
+
 
 class TestJointSamplerLoss:
     def test_single_perfect_sample(self):

@@ -73,6 +73,23 @@ class TestAdamStep:
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(out1[1].m, out2[1].m)
 
+    def test_two_steps_at_kingma_ba_constants(self):
+        grads = [np.array([1.0, -2.0]), np.array([0.5, 3.0])]
+        params, state = np.zeros(2), AdamState.init(2)
+        m, v = np.zeros(2), np.zeros(2)
+        expected = np.zeros(2)
+        for t, g in enumerate(grads, start=1):
+            params, state = adam_step(params, g, state, 0.1)
+            m, v = 0.9 * m + 0.1 * g, 0.999 * v + 0.001 * g * g
+            expected = expected - 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        np.testing.assert_allclose(params, expected, rtol=1e-12)
+        assert [f.name for f in dataclasses.fields(state)] == ["m", "v", "t"]
+
+    @pytest.mark.parametrize("lr", [-0.1, np.nan, np.inf])
+    def test_negative_or_nonfinite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainConfig(lr=lr)
+
 
 def linear_decoder(rng, n_z=3, t=2, d=2):
     return LinearDecoder(
