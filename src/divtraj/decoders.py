@@ -13,10 +13,10 @@ models can be evaluated without linking them in. ``jacobian_batch`` gives
 each decoder's per-code derivative, through which both trainers chain.
 
 All decoders here are additive in the context:
-``decode(z, ctx) == decode(z, None) + context_offset(ctx)`` (reshaped), a
-property the trainers and the CLI rely on to batch latent codes across
-contexts. ``decode_batch`` takes codes with any leading axes, (..., n_z) to
-(..., T, D), and decodes each code as it would alone.
+``decode_batch(z, ctx) == decode_batch(z, None) + context_offset(ctx)``
+(reshaped), a property the trainers and the CLI rely on to batch latent
+codes across contexts. ``decode_batch`` takes codes with any leading axes,
+(..., n_z) to (..., T, D), and decodes each code as it would alone.
 
 Route template geometry (speed s, T future steps): forward continues the +x
 heading at s per step; left/right are quarter-circle arcs of radius
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .fileio import _reject_unknown
 from .trajectory import Context
@@ -111,9 +110,6 @@ class LinearDecoder:
         if ctx is None or self.ctx_proj is None:
             return np.zeros(self.W.shape[0])
         return self.ctx_proj @ ctx.features
-
-    def decode(self, z, ctx: Context | None = None) -> np.ndarray:
-        return self.decode_batch(z, ctx)
 
     def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -209,9 +205,6 @@ class CrossroadDecoder:
             return np.zeros(self.t_steps * 2)
         return np.tile(ctx.past[-1], self.t_steps)
 
-    def decode(self, z, ctx: Context | None = None) -> np.ndarray:
-        return self.decode_batch(z, ctx)
-
     def _polar(self, Z):
         """Checked (N, 2) codes, their sectors, in-sector offsets rel / half, radii."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -277,9 +270,11 @@ class TabulatedDecoder:
     table: np.ndarray  # grid shape + (T, D), row-major
     t_steps: int
     state_dim: int
-    _interp: RegularGridInterpolator = field(init=False, repr=False, compare=False)
+    _interp: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._cdist
+
         axes = tuple(np.asarray(ax, dtype=float) for ax in self.z_grid)
         table = np.asarray(self.table, dtype=float)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
@@ -300,9 +295,6 @@ class TabulatedDecoder:
 
     def context_offset(self, ctx: Context | None) -> np.ndarray:
         return np.zeros(self.t_steps * self.state_dim)
-
-    def decode(self, z, ctx: Context | None = None) -> np.ndarray:
-        return self.decode_batch(z, ctx)
 
     def _clamped(self, Z):
         """Checked (N, n_z) codes and the same codes clamped to the grid."""

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaincinv
 
 __all__ = [
     "KernelConfig",
@@ -105,8 +104,8 @@ def _rbf_similarity(items: np.ndarray, sim_scale: float) -> np.ndarray:
 
 def build_similarity(items, sim_scale: float) -> np.ndarray:
     """RBF similarity S_ij = exp(-sim_scale * d^2(x_i, x_j)), unit diagonal."""
-    if sim_scale <= 0:
-        raise ValueError("sim_scale must be > 0")
+    if not 0 < sim_scale < np.inf:
+        raise ValueError(f"sim_scale must be finite and > 0, got {sim_scale}")
     items = np.atleast_2d(np.asarray(items, dtype=float))
     if not np.all(np.isfinite(items)):
         raise ValueError("items contain non-finite entries")
@@ -124,6 +123,8 @@ def quality_radius(latent_dim: int, rho: float) -> float:
         raise ValueError("rho must be in (0, 1)")
     if latent_dim < 1:
         raise ValueError("latent_dim must be >= 1")
+    from scipy.special import gammaincinv  # lazy: see trajectory._cdist
+
     return float(np.sqrt(2.0 * gammaincinv(latent_dim / 2.0, rho)))
 
 

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dpp import DppKernel, expected_cardinality
 from .flows import AffineFlowSet, kl_to_standard_normal
-from .trajectory import SampleSet, as_trajectory
+from .trajectory import SampleSet, _cdist, as_trajectory
 
 __all__ = [
     "EnergyConfig",
@@ -83,7 +82,7 @@ def _set_sq_dists(v: np.ndarray) -> np.ndarray:
     sets = v.reshape(math.prod(lead), k, f)  # not -1: F may be 0
     out = np.empty((len(sets), k, k))
     for x, dists in zip(sets, out):
-        cdist(x, x, "sqeuclidean", out=dists)
+        _cdist(x, x, "sqeuclidean", out=dists)
     return out.reshape(*lead, k, k)
 
 
@@ -176,8 +175,8 @@ def diversity_energy(samples: SampleSet, sigma_d: float, dims=None) -> float:
     ``dims``, when given, restricts the distance to those state dimensions
     (controllable mode).
     """
-    if sigma_d <= 0:
-        raise ValueError("sigma_d must be > 0")
+    if not 0 < sigma_d < math.inf:
+        raise ValueError(f"sigma_d must be finite and > 0, got {sigma_d}")
     if samples.k < 2:
         raise ValueError("diversity energy requires K >= 2")
     cols = slice(None) if dims is None else _dim_columns(dims, *samples.samples.shape[1:])
@@ -235,8 +234,8 @@ def dlow_loss(flows: AffineFlowSet, samples: SampleSet, gt, cfg: EnergyConfig) -
 def joint_sampler_loss(sample_sets, gt, kls, sigma_d: float) -> float:
     """Joint multi-sample loss: best-sample squared error + KL sum + RBF
     pairwise proximity over whole joint trajectories (0 when K = 1)."""
-    if sigma_d <= 0:
-        raise ValueError("sigma_d must be > 0")
+    if not 0 < sigma_d < math.inf:
+        raise ValueError(f"sigma_d must be finite and > 0, got {sigma_d}")
     stacked = np.stack([np.asarray(y, dtype=float) for y in sample_sets])
     gt = np.asarray(gt, dtype=float)
     if stacked.shape[1:] != gt.shape:

@@ -8,9 +8,9 @@ term), with the expectation over the shared noise approximated by a fixed
 set of per-run common random draws.
 
 Both trainers require decoders with the additive-context property
-(``decode(z, ctx) = decode(z, None) + context_offset(ctx)``): pairwise
-energies and kernel similarities are then context-invariant, and the
-reconstruction term folds the context offset into its target. Gradients
+(``decode_batch(z, ctx) = decode_batch(z, None) + context_offset(ctx)``):
+pairwise energies and kernel similarities are then context-invariant, and
+the reconstruction term folds the context offset into its target. Gradients
 are exact on every path: the chain rule through each decoder's per-code
 ``jacobian_batch`` and, for featurized flows, through the per-example fold.
 

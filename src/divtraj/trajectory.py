@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "Context",
@@ -170,6 +169,14 @@ def traj_distance(a, b) -> float:
     return float(np.linalg.norm((a - b).reshape(-1)))
 
 
+def _cdist(xa, xb, *args, **kwargs) -> np.ndarray:
+    """``scipy.spatial.distance.cdist``, imported on first call, so that
+    importing the package (and ``gen-data``) never loads scipy."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(xa, xb, *args, **kwargs)
+
+
 def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
     """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures
     (G, T, D), one ``cdist`` per timestep. For D < 8 they equal
@@ -180,7 +187,7 @@ def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
     _check_same_shape(samples[0], futures[0])  # (K, 1, D) must not pass as (K, T, D)
     out = np.empty((samples.shape[1], len(samples), len(futures)))
     for t, dists in enumerate(out):
-        cdist(samples[:, t], futures[:, t], out=dists)
+        _cdist(samples[:, t], futures[:, t], out=dists)
     return out.transpose(1, 2, 0)
 
 
@@ -266,7 +273,7 @@ def _context_groups(dataset: Dataset, eps: float):
     ctx = np.stack([ex.context.flat() for ex in dataset.examples])
     rows = max(1, _GROUP_BLOCK_BYTES // ctx.nbytes)
     for start in range(0, len(ctx), rows):
-        yield from map(np.flatnonzero, cdist(ctx[start : start + rows], ctx) <= eps)
+        yield from map(np.flatnonzero, _cdist(ctx[start : start + rows], ctx) <= eps)
 
 
 def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarray]]:

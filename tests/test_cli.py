@@ -1,10 +1,14 @@
 """File format and CLI pipeline tests."""
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divtraj
 from divtraj import (
     Context,
     CrossroadConfig,
@@ -153,6 +157,21 @@ class TestGenData:
             run(["gen-data", "--config", workdir / "gen.json"])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
+
+    def test_fresh_interpreter_loads_no_scipy(self, workdir):
+        # scipy is imported only inside the functions that call it, so neither
+        # importing the CLI nor running gen-data may load any of it
+        script = "\n".join([
+            "import json, sys",
+            f"sys.path.insert(0, {str(Path(divtraj.__file__).parent.parent)!r})",
+            "from divtraj import cli",
+            "code = cli.main(sys.argv[1:])",
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+        ])
+        argv = ["gen-data", "--config", str(workdir / "gen.json"), "--out", str(workdir / "d.jsonl")]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
     def test_balanced_300_near_uniform_histogram(self, workdir):
         cfg = {"mode_probs": [1 / 3, 1 / 3, 1 / 3], "n_examples": 300, "seed": 4}

@@ -34,18 +34,19 @@ class TestLinearDecoder:
     def test_zero_latent_returns_offset(self):
         rng = np.random.default_rng(0)
         dec = self.make(rng)
-        np.testing.assert_allclose(dec.decode(np.zeros(3)), dec.c0.reshape(2, 2))
+        np.testing.assert_allclose(dec.decode_batch(np.zeros(3)), dec.c0.reshape(2, 2))
 
     def test_identity_weights_reshape(self):
         dec = LinearDecoder(W=np.eye(6), c0=np.zeros(6), t_steps=3, state_dim=2)
         z = np.arange(6.0)
-        np.testing.assert_allclose(dec.decode(z), z.reshape(3, 2))
+        np.testing.assert_allclose(dec.decode_batch(z), z.reshape(3, 2))
 
     def test_affine_identity(self):
         rng = np.random.default_rng(1)
         dec = self.make(rng)
         z1, z2 = rng.normal(size=3), rng.normal(size=3)
-        combined = dec.decode(z1 + z2) - dec.decode(z1) - dec.decode(z2) + dec.decode(np.zeros(3))
+        decode = dec.decode_batch
+        combined = decode(z1 + z2) - decode(z1) - decode(z2) + decode(np.zeros(3))
         np.testing.assert_allclose(combined, 0.0, atol=1e-12)
 
     def test_context_projection_additive(self):
@@ -53,15 +54,15 @@ class TestLinearDecoder:
         dec = self.make(rng, with_ctx=True)
         ctx = Context(past=rng.normal(size=(2, 2)), features=rng.normal(size=2))
         z = rng.normal(size=3)
-        base = dec.decode(z, None).reshape(-1)
+        base = dec.decode_batch(z, None).reshape(-1)
         np.testing.assert_allclose(
-            dec.decode(z, ctx).reshape(-1), base + dec.context_offset(ctx), rtol=1e-12
+            dec.decode_batch(z, ctx).reshape(-1), base + dec.context_offset(ctx), rtol=1e-12
         )
 
     def test_dim_mismatch(self):
         dec = LinearDecoder(W=np.eye(6), c0=np.zeros(6), t_steps=3, state_dim=2)
         with pytest.raises(ValueError):
-            dec.decode(np.zeros(4))
+            dec.decode_batch(np.zeros(4))
         for Z in (np.zeros((4, 3)), np.zeros(3)):
             with pytest.raises(ValueError, match="latent dim mismatch: got 3, decoder has 6"):
                 dec.jacobian_batch(Z)
@@ -79,7 +80,7 @@ class TestLinearDecoder:
         dec = self.make(rng, with_ctx=True)
         clone = decoder_from_config(dec.to_config())
         z = rng.normal(size=3)
-        np.testing.assert_array_equal(clone.decode(z), dec.decode(z))
+        np.testing.assert_array_equal(clone.decode_batch(z), dec.decode_batch(z))
 
 
 class TestCrossroadDecoder:
@@ -88,7 +89,7 @@ class TestCrossroadDecoder:
     def test_forward_bisector_unit_radius_is_template(self):
         # on the sector bisector at radius 1 the variation vanishes exactly
         templates = route_templates(1.0, 3)
-        np.testing.assert_allclose(self.DEC.decode(np.array([1.0, 0.0])), templates["forward"])
+        np.testing.assert_allclose(self.DEC.decode_batch(np.array([1.0, 0.0])), templates["forward"])
 
     def test_balanced_sector_frequencies(self):
         dec = CrossroadDecoder(mode_probs=(1 / 3, 1 / 3, 1 / 3))
@@ -103,8 +104,8 @@ class TestCrossroadDecoder:
 
     def test_deterministic(self):
         z = np.array([0.3, 0.7])
-        out1 = self.DEC.decode(z)
-        out2 = self.DEC.decode(z)
+        out1 = self.DEC.decode_batch(z)
+        out2 = self.DEC.decode_batch(z)
         assert np.array_equal(out1, out2)
 
     def test_mode_depends_only_on_angle(self):
@@ -166,8 +167,8 @@ class TestCrossroadDecoder:
     def test_anchored_at_context_endpoint(self):
         ctx = Context(past=np.array([[0.0, 0.0], [3.0, -2.0]]))
         z = np.array([1.0, 0.0])
-        shifted = self.DEC.decode(z, ctx)
-        np.testing.assert_allclose(shifted, self.DEC.decode(z) + np.array([3.0, -2.0]))
+        shifted = self.DEC.decode_batch(z, ctx)
+        np.testing.assert_allclose(shifted, self.DEC.decode_batch(z) + np.array([3.0, -2.0]))
 
     def test_sector_of_rejects_3d_codes(self):
         # (N, 3) codes must not be read through their first two columns
@@ -184,7 +185,7 @@ class TestCrossroadDecoder:
     def test_config_round_trip(self):
         clone = decoder_from_config(self.DEC.to_config())
         z = np.array([-0.4, 1.1])
-        np.testing.assert_array_equal(clone.decode(z), self.DEC.decode(z))
+        np.testing.assert_array_equal(clone.decode_batch(z), self.DEC.decode_batch(z))
 
 
 class TestTabulatedDecoder:
@@ -198,7 +199,7 @@ class TestTabulatedDecoder:
     def test_exact_on_grid_nodes(self):
         source, tab = self.make_from_crossroad()
         z = np.array([1.5, -1.5])  # a grid node
-        np.testing.assert_allclose(tab.decode(z), source.decode(z), atol=1e-12)
+        np.testing.assert_allclose(tab.decode_batch(z), source.decode_batch(z), atol=1e-12)
 
     def test_interpolates_between_nodes(self):
         source, tab = self.make_from_crossroad()
@@ -212,15 +213,15 @@ class TestTabulatedDecoder:
 
     def test_clamps_out_of_range(self):
         _, tab = self.make_from_crossroad()
-        far = tab.decode(np.array([100.0, 0.0]))
-        edge = tab.decode(np.array([3.0, 0.0]))
+        far = tab.decode_batch(np.array([100.0, 0.0]))
+        edge = tab.decode_batch(np.array([3.0, 0.0]))
         np.testing.assert_allclose(far, edge)
 
     def test_config_round_trip(self):
         _, tab = self.make_from_crossroad()
         clone = decoder_from_config(tab.to_config())
         z = np.array([0.7, 0.2])
-        np.testing.assert_allclose(clone.decode(z), tab.decode(z))
+        np.testing.assert_allclose(clone.decode_batch(z), tab.decode_batch(z))
 
     def make_random(self, rng, n_z):
         axes = tuple(np.sort(rng.uniform(-2.0, 2.0, size=6 + i)) for i in range(n_z))
@@ -302,8 +303,7 @@ def test_leading_axes_decode_each_code_as_alone(name, k):
             alone = dec.decode_batch(code[None])[0]
             assert dec.decode_batch(code).shape == (3, 2)
             assert np.array_equal(dec.decode_batch(code), alone)
-            assert np.array_equal(dec.decode(code), alone)
-            assert np.array_equal(dec.decode(code, ctx), dec.decode_batch(code[None], ctx)[0])
+            assert np.array_equal(dec.decode_batch(code, ctx), dec.decode_batch(code[None], ctx)[0])
             assert dec.jacobian_batch(code).shape == (6, dec.n_z)
             assert np.array_equal(dec.jacobian_batch(code), dec.jacobian_batch(code[None])[0])
 

@@ -63,6 +63,11 @@ class TestBuildSimilarity:
         with pytest.raises(ValueError):
             build_similarity(np.array([[np.inf, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("sim_scale", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_scale_must_be_finite_and_positive(self, sim_scale):
+        with pytest.raises(ValueError, match="sim_scale must be finite and > 0"):
+            build_similarity(np.zeros((2, 1)), sim_scale)
+
     def test_bounds(self):
         rng = np.random.default_rng(1)
         s = build_similarity(rng.normal(size=(6, 4)), 0.7)

@@ -46,6 +46,11 @@ class TestDiversityEnergy:
         with pytest.raises(ValueError):
             diversity_energy(make_samples(BASE), 2.0)
 
+    @pytest.mark.parametrize("sigma_d", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma_d):
+        with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
+            diversity_energy(make_samples(BASE, BASE + 1.0), sigma_d)
+
     def test_permutation_invariance_and_monotone_decrease(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(size=(4, 3, 2))
@@ -339,6 +344,12 @@ class TestJointSamplerLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             joint_sampler_loss([np.zeros((2, 2))], np.zeros((3, 2)), [0.0], 1.0)
+
+    @pytest.mark.parametrize("sigma_d", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma_d):
+        gt = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
+            joint_sampler_loss([gt, gt + 1.0], gt, [0.0, 0.0], sigma_d)
 
 
 class TestGradientDescentIncreasesApd:
