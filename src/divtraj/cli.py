@@ -172,6 +172,10 @@ def _metric_report(dataset: Dataset, records: list[dict], eps: float):
 
 
 def cmd_eval(args) -> int:
+    if args.model is not None and args.seed is None:
+        raise ValueError("baseline comparison needs --seed alongside --model")
+    if args.seed is not None and args.model is None:
+        raise ValueError("baseline comparison needs --model alongside --seed")
     dataset = read_dataset(args.dataset)
     records = read_samples(args.samples)
     report = _metric_report(dataset, records, args.eps)
@@ -184,8 +188,6 @@ def cmd_eval(args) -> int:
         "per_example": list(report.per_example),
     }
     if args.model is not None:
-        if args.seed is None:
-            raise ValueError("baseline comparison needs --seed alongside --model")
         model = read_model(args.model)
         decoder = decoder_from_config(model["decoder"])
         examples = dataset.examples

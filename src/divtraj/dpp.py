@@ -89,10 +89,11 @@ class DppKernel:
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x``: (..., N, F) -> (..., N, N).
 
-    The einsum sums the squares in its own order, not in feature order as
-    ``energy._set_sq_dists`` does. The DPP kernel keeps this order on purpose:
-    the README walkthrough's trained DSF codes are sensitive to the last bit of
-    S, and the ``cdist`` order moved their mean APD by 1.5%."""
+    The einsum sums the squares in its own order: this is the only distance in
+    the package that does not add them in feature order, as the energies and
+    the metrics do. The DPP kernel keeps this order on purpose: the README
+    walkthrough's trained DSF codes are sensitive to the last bit of S, and
+    the ``cdist`` order moved their mean APD by 1.5%."""
     diff = x[..., :, None, :] - x[..., None, :, :]
     return np.einsum("...ijk,...ijk->...ij", diff, diff)
 

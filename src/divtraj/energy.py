@@ -76,8 +76,9 @@ def _set_sq_dists(v: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the samples of each (..., K, F)
     sample set, (..., K, K): one ``cdist`` per set into one preallocated
     array, so no (..., K, K, F) difference tensor is built. ``cdist`` sums the
-    squares in feature order and gives an exact zero diagonal. The DPP kernel
-    keeps its own order; ``dpp._pairwise_sq_dists`` says why."""
+    squares in feature order, as ``_target_sq_dists`` and the APD/ASD/FSD
+    metrics do, and gives an exact zero diagonal. Only the DPP kernel keeps
+    another order; ``dpp._pairwise_sq_dists`` says why."""
     *lead, k, f = v.shape
     sets = v.reshape(math.prod(lead), k, f)  # not -1: F may be 0
     out = np.empty((len(sets), k, k))
@@ -100,14 +101,38 @@ def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
     return value, (-4.0 / (sigma_d * k * (k - 1))) * (w.sum(axis=-1)[..., None] * v - w @ v)
 
 
+def _target_sq_dists(v: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (..., K) from the samples of each (..., K, F)
+    sample set to its (..., F) ground truth, squares added in feature order by
+    ``cdist``. The leading axes along which both ``v`` and ``gt`` vary are
+    looped over, one ``cdist`` each; within one call, every target along
+    ``gt``'s other axes meets every sample along ``v``'s. So a flow set
+    shared by M examples costs one call, one set per example M calls, and no
+    (..., K, F) difference tensor is built."""
+    *lead_v, k, f = v.shape
+    gt = gt.reshape((1,) * (len(lead_v) + 1 - gt.ndim) + gt.shape)
+    lead_g = gt.shape[:-1]
+    lead = np.broadcast_shapes(tuple(lead_v), lead_g)
+    only_gt = [i for i, n in enumerate(lead) if lead_v[i] != n]  # v broadcasts along these
+    only_v = [i for i, n in enumerate(lead) if lead_g[i] != n]  # gt broadcasts along these
+    both = [i for i in range(len(lead)) if i not in only_gt + only_v]
+    order = both + only_gt + only_v
+    n_both, n_gt, n_v = (math.prod(lead[i] for i in axes) for axes in (both, only_gt, only_v))
+    xs = v.transpose(*order, -2, -1).reshape(n_both, n_v * k, f)
+    ys = gt.transpose(*order, -1).reshape(n_both, n_gt, f)
+    out = np.empty((n_both, n_gt, n_v * k))
+    for x, y, dists in zip(xs, ys, out):
+        _cdist(y, x, "sqeuclidean", out=dists)
+    return out.reshape(*(lead[i] for i in order), k).transpose(*np.argsort(order), -1)
+
+
 def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
     """Min squared distance from each (..., K, F) sample set to its (..., F)
-    ground truth, the squares summed by einsum; with ``grad`` also its
+    ground truth, d^2 from ``_target_sq_dists``; with ``grad`` also its
     gradient wrt ``v``, else None. That gradient is 2 (v - gt) at each set's
     first nearest sample and zero elsewhere, summed in C order over the axes
     along which ``gt`` broadcasts ``v``, so it is shaped like ``v``."""
-    diff = v - gt[..., None, :]
-    dist2 = np.einsum("...kf,...kf->...k", diff, diff)
+    dist2 = _target_sq_dists(v, gt)
     value = dist2.min(axis=-1)
     if not grad:
         return value, None

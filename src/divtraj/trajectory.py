@@ -88,7 +88,9 @@ class Example:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Shape-homogeneous ordered collection of forecasting examples."""
+    """Shape-homogeneous ordered collection of forecasting examples: every
+    example has the same future and past shapes and the same number of context
+    features."""
 
     examples: tuple
     meta: dict = field(default_factory=dict)
@@ -99,9 +101,11 @@ class Dataset:
         if examples:
             t, d = examples[0].future.shape
             h = examples[0].context.past.shape[0]
+            n_feat = len(examples[0].context.features)
             ids = set()
             for ex in examples:
-                if ex.future.shape != (t, d) or ex.context.past.shape != (h, d):
+                ctx = ex.context
+                if ex.future.shape != (t, d) or ctx.past.shape != (h, d) or len(ctx.features) != n_feat:
                     raise ValueError("dataset examples are not shape-homogeneous")
                 if ex.id in ids:
                     raise ValueError(f"duplicate example id {ex.id}")
@@ -179,9 +183,11 @@ def _cdist(xa, xb, *args, **kwargs) -> np.ndarray:
 
 def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
     """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures
-    (G, T, D), one ``cdist`` per timestep. For D < 8 they equal
+    (G, T, D), one ``cdist`` per timestep, which adds the squares in feature
+    order, as every distance of the package but the DPP kernel's does. Below
+    D = 8 numpy adds in order too, so they equal
     ``norm(samples[:, None] - futures[None], axis=3)`` bitwise; from D = 8 on,
-    numpy sums the squares pairwise and the two can differ in the last bit.
+    numpy sums pairwise and the two can differ in the last bit.
     The array is a view of (T, K, G) memory, so a mean over T adds the
     timesteps in order, elementwise over (K, G)."""
     _check_same_shape(samples[0], futures[0])  # (K, 1, D) must not pass as (K, T, D)
@@ -210,21 +216,39 @@ def fde(samples: SampleSet, gt) -> float:
 
 
 def _self_metrics(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(APD, ASD, FSD), each (B,), of B sample sets stacked as (B, K, T, D)."""
-    b, k = sets.shape[:2]
+    """(APD, ASD, FSD), each (B,), of B sample sets stacked as (B, K, T, D).
+
+    The squared differences are formed feature-major, (T, D, B, K, K), and
+    added one feature after another: in flattened (T, D) order for APD, over
+    D for each step's distance. ASD adds the step distances in time order and
+    divides by T. Where T < 8 and T * D < 8 this equals the
+    ``np.linalg.norm`` definition over (B, K, K, T, D) differences bitwise;
+    beyond, numpy sums eight or more terms pairwise and the two can differ in
+    the last bit."""
+    b, k, t_steps, d = sets.shape
     if k < 2:
         raise ValueError("asd/fsd require at least 2 samples")
-    diff = sets[:, :, None] - sets[:, None]  # (B, K, K, T, D)
-    apd_vals = np.linalg.norm(diff.reshape(b, k, k, -1), axis=3).sum(axis=(1, 2)) / (k * (k - 1))
-    step_dists = np.linalg.norm(diff, axis=4)  # (B, K, K, T)
-    off = ~np.eye(k, dtype=bool)
+    x = np.ascontiguousarray(sets.transpose(2, 3, 0, 1))  # (T, D, B, K)
+    sq = x[..., :, None] - x[..., None, :]  # (T, D, B, K, K)
+    np.square(sq, out=sq)
+    apd_vals = np.sqrt(_sum_rows(sq.reshape(t_steps * d, b, k, k))).sum(axis=(1, 2)) / (k * (k - 1))
+    step_dists = np.sqrt(np.stack([_sum_rows(step) for step in sq]))  # (T, B, K, K)
+    diag = np.arange(k)
 
-    def nearest_mean(dists):  # (B, K, K) -> mean over i of min over j != i
-        # a reduction's result can come out F-ordered; summed in that order
-        # the mean over a row would differ from the 1-d mean in the last bit
-        return np.ascontiguousarray(dists[:, off].reshape(b, k, k - 1).min(axis=2)).mean(axis=1)
+    def nearest_mean(dists):  # (B, K, K) -> mean over i of min over j != i; overwrites the diagonal
+        dists[:, diag, diag] = np.inf
+        return dists.min(axis=2).mean(axis=1)
 
-    return apd_vals, nearest_mean(step_dists.mean(axis=3)), nearest_mean(step_dists[..., -1])
+    return apd_vals, nearest_mean(_sum_rows(step_dists) / t_steps), nearest_mean(step_dists[-1])
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Elementwise sum of ``rows[0], rows[1], ...`` added in that order, into a
+    new array."""
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    return acc
 
 
 def apd(samples: SampleSet) -> float:
@@ -248,10 +272,10 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
 
 
 # Bytes of one block's largest array: for a block of sample sets their
-# (B*K, M, T) pose distances and (B, K, K, T, D) sample differences. Each pass
-# allocates about one more array of that size while it works. The grouping
-# takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its (rows, M)
-# distances stay below the bound.
+# (B*K, M, T) pose distances and (T, D, B, K, K) squared sample differences.
+# Each pass allocates about one more array of that size while it works. The
+# grouping takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its
+# (rows, M) distances stay below the bound.
 _GROUP_BLOCK_BYTES = 1 << 20
 
 
@@ -262,9 +286,10 @@ def _context_groups(dataset: Dataset, eps: float):
     flattened contexts: pairwise to the anchor, no transitive closure. The
     distances are computed a block of anchors at a time with ``cdist``, so
     memory stays bounded by the block size plus O(M) whatever the dataset
-    size. For F < 8 context features they equal
-    ``norm(ctx[block, None] - ctx[None], axis=2)`` bitwise; from F = 8 on,
-    numpy sums the squares pairwise and the two can differ in the last bit.
+    size. ``cdist`` adds the squares in feature order; below F = 8 context
+    features numpy does too, so they equal
+    ``norm(ctx[block, None] - ctx[None], axis=2)`` bitwise, and from F = 8 on
+    they can differ in the last bit.
     A context is finite, so its distance to itself is exactly 0 and every
     anchor is its own member.
     """
@@ -320,7 +345,7 @@ def _accuracy_rows(sets: list, futures: np.ndarray):
 
 def _self_rows(sets: list):
     """Yield each sample set's (APD, ASD, FSD), in order, a block at a time."""
-    for block in _blocks(sets, lambda s: len(s) * s.nbytes):  # (K, K, T, D) differences
+    for block in _blocks(sets, lambda s: len(s) * s.nbytes):  # (T, D, K, K) squared differences
         yield from zip(*_self_metrics(block))
 
 

@@ -690,6 +690,32 @@ class TestEval:
         assert (workdir / "report.json").read_bytes() == (workdir / "expected.json").read_bytes()
         assert (workdir / "report.csv").read_text() == metrics_to_csv(report)
 
+    def test_seed_without_model_rejected(self, workdir, capsys):
+        _train_model(workdir)
+        run(["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl", "--out", workdir / "s.jsonl"])
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl", "--eps", "1.0",
+            "--out", workdir / "report", "--seed", "77",
+        ]) == 1
+        assert "baseline comparison needs --model alongside --seed" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
+
+    def test_feature_length_mismatch_rejected(self, workdir, capsys):
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        from divtraj.fileio import write_samples
+
+        ds = read_dataset(workdir / "d.jsonl")
+        write_samples(workdir / "s.jsonl", [{"id": ex.id, "samples": np.stack([ex.future] * 2)} for ex in ds.examples])
+        lines = (workdir / "d.jsonl").read_text().splitlines()
+        last = json.loads(lines[-1])
+        last["features"] = last["features"] + [0.0]
+        (workdir / "d.jsonl").write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
+            "--eps", "1.0", "--out", workdir / "report",
+        ]) == 1
+        assert "dataset examples are not shape-homogeneous" in capsys.readouterr().err
+
     def test_misaligned_ids_listed(self, workdir, capsys):
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
         from divtraj.fileio import write_samples

@@ -129,11 +129,14 @@ def feature_order_sq_dists(v):
 
 
 def dense_reconstruction(v, gt):
-    """Reference reconstruction energy and gradient: a dense 2 (v - gt)
-    masked to each set's first nearest sample, summed over the axes along
-    which gt broadcasts v."""
+    """Reference reconstruction energy and gradient: the dense differences
+    v - gt, their squares added one feature after another, and a dense
+    2 (v - gt) masked to each set's first nearest sample, summed over the
+    axes along which gt broadcasts v."""
     diff = v - gt[..., None, :]
-    dist2 = np.einsum("...kf,...kf->...k", diff, diff)
+    dist2 = np.zeros(diff.shape[:-1])
+    for f in range(diff.shape[-1]):
+        dist2 = dist2 + diff[..., f] * diff[..., f]
     nearest = np.arange(v.shape[-2]) == dist2.argmin(axis=-1)[..., None]
     g = 2.0 * diff * nearest[..., None]
     shared = tuple(i for i, (n_v, n_g) in enumerate(zip(v.shape, g.shape)) if n_v < n_g)
@@ -183,6 +186,28 @@ class TestEnergyKernels:
         assert np.array_equal(grad, ref_grad)
         # only each set's first nearest sample carries gradient
         assert np.count_nonzero(np.any(grad != 0.0, axis=-1)) <= ref_value.size
+
+    @pytest.mark.parametrize(
+        "v_shape, gt_shape, calls",
+        [
+            # shared flows: one call, every target against all E * K samples
+            ((1, 3, 5, 6), (4, 1, 6), [((4, 6), (15, 6))]),
+            # featurized: one call per example
+            ((4, 3, 5, 6), (4, 1, 6), [((1, 6), (15, 6))] * 4),
+            ((5, 6), (6,), [((1, 6), (5, 6))]),
+        ],
+    )
+    def test_reconstruction_cdist_calls(self, monkeypatch, v_shape, gt_shape, calls):
+        seen, cdist = [], energy._cdist
+
+        def counting_cdist(xa, xb, *args, **kwargs):
+            seen.append((xa.shape, xb.shape))
+            return cdist(xa, xb, *args, **kwargs)
+
+        monkeypatch.setattr(energy, "_cdist", counting_cdist)
+        rng = np.random.default_rng(32)
+        energy._reconstruction(rng.normal(size=v_shape), rng.normal(size=gt_shape), grad=True)
+        assert seen == calls
 
     def test_empty_similar_slice_is_zero_over_leading_axes(self):
         rng = np.random.default_rng(31)

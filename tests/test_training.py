@@ -199,16 +199,16 @@ class TestGradientFidelity:
 
 
 class TestDlowObjectiveMemory:
-    def test_large_ground_set_evaluation_memory_bound(self):
-        # K = 400 samples, 8 draws, 64 examples, F = 6: a dense (E, K, K, F)
-        # pair difference alone is 59 MiB, a dense (M, E, K, F) reconstruction
-        # gradient 9.4 MiB; one evaluation with its gradient stays under 32
+    @staticmethod
+    def evaluation_peak(k: int, n_examples: int) -> int:
+        """Traced peak bytes of one shared-flow evaluation with its gradient:
+        K flows, 8 draws, n_z = 4, a linear decoder with T * D = 6."""
         rng = np.random.default_rng(15)
-        k, draws, n_z = 400, 8, 4
+        draws, n_z = 8, 4
         dec = LinearDecoder(W=rng.normal(size=(6, n_z)), c0=np.zeros(6), t_steps=3, state_dim=2)
         examples = [
             Example(context=Context(past=np.zeros((1, 2))), future=rng.normal(size=(3, 2)), id=i)
-            for i in range(64)
+            for i in range(n_examples)
         ]
         cfg = TrainConfig(mode="dlow", k=k, noise_draws_per_iter=draws, seed=0)
         obj = _DlowObjective(dec, examples, cfg, rng.standard_normal((draws, n_z)))
@@ -221,7 +221,17 @@ class TestDlowObjectiveMemory:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(grad))
-        assert peak < 32 * 2**20
+        return peak
+
+    def test_large_ground_set_evaluation_memory_bound(self):
+        # K = 400 samples, 64 examples: a dense (E, K, K, F) pair difference
+        # alone is 59 MiB, a dense (M, E, K, F) reconstruction gradient 9.4 MiB
+        assert self.evaluation_peak(k=400, n_examples=64) < 32 * 2**20
+
+    def test_many_examples_evaluation_memory_bound(self):
+        # K = 100 samples, 3000 examples: a dense (M, E, K, F) reconstruction
+        # difference alone is 110 MiB; the (M, E, K) squared distances 18 MiB
+        assert self.evaluation_peak(k=100, n_examples=3000) < 64 * 2**20
 
 
 class TestRunOptimizer:

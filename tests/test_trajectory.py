@@ -143,6 +143,23 @@ def _dataset_from_contexts(pasts, futures):
     return Dataset(examples=tuple(examples))
 
 
+class TestDataset:
+    @pytest.mark.parametrize(
+        "past, future, features",
+        [
+            (np.zeros((2, 2)), np.zeros((4, 2)), np.zeros(2)),  # another horizon
+            (np.zeros((1, 2)), np.zeros((3, 2)), np.zeros(2)),  # another past length
+            (np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(3)),  # another feature count
+            (np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(0)),  # no features
+        ],
+    )
+    def test_inhomogeneous_examples_rejected(self, past, future, features):
+        first = Example(context=Context(past=np.zeros((2, 2)), features=np.zeros(2)), future=ZERO32, id=0)
+        other = Example(context=Context(past=past, features=features), future=future, id=1)
+        with pytest.raises(ValueError, match="dataset examples are not shape-homogeneous"):
+            Dataset(examples=(first, other))
+
+
 class TestBuildMultimodalGt:
     def test_eps_zero_distinct_contexts(self):
         pasts = [np.full((2, 2), float(i)) for i in range(3)]
@@ -443,19 +460,43 @@ def _ade_fde_ref(samples, gt):
     return float(dists.mean(axis=2).min(axis=0)[0]), float(dists[:, :, -1].min(axis=0)[0])
 
 
+def _sum_in_order(terms):
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
 def _apd_ref(arr):
+    """APD of one (K, T, D) set, the squares added in flattened (T, D) order."""
     k = len(arr)
     flat = arr.reshape(k, -1)
-    return float(np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2).sum() / (k * (k - 1)))
+    squares = [(flat[:, None, f] - flat[None, :, f]) ** 2 for f in range(flat.shape[1])]
+    return float(np.sqrt(_sum_in_order(squares)).sum() / (k * (k - 1)))
 
 
 def _asd_fsd_ref(arr):
+    """ASD/FSD of one (K, T, D) set: each step's squares added over D, the
+    step distances added in time order."""
+    k, t_steps, dim = arr.shape
+    diff = arr[:, None] - arr[None, :]
+    steps = [np.sqrt(_sum_in_order([diff[:, :, t, j] ** 2 for j in range(dim)])) for t in range(t_steps)]
+    off = ~np.eye(k, dtype=bool)
+    asd_val = (_sum_in_order(steps) / t_steps)[off].reshape(k, k - 1).min(axis=1).mean()
+    fsd_val = steps[-1][off].reshape(k, k - 1).min(axis=1).mean()
+    return float(asd_val), float(fsd_val)
+
+
+def _norm_self_metrics_ref(arr):
+    """(APD, ASD, FSD) of one (K, T, D) set by ``np.linalg.norm`` over dense differences."""
     k = len(arr)
+    flat = arr.reshape(k, -1)
+    apd_val = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2).sum() / (k * (k - 1))
     step_dists = np.linalg.norm(arr[:, None] - arr[None, :], axis=3)
     off = ~np.eye(k, dtype=bool)
     asd_val = step_dists.mean(axis=2)[off].reshape(k, k - 1).min(axis=1).mean()
     fsd_val = step_dists[:, :, -1][off].reshape(k, k - 1).min(axis=1).mean()
-    return float(asd_val), float(fsd_val)
+    return float(apd_val), float(asd_val), float(fsd_val)
 
 
 class TestBatchedDefinitions:
@@ -489,3 +530,19 @@ class TestBatchedDefinitions:
             asd_val, fsd_val = _asd_fsd_ref(arr)
             assert (float(apd_vals[i]), float(asd_vals[i]), float(fsd_vals[i])) == (_apd_ref(arr), asd_val, fsd_val)
             assert (apd(SampleSet(samples=arr)), asd_fsd(SampleSet(samples=arr))) == (_apd_ref(arr), (asd_val, fsd_val))
+
+    @pytest.mark.parametrize(
+        "t_steps, dim", [(t, d) for t in (1, 3, 7) for d in (1, 2, 3) if t * d < 8]
+    )
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_self_metrics_equal_norm_definition_below_eight_terms(self, k, t_steps, dim):
+        # numpy adds fewer than eight terms in order, so below eight steps and
+        # eight flattened features the norm definition is the feature-order one
+        rng = np.random.default_rng(100 * k + 10 * t_steps + dim)
+        scale = 10.0 ** rng.integers(-3, 4, size=(4, k, t_steps, dim))  # six decades of magnitude
+        sets = rng.normal(size=(4, k, t_steps, dim)) * scale
+        sets[1, -1] = sets[1, 0]  # a duplicated sample: a nearest distance of exactly 0
+        sets[2] = sets[2, :1]  # every sample the same: APD, ASD and FSD exactly 0
+        got = trajectory._self_metrics(sets)
+        for i, arr in enumerate(sets):
+            assert tuple(float(vals[i]) for vals in got) == _norm_self_metrics_ref(arr)
