@@ -8,6 +8,7 @@ standard-normal mass in the codes' own dimension n_z.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -113,12 +114,14 @@ def build_similarity(items, sim_scale: float) -> np.ndarray:
     return _rbf_similarity(items, sim_scale)
 
 
+@functools.lru_cache(maxsize=64)
 def quality_radius(latent_dim: int, rho: float) -> float:
     """Radius of the latent sphere containing a ``rho`` fraction of N(0, I) mass.
 
     R^2 is the chi-squared quantile with ``latent_dim`` degrees of freedom,
     obtained by inverting the regularized lower incomplete gamma function
-    P(n/2, R^2/2) = rho.
+    P(n/2, R^2/2) = rho. A pure function, memoised: every kernel a trainer
+    builds asks for the same radius.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must be in (0, 1)")

@@ -8,6 +8,7 @@ three terms over whole multi-agent trajectories.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +102,27 @@ def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
     return value, (-4.0 / (sigma_d * k * (k - 1))) * (w.sum(axis=-1)[..., None] * v - w @ v)
 
 
+@functools.lru_cache(maxsize=64)
+def _target_plan(v_shape: tuple, gt_shape: tuple) -> tuple:
+    """How ``_target_sq_dists`` lays out (..., K, F) samples and (..., F)
+    targets of these shapes: the shape gt reads as, the leading-axis order,
+    the (calls, rows, F) shapes of both operands, and the result's shape and
+    axis order back. A trainer asks for one pair of shapes at every
+    evaluation, so each plan is worked out once."""
+    *lead_v, k, f = v_shape
+    gt_shape = (1,) * (len(lead_v) + 1 - len(gt_shape)) + gt_shape
+    lead_g = gt_shape[:-1]
+    lead = np.broadcast_shapes(tuple(lead_v), lead_g)
+    only_gt = [i for i, n in enumerate(lead) if lead_v[i] != n]  # v broadcasts along these
+    only_v = [i for i, n in enumerate(lead) if lead_g[i] != n]  # gt broadcasts along these
+    both = [i for i in range(len(lead)) if i not in only_gt + only_v]
+    order = both + only_gt + only_v
+    n_both, n_gt, n_v = (math.prod(lead[i] for i in axes) for axes in (both, only_gt, only_v))
+    back = (*np.argsort(order).tolist(), len(order))
+    lead_shape = (*(lead[i] for i in order), k)
+    return gt_shape, order, (n_both, n_v * k, f), (n_both, n_gt, f), lead_shape, back
+
+
 def _target_sq_dists(v: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances (..., K) from the samples of each (..., K, F)
     sample set to its (..., F) ground truth, squares added in feature order by
@@ -109,21 +131,13 @@ def _target_sq_dists(v: np.ndarray, gt: np.ndarray) -> np.ndarray:
     ``gt``'s other axes meets every sample along ``v``'s. So a flow set
     shared by M examples costs one call, one set per example M calls, and no
     (..., K, F) difference tensor is built."""
-    *lead_v, k, f = v.shape
-    gt = gt.reshape((1,) * (len(lead_v) + 1 - gt.ndim) + gt.shape)
-    lead_g = gt.shape[:-1]
-    lead = np.broadcast_shapes(tuple(lead_v), lead_g)
-    only_gt = [i for i, n in enumerate(lead) if lead_v[i] != n]  # v broadcasts along these
-    only_v = [i for i, n in enumerate(lead) if lead_g[i] != n]  # gt broadcasts along these
-    both = [i for i in range(len(lead)) if i not in only_gt + only_v]
-    order = both + only_gt + only_v
-    n_both, n_gt, n_v = (math.prod(lead[i] for i in axes) for axes in (both, only_gt, only_v))
-    xs = v.transpose(*order, -2, -1).reshape(n_both, n_v * k, f)
-    ys = gt.transpose(*order, -1).reshape(n_both, n_gt, f)
-    out = np.empty((n_both, n_gt, n_v * k))
+    gt_shape, order, x_shape, y_shape, lead_shape, back = _target_plan(v.shape, gt.shape)
+    xs = v.transpose(*order, -2, -1).reshape(x_shape)
+    ys = gt.reshape(gt_shape).transpose(*order, -1).reshape(y_shape)
+    out = np.empty((*y_shape[:2], x_shape[1]))
     for x, y, dists in zip(xs, ys, out):
         _cdist(y, x, "sqeuclidean", out=dists)
-    return out.reshape(*(lead[i] for i in order), k).transpose(*np.argsort(order), -1)
+    return out.reshape(lead_shape).transpose(back)
 
 
 def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):

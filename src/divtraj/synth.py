@@ -13,11 +13,12 @@ Example generation is seeded per example (generator seeded with
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import ROUTE_NAMES, route_templates
+from .decoders import ROUTE_NAMES, _checked_mode_probs, route_templates
 from .trajectory import Context, Dataset, Example
 
 __all__ = ["CrossroadConfig", "generate_crossroad"]
@@ -34,18 +35,16 @@ class CrossroadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.mode_probs)
-        if len(probs) != 3 or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("mode_probs must be 3 nonnegative values summing to 1")
+        probs = _checked_mode_probs(self.mode_probs)
         if self.n_examples < 1:
             raise ValueError("n_examples must be >= 1")
         if self.past_steps < 1 or self.future_steps < 1:
             raise ValueError("past_steps and future_steps must be >= 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be > 0")
+        if not 0 < self.speed < math.inf:
+            raise ValueError(f"speed must be finite and > 0, got {self.speed}")
         noise = 0.02 * self.speed if self.noise_std is None else float(self.noise_std)
-        if noise < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= noise < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {noise}")
         object.__setattr__(self, "mode_probs", probs)
         object.__setattr__(self, "noise_std", noise)
 

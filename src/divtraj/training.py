@@ -12,13 +12,15 @@ Both trainers require decoders with the additive-context property
 pairwise energies and kernel similarities are then context-invariant, and
 the reconstruction term folds the context offset into its target. Gradients
 are exact on every path: the chain rule through each decoder's per-code
-``jacobian_batch`` and, for featurized flows, through the per-example fold.
+Jacobian and, for featurized flows, through the per-example fold.
 
 The objectives hold no sampler math of their own. Each has one entry point,
 ``evaluate(params, grad)``, which returns the loss breakdown and, with
-``grad``, the gradient (else None): it unpacks the parameters, decodes once
-and chains gradients through the decoder Jacobian. The kernel, its spectrum,
-E|Y| and E|Y|'s gradient come from the batched private functions in ``dpp``;
+``grad``, the gradient (else None): it unpacks the parameters and makes one
+decoder pass, ``linearize`` for the decode and its Jacobian with ``grad`` and
+``decode_batch`` without, then chains gradients through that Jacobian. Work
+that depends only on the run's shapes is done once per run. The kernel, its
+spectrum, E|Y| and E|Y|'s gradient come from the batched private functions in ``dpp``;
 flow application, the invertibility check, the flow KL and its gradient from
 ``flows``; the three energies, their J_d/J_s columns and their gradient from
 ``energy``. The public functions of those modules wrap the same code. The
@@ -26,6 +28,7 @@ optimizer names the iteration in any error an evaluation raises.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -149,14 +152,16 @@ class _DsfObjective:
 
     def evaluate(self, params: np.ndarray, grad: bool = False):
         codes = params.reshape(self.k, self.decoder.n_z)
-        items = self.decoder.decode_batch(codes, None).reshape(self.k, -1)
+        dec = self.decoder
+        items, jac = dec.linearize(codes) if grad else (dec.decode_batch(codes), None)
+        items = items.reshape(self.k, -1)
         s, r, _, lam, u = dpp._kernel(items, codes, self.kcfg, vectors=grad)
         total = float(-dpp._cardinality(lam))
         bd = {"total": total, "terms": {"neg_expected_cardinality": total}}
         if not grad:
             return bd, None
         g_items, g_codes = dpp._cardinality_grads(items, codes, s, r, lam, u, self.kcfg)
-        g_codes += np.einsum("kf,kfn->kn", g_items, self.decoder.jacobian_batch(codes))
+        g_codes += np.einsum("kf,kfn->kn", g_items, jac)
         return bd, -g_codes.reshape(-1)
 
 
@@ -183,6 +188,7 @@ class _DlowObjective:
             [ex.future.reshape(1, -1) - decoder.context_offset(ex.context) for ex in examples]
         )
         self.features = np.stack([ex.context.features for ex in examples])
+        self._identities = np.tile(np.eye(self.n_z), (self.k, 1, 1))  # copied by each unpack
 
     # --- parameter packing -------------------------------------------------
     @property
@@ -206,7 +212,7 @@ class _DlowObjective:
     def unpack(self, params: np.ndarray):
         k_t, n_z = self.k - self.k0, self.n_z
         n_a, n_b = k_t * n_z * n_z, k_t * n_z
-        a = np.tile(np.eye(n_z), (self.k, 1, 1))
+        a = self._identities.copy()
         b = np.zeros((self.k, n_z))
         a[self.k0 :] = params[:n_a].reshape(k_t, n_z, n_z)
         b[self.k0 :] = params[n_a : n_a + n_b].reshape(k_t, n_z)
@@ -228,13 +234,15 @@ class _DlowObjective:
         cfg = self.ecfg
         kl, g_kl = _kl(a, b, grad)
         z = _apply_flows(a[:, None], b[:, None], self.eps[None])  # (M', E, K, n_z)
-        v = self.decoder.decode_batch(z.reshape(-1, self.n_z), None).reshape(*z.shape[:3], -1)
+        codes, dec = z.reshape(-1, self.n_z), self.decoder
+        v, jac = dec.linearize(codes) if grad else (dec.decode_batch(codes), None)
+        v = v.reshape(*z.shape[:3], -1)
         (e_d, e_r, e_s), g_v = energy._energies(v, self.targets, cfg, self.decoder.state_dim, grad)
         terms = energy._weighted_terms(cfg, float(kl.sum()) / len(kl), e_d, e_r, e_s)
         bd = {"total": float(sum(terms.values())), "terms": terms}
         if not grad:
             return bd, None
-        g_z = np.einsum("mekf,mekfn->mekn", g_v, self.decoder.jacobian_batch(z))
+        g_z = np.einsum("mekf,mekfn->mekn", g_v, jac.reshape(*v.shape, self.n_z))
         # per flow set (M', K, ...): summed for the base flows, and taken as
         # outer products with each example's features for the feature blocks
         g_a = (cfg.beta / len(kl)) * g_kl[0] + np.einsum("mekn,ej->mknj", g_z, self.eps)
@@ -274,7 +282,7 @@ def _evaluate(objective, params: np.ndarray, i: int, grad: bool = False):
     except ValueError as exc:
         raise ValueError(f"{exc} at iteration {i}") from exc
     for name, value in [*bd["terms"].items(), ("total", bd["total"])]:
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite {name} term ({value}) at iteration {i}")
     if grad and not np.all(np.isfinite(g)):
         raise ValueError(f"non-finite gradient at iteration {i}")

@@ -211,6 +211,19 @@ class TestTrain:
         assert "unknown keys in decoder config: ['within_mode_scal']" in capsys.readouterr().err
         assert not (workdir / "m.json").exists()
 
+    def test_nan_within_mode_scale_fails(self, workdir, capsys):
+        # json reads NaN; the decoder must reject it before training starts
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        decoder = dict(DSF_TRAIN_CONFIG["decoder"], within_mode_scale=float("nan"))
+        (workdir / "bad.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, decoder=decoder)))
+        assert "NaN" in (workdir / "bad.json").read_text()
+        assert run([
+            "train", "--config", workdir / "bad.json", "--dataset", workdir / "d.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 1
+        assert "within_mode_scale must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not (workdir / "m.json").exists()
+
     def test_missing_dataset_fails(self, workdir, capsys):
         code = run([
             "train", "--config", workdir / "train.json", "--dataset", workdir / "nope.jsonl",

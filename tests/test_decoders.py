@@ -177,6 +177,19 @@ class TestCrossroadDecoder:
             with pytest.raises(ValueError, match="expects 2-d latent codes"):
                 method(codes)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode_probs", (np.nan, 0.5, 0.5), r"mode_probs must be 3 finite values >= 0 summing to 1, got \[nan, 0.5, 0.5\]"),
+        ("mode_probs", (np.inf, 0.0, 0.0), r"mode_probs must be .*, got \[inf, 0.0, 0.0\]"),
+        ("speed", np.nan, r"speed must be finite and > 0, got nan"),
+        ("speed", np.inf, r"speed must be finite and > 0, got inf"),
+        ("within_mode_scale", np.nan, r"within_mode_scale must be finite and > 0, got nan"),
+        ("within_mode_scale", np.inf, r"within_mode_scale must be finite and > 0, got inf"),
+    ])
+    def test_nonfinite_parameters_rejected(self, field, value, message):
+        # json.load reads NaN and Infinity, so a config can carry them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CrossroadDecoder(**{field: value})
+
     def test_degenerate_probs_all_forward(self):
         dec = CrossroadDecoder(mode_probs=(1.0, 0.0, 0.0))
         draws = np.random.default_rng(4).standard_normal((1000, 2))
@@ -306,6 +319,36 @@ def test_leading_axes_decode_each_code_as_alone(name, k):
             assert np.array_equal(dec.decode_batch(code, ctx), dec.decode_batch(code[None], ctx)[0])
             assert dec.jacobian_batch(code).shape == (6, dec.n_z)
             assert np.array_equal(dec.jacobian_batch(code), dec.jacobian_batch(code[None])[0])
+
+
+def _edge_codes(name, dec, rng):
+    """24 random codes, z = 0 and each decoder's edge cases, (N, n_z)."""
+    codes = [rng.normal(scale=2.0, size=(24, dec.n_z)), np.zeros((1, dec.n_z))]
+    if name.startswith("crossroad"):
+        # every sector boundary, and the angles just either side of it
+        edges = np.concatenate([dec._centers - dec._half, dec._centers + dec._half])
+        theta = np.concatenate([edges, edges - 1e-12, edges + 1e-12])
+        codes.append(1.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    if name == "tabulated":
+        # off the grid along one dimension, then along both
+        codes.append(np.array([[3.5, 0.2], [-0.7, -9.0], [4.0, -4.0], [-3.0, 3.0]]))
+    return np.concatenate(codes)
+
+
+@pytest.mark.parametrize(
+    "name", ["linear", "linear ctx_proj", "crossroad", "crossroad (1, 0, 0)", "tabulated"]
+)
+def test_linearize_is_decode_and_jacobian(name):
+    # mode_probs (1, 0, 0) leaves two zero-width sectors; the offset divides under half > 0
+    rng = np.random.default_rng(52)
+    degenerate = {"crossroad (1, 0, 0)": CrossroadDecoder(mode_probs=(1.0, 0.0, 0.0))}
+    dec = dict(_decoders(rng), **degenerate)[name]
+    codes = _edge_codes(name, dec, rng)
+    # leading axes (1,), (N,) and (M, E, K), then each code alone, (n_z,)
+    for Z in (codes[:1], codes, codes[:24].reshape(2, 3, 4, dec.n_z), *codes):
+        value, jac = dec.linearize(Z)
+        assert np.array_equal(value, dec.decode_batch(Z))
+        assert np.array_equal(jac, dec.jacobian_batch(Z))
 
 
 @pytest.mark.parametrize("name", ["linear", "crossroad", "tabulated"])

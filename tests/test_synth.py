@@ -53,6 +53,18 @@ class TestGenerateCrossroad:
         with pytest.raises(ValueError):
             CrossroadConfig(noise_std=-0.1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode_probs", (0.5, np.nan, 0.5), r"mode_probs must be 3 finite values >= 0 summing to 1, got \[0.5, nan, 0.5\]"),
+        ("speed", np.nan, r"speed must be finite and > 0, got nan"),
+        ("speed", np.inf, r"speed must be finite and > 0, got inf"),
+        ("noise_std", np.nan, r"noise_std must be finite and >= 0, got nan"),
+        ("noise_std", np.inf, r"noise_std must be finite and >= 0, got inf"),
+    ])
+    def test_nonfinite_config_rejected(self, field, value, message):
+        # rejected when built, not later inside generation with numpy's message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CrossroadConfig(**{field: value})
+
     def test_default_shapes(self):
         ds = generate_crossroad(CrossroadConfig(n_examples=3, seed=0))
         assert ds.meta["T"] == 3 and ds.meta["H"] == 2 and ds.meta["D"] == 2

@@ -30,6 +30,8 @@ from divtraj import (
     train_dsf,
 )
 from divtraj.dpp import GroundSet
+from divtraj.fileio import report_to_dict
+from divtraj.flows import DsfCodes
 from divtraj.synth import CrossroadConfig
 from divtraj.training import _DlowObjective, _DsfObjective, _run_optimizer
 
@@ -577,3 +579,54 @@ class TestTrainDlow:
         assert len(report.trace) == 12
         for entry in report.trace:
             assert entry["total"] == pytest.approx(sum(entry["terms"].values()), rel=1e-12)
+
+
+class TestOneDecoderPass:
+    """The trainers take each decode and its Jacobian from one ``linearize``
+    call, which must train exactly as separate ``decode_batch`` and
+    ``jacobian_batch`` calls do."""
+
+    @staticmethod
+    def runs():
+        rng = np.random.default_rng(30)
+        crossroad = CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1))
+        data = generate_crossroad(CrossroadConfig(mode_probs=(0.8, 0.1, 0.1), n_examples=6, seed=3))
+        ctx = Context(past=np.zeros((1, 2)))
+        dsf = TrainConfig(mode="dsf", k=5, iters=15, lr=0.02, seed=1, kernel=KernelConfig(sim_scale=2.0))
+        dlow = TrainConfig(mode="dlow", k=4, iters=10, lr=0.02, seed=2, noise_draws_per_iter=3,
+                           energy=EnergyConfig(sigma_d=10.0))
+        return {
+            "dsf crossroad": lambda: train_dsf(data, crossroad, dsf),
+            "dsf linear": lambda: train_dsf(ctx, linear_decoder(rng, n_z=2), dsf),
+            "dsf tabulated": lambda: train_dsf(ctx, tabulated_decoder(rng), dsf),
+            "dlow shared": lambda: train_dlow(data, crossroad, dlow),
+            "dlow featurized": lambda: train_dlow(
+                data, crossroad, dataclasses.replace(dlow, context_featurization=True)
+            ),
+        }
+
+    @staticmethod
+    def outcome(result):
+        params, report = result
+        arrays = (params.codes,) if isinstance(params, DsfCodes) else (params.A, params.b)
+        return [a.tolist() for a in arrays], report_to_dict(report), report.extras
+
+    @pytest.mark.parametrize(
+        "name", ["dsf crossroad", "dsf linear", "dsf tabulated", "dlow shared", "dlow featurized"]
+    )
+    def test_linearize_trains_as_decode_then_jacobian(self, name, monkeypatch):
+        fused = self.outcome(self.runs()[name]())
+        for cls in (CrossroadDecoder, LinearDecoder, TabulatedDecoder):
+            monkeypatch.setattr(
+                cls, "linearize", lambda self, Z: (self.decode_batch(Z), self.jacobian_batch(Z))
+            )
+        assert self.outcome(self.runs()[name]()) == fused
+
+    def test_crossroad_dsf_finds_sectors_once_per_evaluation(self, monkeypatch):
+        # N iterations evaluate the loss with its gradient N times, then once without
+        calls = []
+        polar = CrossroadDecoder._polar
+        monkeypatch.setattr(CrossroadDecoder, "_polar", lambda self, Z: calls.append(1) or polar(self, Z))
+        cfg = TrainConfig(mode="dsf", k=4, iters=7, lr=0.02, seed=0, kernel=KernelConfig(sim_scale=2.0))
+        train_dsf(Context(past=np.zeros((1, 2))), CrossroadDecoder(), cfg)
+        assert len(calls) == 7 + 1
