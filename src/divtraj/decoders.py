@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import _reject_unknown
-from .trajectory import Context
+from .trajectory import Context, _check_numbers
 
 __all__ = [
     "route_templates",
@@ -106,6 +106,7 @@ class LinearDecoder:
     ctx_proj: np.ndarray | None = None  # (T*D, ctx_feature_dim)
 
     def __post_init__(self):
+        _check_numbers(self, integers=("t_steps", "state_dim"))
         W = np.asarray(self.W, dtype=float)
         c0 = np.asarray(self.c0, dtype=float)
         if W.shape[0] != self.t_steps * self.state_dim or c0.shape != (W.shape[0],):
@@ -181,6 +182,7 @@ class CrossroadDecoder:
     within_mode_scale: float = 0.3
 
     def __post_init__(self):
+        _check_numbers(self, integers=("t_steps",), reals=("speed", "within_mode_scale"))
         probs = _checked_mode_probs(self.mode_probs)
         scale = self.within_mode_scale
         if not 0 < scale < math.inf:  # route_templates checks speed
@@ -299,6 +301,7 @@ class TabulatedDecoder:
     def __post_init__(self):
         from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._cdist
 
+        _check_numbers(self, integers=("t_steps", "state_dim"))
         axes = tuple(np.asarray(ax, dtype=float) for ax in self.z_grid)
         table = np.asarray(self.table, dtype=float)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
@@ -376,22 +379,8 @@ def decoder_from_config(cfg: dict):
     _reject_unknown(cfg, _CONFIG_KEYS[kind], "decoder config")
     if kind == "linear":
         return LinearDecoder(
-            W=np.asarray(cfg["W"], dtype=float),
-            c0=np.asarray(cfg["c0"], dtype=float),
-            t_steps=int(cfg["t_steps"]),
-            state_dim=int(cfg["state_dim"]),
-            ctx_proj=None if cfg.get("ctx_proj") is None else np.asarray(cfg["ctx_proj"], dtype=float),
+            W=cfg["W"], c0=cfg["c0"], t_steps=cfg["t_steps"], state_dim=cfg["state_dim"], ctx_proj=cfg.get("ctx_proj")
         )
-    if kind == "crossroad":
-        return CrossroadDecoder(
-            mode_probs=tuple(cfg["mode_probs"]),
-            speed=float(cfg["speed"]),
-            t_steps=int(cfg["t_steps"]),
-            within_mode_scale=float(cfg["within_mode_scale"]),
-        )
-    return TabulatedDecoder(
-        z_grid=tuple(np.asarray(ax, dtype=float) for ax in cfg["z_grid"]),
-        table=np.asarray(cfg["table"], dtype=float),
-        t_steps=int(cfg["T"]),
-        state_dim=int(cfg["D"]),
-    )
+    if kind == "crossroad":  # every key but "kind" is required and names a field
+        return CrossroadDecoder(**{key: cfg[key] for key in _CONFIG_KEYS[kind][1:]})
+    return TabulatedDecoder(z_grid=cfg["z_grid"], table=cfg["table"], t_steps=cfg["T"], state_dim=cfg["D"])

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .trajectory import _check_numbers
+
 __all__ = [
     "KernelConfig",
     "GroundSet",
@@ -44,6 +46,7 @@ class KernelConfig:
     rho: float = 0.9
 
     def __post_init__(self):
+        _check_numbers(self, reals=("sim_scale", "base_quality", "rho"))
         if not 0 < self.sim_scale < np.inf:
             raise ValueError(f"sim_scale must be finite and > 0, got {self.sim_scale}")
         if not 0 < self.base_quality < np.inf:

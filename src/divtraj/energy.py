@@ -16,7 +16,7 @@ import numpy as np
 
 from .dpp import DppKernel, expected_cardinality
 from .flows import AffineFlowSet, kl_to_standard_normal
-from .trajectory import SampleSet, _cdist, as_trajectory
+from .trajectory import SampleSet, _cdist, _check_numbers, as_trajectory
 
 __all__ = [
     "EnergyConfig",
@@ -46,6 +46,7 @@ class EnergyConfig:
     joint_split: tuple | None = None
 
     def __post_init__(self):
+        _check_numbers(self, reals=("sigma_d", "lambda_d", "lambda_r", "lambda_s", "beta"))
         if not 0 < self.sigma_d < math.inf:
             raise ValueError(f"sigma_d must be finite and > 0, got {self.sigma_d}")
         for name in ("lambda_d", "lambda_r", "lambda_s", "beta"):

@@ -48,57 +48,69 @@ def _check_version(obj: dict, path) -> None:
         raise ValueError(f"{path}: unsupported or missing format_version (expected {FORMAT_VERSION})")
 
 
-def write_dataset(path, dataset: Dataset) -> None:
-    """JSON lines: a header record, then one example per line."""
-    path = Path(path)
-    header = {"format_version": FORMAT_VERSION, "kind": "dataset", "meta": dataset.meta}
-    lines = [_dumps(header)]
-    for ex in dataset.examples:
-        lines.append(
-            _dumps(
-                {
-                    "id": ex.id,
-                    "past": ex.context.past.tolist(),
-                    "future": ex.future.tolist(),
-                    "features": ex.context.features.tolist(),
-                    "meta": ex.meta,
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+def _write_object(path, obj: dict) -> None:
+    """A single-object JSON artifact (model, report, metrics), stamped with
+    the format version."""
+    Path(path).write_text(_dumps({**obj, "format_version": FORMAT_VERSION}) + "\n")
 
 
-def read_dataset(path) -> Dataset:
+def _write_lines(path, kind: str, meta: dict, records) -> None:
+    """A JSON-lines artifact: a {"format_version", "kind", "meta"} header,
+    then one record per line."""
+    lines = [_dumps({"format_version": FORMAT_VERSION, "kind": kind, "meta": meta}), *map(_dumps, records)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_lines(path, kind: str):
+    """The header meta of a JSON-lines artifact of this ``kind``, after its
+    version and kind are checked, and an iterator that parses its records one
+    line at a time."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty dataset file")
+        raise ValueError(f"{path}: empty {kind} file")
     header = json.loads(lines[0])
     _check_version(header, path)
-    if header.get("kind") != "dataset":
-        raise ValueError(f"{path}: not a dataset file")
-    examples = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        examples.append(
-            Example(
-                context=Context(past=rec["past"], features=rec.get("features", [])),
-                future=rec["future"],
-                id=int(rec["id"]),
-                meta=rec.get("meta", {}),
-            )
+    if header.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} file")
+    return header.get("meta", {}), map(json.loads, lines[1:])
+
+
+def write_dataset(path, dataset: Dataset) -> None:
+    """JSON lines: a header record, then one example per line."""
+    records = (
+        {
+            "id": ex.id,
+            "past": ex.context.past.tolist(),
+            "future": ex.future.tolist(),
+            "features": ex.context.features.tolist(),
+            "meta": ex.meta,
+        }
+        for ex in dataset.examples
+    )
+    _write_lines(path, "dataset", dataset.meta, records)
+
+
+def read_dataset(path) -> Dataset:
+    meta, records = _read_lines(path, "dataset")
+    examples = tuple(
+        Example(
+            context=Context(past=rec["past"], features=rec.get("features", [])),
+            future=rec["future"],
+            id=int(rec["id"]),
+            meta=rec.get("meta", {}),
         )
-    return Dataset(examples=tuple(examples), meta=header.get("meta", {}))
+        for rec in records
+    )
+    return Dataset(examples=examples, meta=meta)
 
 
 def write_model(path, model: dict) -> None:
-    model = dict(model)
-    model["format_version"] = FORMAT_VERSION
     required = {"mode", "n_z", "K", "params", "decoder", "train_config", "seed"}
     missing = required - set(model)
     if missing:
         raise ValueError(f"model is missing fields: {sorted(missing)}")
-    Path(path).write_text(_dumps(model) + "\n")
+    _write_object(path, model)
 
 
 def read_model(path) -> dict:
@@ -118,37 +130,20 @@ def read_model(path) -> dict:
 
 def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
     """JSON lines: header, then {"id", "samples", optional "dpp_map"} per line."""
-    path = Path(path)
-    header = {"format_version": FORMAT_VERSION, "kind": "samples", "meta": meta or {}}
-    lines = [_dumps(header)]
-    for rec in records:
-        out = {"id": int(rec["id"]), "samples": np.asarray(rec["samples"], dtype=float).tolist()}
-        if rec.get("dpp_map") is not None:
-            out["dpp_map"] = [int(i) for i in rec["dpp_map"]]
-        lines.append(_dumps(out))
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        {"id": int(rec["id"]), "samples": np.asarray(rec["samples"], dtype=float).tolist()}
+        | ({} if rec.get("dpp_map") is None else {"dpp_map": [int(i) for i in rec["dpp_map"]]})
+        for rec in records
+    )
+    _write_lines(path, "samples", meta or {}, rows)
 
 
 def read_samples(path) -> list[dict]:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty samples file")
-    header = json.loads(lines[0])
-    _check_version(header, path)
-    if header.get("kind") != "samples":
-        raise ValueError(f"{path}: not a samples file")
-    records = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        records.append(
-            {
-                "id": int(rec["id"]),
-                "samples": np.asarray(rec["samples"], dtype=float),
-                "dpp_map": rec.get("dpp_map"),
-            }
-        )
-    return records
+    _, records = _read_lines(path, "samples")
+    return [
+        {"id": int(rec["id"]), "samples": np.asarray(rec["samples"], dtype=float), "dpp_map": rec.get("dpp_map")}
+        for rec in records
+    ]
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
@@ -186,7 +181,6 @@ def report_to_dict(report: TrainReport) -> dict:
     """Serializable training report; wall time is excluded to keep file
     hashes stable across reruns."""
     return {
-        "format_version": FORMAT_VERSION,
         "mode": report.mode,
         "seed": report.seed,
         "trace": [dict(entry) for entry in report.trace],
@@ -196,9 +190,7 @@ def report_to_dict(report: TrainReport) -> dict:
 
 
 def write_report(path, report_dict: dict) -> None:
-    report_dict = dict(report_dict)
-    report_dict.setdefault("format_version", FORMAT_VERSION)
-    Path(path).write_text(_dumps(report_dict) + "\n")
+    _write_object(path, report_dict)
 
 
 def metrics_to_csv(report: MetricsReport) -> str:

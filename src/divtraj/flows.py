@@ -78,10 +78,13 @@ class DsfCodes:
         return self.codes.shape[1]
 
 
-def _check_invertible(A: np.ndarray) -> None:
-    """Reject a stack of (..., n, n) maps unless every |det A| exceeds DET_TOL."""
-    if np.any(np.abs(np.linalg.det(A)) <= DET_TOL):
+def _check_invertible(A: np.ndarray) -> np.ndarray:
+    """Reject a stack of (..., n, n) maps unless every |det A| exceeds DET_TOL,
+    judged from log|det A| (-inf for a singular map); return the log|det A|."""
+    _, logabsdet = np.linalg.slogdet(A)
+    if np.any(logabsdet <= np.log(DET_TOL)):
         raise ValueError("flow not invertible: |det A_k| below threshold")
+    return logabsdet
 
 
 def apply_flows(flows: AffineFlowSet, eps) -> np.ndarray:
@@ -109,10 +112,11 @@ def invert_flow(flows: AffineFlowSet, k: int, z) -> np.ndarray:
 
 def _kl(A: np.ndarray, b: np.ndarray, grad: bool = False):
     """KL_k of N(b_k, A_k A_k^T) to N(0, I) for (..., K, n, n) maps and
-    (..., K, n) shifts; with ``grad`` also (dKL/dA, dKL/db), else None."""
+    (..., K, n) shifts; with ``grad`` also (dKL/dA, dKL/db), else None. A map
+    that is not invertible is rejected."""
+    logabsdet = _check_invertible(A)
     tr = np.einsum("...kij,...kij->...k", A, A)
     sq = np.einsum("...ki,...ki->...k", b, b)
-    _, logabsdet = np.linalg.slogdet(A)
     kl = 0.5 * (tr + sq - A.shape[-1] - 2.0 * logabsdet)
     if not grad:
         return kl, None

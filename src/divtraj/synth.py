@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import ROUTE_NAMES, _checked_mode_probs, route_templates
-from .trajectory import Context, Dataset, Example
+from .trajectory import Context, Dataset, Example, _check_numbers
 
 __all__ = ["CrossroadConfig", "generate_crossroad"]
 
@@ -35,6 +35,8 @@ class CrossroadConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reals = ("speed",) if self.noise_std is None else ("speed", "noise_std")
+        _check_numbers(self, integers=("n_examples", "past_steps", "future_steps", "seed"), reals=reals)
         probs = _checked_mode_probs(self.mode_probs)
         if self.n_examples < 1:
             raise ValueError("n_examples must be >= 1")

@@ -37,8 +37,8 @@ import numpy as np
 from . import dpp, energy
 from .dpp import KernelConfig
 from .energy import EnergyConfig
-from .flows import AffineFlowSet, DsfCodes, _apply_flows, _check_invertible, _fold_features, _kl
-from .trajectory import Context, Dataset, Example
+from .flows import AffineFlowSet, DsfCodes, _apply_flows, _fold_features, _kl
+from .trajectory import Context, Dataset, Example, _check_numbers
 
 __all__ = [
     "TrainConfig",
@@ -68,6 +68,7 @@ class TrainConfig:
     context_featurization: bool = False
 
     def __post_init__(self):
+        _check_numbers(self, integers=("k", "iters", "seed", "noise_draws_per_iter"), reals=("lr",))
         if self.mode not in ("dsf", "dlow"):
             raise ValueError(f"mode must be 'dsf' or 'dlow', got {self.mode!r}")
         for name in ("k", "iters", "noise_draws_per_iter"):
@@ -230,9 +231,8 @@ class _DlowObjective:
     # --- loss ----------------------------------------------------------------
     def evaluate(self, params: np.ndarray, grad: bool = False):
         a, b = self._flows(params)
-        _check_invertible(a)
         cfg = self.ecfg
-        kl, g_kl = _kl(a, b, grad)
+        kl, g_kl = _kl(a, b, grad)  # rejects a singular flow
         z = _apply_flows(a[:, None], b[:, None], self.eps[None])  # (M', E, K, n_z)
         codes, dec = z.reshape(-1, self.n_z), self.decoder
         v, jac = dec.linearize(codes) if grad else (dec.decode_batch(codes), None)

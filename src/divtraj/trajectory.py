@@ -11,6 +11,7 @@ headers):
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -54,6 +55,17 @@ def as_trajectory(steps) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("trajectory contains non-finite entries")
     return arr
+
+
+def _check_numbers(config, integers=(), reals=()) -> None:
+    """Reject a config whose ``integers`` fields are not integers or whose
+    ``reals`` fields are not real numbers; a bool is neither, a numpy scalar
+    of the right kind is either."""
+    for names, kind, what in ((integers, numbers.Integral, "an integer"), (reals, numbers.Real, "a number")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,12 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def traj_distance(a, b) -> float:
-    """Euclidean norm of the flattened difference between two trajectories."""
+    """Euclidean norm of the flattened difference between two trajectories,
+    its squares added in feature order, as ``apd`` adds them."""
     a = as_trajectory(a)
     b = as_trajectory(b)
     _check_same_shape(a, b)
-    return float(np.linalg.norm((a - b).reshape(-1)))
+    return float(_cdist(a.reshape(1, -1), b.reshape(1, -1))[0, 0])
 
 
 def _cdist(xa, xb, *args, **kwargs) -> np.ndarray:
@@ -352,17 +365,18 @@ def _self_rows(sets: list):
 def evaluate_sample_sets(dataset: Dataset, sample_sets: dict[int, SampleSet], eps: float) -> MetricsReport:
     """Compute the full metric table for per-example sample sets.
 
-    ``sample_sets`` maps example id -> SampleSet; every dataset example must
-    be covered. ``eps`` is the multi-modal context-grouping threshold. Each
+    ``sample_sets`` maps example id -> SampleSet, one for each dataset example
+    and no other. ``eps`` is the multi-modal context-grouping threshold. Each
     example's ADE/FDE rows against every future are computed in blocks of
     examples; its multi-modal metrics average the rows at its group members.
     """
     examples = dataset.examples
     if not examples:
         raise ValueError("dataset has no examples")
-    missing = [ex.id for ex in examples if ex.id not in sample_sets]
-    if missing:
-        raise ValueError(f"missing sample sets for example ids {missing}")
+    ids = {ex.id for ex in examples}
+    missing, extra = sorted(ids - set(sample_sets)), sorted(set(sample_sets) - ids)
+    if missing or extra:
+        raise ValueError(f"samples misaligned with dataset: missing ids {missing}, extra ids {extra}")
     futures = np.stack([ex.future for ex in examples])
     sets = [sample_sets[ex.id].samples for ex in examples]
     for s in sets:

@@ -1,8 +1,10 @@
 """File format and CLI pipeline tests."""
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,16 @@ import divtraj
 from divtraj import (
     Context,
     CrossroadConfig,
+    CrossroadDecoder,
     Dataset,
     EnergyConfig,
     Example,
     GroundSet,
     KernelConfig,
     AffineFlowSet,
+    LinearDecoder,
     SampleSet,
+    TabulatedDecoder,
     TrainConfig,
     apply_flows,
     build_kernel,
@@ -37,6 +42,7 @@ from divtraj.fileio import (
     train_config_to_dict,
     write_dataset,
     write_model,
+    write_samples,
 )
 
 
@@ -106,6 +112,73 @@ class TestFileFormats:
         for key, value in (("adam_beta1", 0.5), ("adam_beta2", 0.99), ("adam_eps", 0.0)):
             with pytest.raises(ValueError, match=f"{key} is fixed at"):
                 train_config_from_dict(dict(block, **{key: value}))
+
+
+def _write_dataset_file(path):
+    """A dataset with context features and example meta, through write_dataset."""
+    examples = tuple(
+        Example(
+            context=Context(past=np.full((2, 2), 0.1 * i), features=[i / 3.0, -1e-7]),
+            future=np.arange(6.0).reshape(3, 2) / (i + 7.0),
+            id=10 - i,
+            meta={"route": "left", "weight": 1 / (i + 3.0)},
+        )
+        for i in range(3)
+    )
+    write_dataset(path, Dataset(examples=examples, meta={"description": "three", "T": 3}))
+
+
+def _write_samples_file(path):
+    """Sample sets with and without a DPP MAP subset, through write_samples."""
+    rng = np.random.default_rng(8)
+    records = [
+        {"id": 2, "samples": rng.normal(size=(3, 2, 2)), "dpp_map": [2, 0]},
+        {"id": 5, "samples": rng.normal(size=(3, 2, 2)) / 3.0},
+    ]
+    write_samples(path, records, meta={"K": 3, "omega": 1.0})
+
+
+class TestJsonLinesCodec:
+    """Datasets and sample sets share one JSON-lines codec: the same header
+    checks and byte-stable records."""
+
+    KINDS = {
+        "dataset": (_write_dataset_file, read_dataset, _write_samples_file),
+        "samples": (_write_samples_file, read_samples, _write_dataset_file),
+    }
+
+    @pytest.mark.parametrize("kind", ["dataset", "samples"])
+    def test_header_errors(self, kind, tmp_path):
+        write, read, write_other = self.KINDS[kind]
+        path = tmp_path / "f.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty {kind} file$"):
+            read(path)
+        write_other(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a {kind} file$"):
+            read(path)
+        write(path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        for version in (None, 2, "1"):
+            if version is None:
+                del header["format_version"]
+            else:
+                header["format_version"] = version
+            path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+            expected = f"{path}: unsupported or missing format_version (expected 1)"
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                read(path)
+
+    def test_write_read_write_same_bytes(self, tmp_path):
+        _write_dataset_file(tmp_path / "a.jsonl")
+        write_dataset(tmp_path / "b.jsonl", read_dataset(tmp_path / "a.jsonl"))
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        _write_samples_file(tmp_path / "s.jsonl")
+        records = read_samples(tmp_path / "s.jsonl")
+        assert [rec["dpp_map"] for rec in records] == [[2, 0], None]
+        write_samples(tmp_path / "t.jsonl", records, meta={"K": 3, "omega": 1.0})
+        assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
 
 
 @pytest.fixture()
@@ -275,6 +348,95 @@ class TestTrain:
             "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
         ]) == 1
         assert "adam_beta1 is fixed at 0.9, got 0.5" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    """A config value of the wrong JSON type is a one-line error that names
+    the field: integer fields take integers, real fields real numbers, and
+    neither takes a bool."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, field):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and f"{field} must be" in line
+
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            ({"n_examples": 3.5}, "n_examples"),
+            ({"n_examples": "10"}, "n_examples"),
+            ({"n_examples": True}, "n_examples"),
+            ({"n_examples": 3, "seed": 1.5}, "seed"),
+            ({"n_examples": 3, "past_steps": 2.0}, "past_steps"),
+            ({"n_examples": 3, "noise_std": "0.1"}, "noise_std"),
+        ],
+    )
+    def test_gen_data(self, tmp_path, capsys, block, field):
+        (tmp_path / "gen.json").write_text(json.dumps(block))
+        assert run(["gen-data", "--config", tmp_path / "gen.json", "--out", tmp_path / "d.jsonl"]) == 1
+        self.assert_one_error_line(capsys, field)
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            (None, "k", 2.5),
+            (None, "k", True),
+            (None, "iters", "5"),
+            (None, "iters", 5.0),
+            (None, "seed", 0.5),
+            (None, "lr", "0.1"),
+            ("decoder", "t_steps", 3.5),
+            ("decoder", "speed", "1.0"),
+            ("kernel", "rho", "0.9"),
+            ("energy", "beta", False),
+        ],
+    )
+    def test_train(self, workdir, capsys, block, key, value):
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        cfg = json.loads(json.dumps(DSF_TRAIN_CONFIG))
+        (cfg.setdefault(block, {}) if block else cfg)[key] = value
+        (workdir / "bad.json").write_text(json.dumps(cfg))
+        assert run([
+            "train", "--config", workdir / "bad.json", "--dataset", workdir / "d.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 1
+        self.assert_one_error_line(capsys, key)
+        assert not (workdir / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (CrossroadConfig, "n_examples", 3.5),
+            (CrossroadConfig, "seed", True),
+            (CrossroadConfig, "noise_std", "0.1"),
+            (TrainConfig, "k", np.True_),
+            (TrainConfig, "noise_draws_per_iter", 8.0),
+            (TrainConfig, "lr", "0.1"),
+            (KernelConfig, "rho", None),
+            (EnergyConfig, "sigma_d", "10"),
+            (EnergyConfig, "beta", False),
+            (CrossroadDecoder, "t_steps", 3.5),
+            (CrossroadDecoder, "within_mode_scale", "0.3"),
+            (partial(LinearDecoder, W=np.zeros((6, 2)), c0=np.zeros(6), state_dim=2), "t_steps", 3.0),
+            (partial(TabulatedDecoder, z_grid=([0.0, 1.0],), table=np.zeros((2, 3, 2)), t_steps=3), "state_dim", 2.0),
+        ],
+    )
+    def test_direct_construction(self, make, field, value):
+        integral = field in ("n_examples", "seed", "k", "noise_draws_per_iter", "t_steps", "state_dim")
+        kind = "an integer" if integral else "a number"
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+            make(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = CrossroadConfig(n_examples=np.int64(2), seed=np.uint8(3), speed=np.float32(1.5), noise_std=np.float64(0))
+        assert (cfg.n_examples, cfg.noise_std) == (2, 0.0)
+        assert TrainConfig(k=np.int32(3), iters=np.int64(2), lr=np.float16(0.5)).k == 3
+        assert KernelConfig(rho=np.float32(0.5)).rho == 0.5
+        assert EnergyConfig(beta=np.int64(2)).beta == 2
+        assert CrossroadDecoder(t_steps=np.int64(4), speed=2).templates["forward"].shape == (4, 2)
 
 
 def _train_model(workdir):

@@ -62,6 +62,18 @@ class TestInvertFlow:
         with pytest.raises(ValueError, match="not invertible"):
             single_flow(np.zeros((2, 2)), np.zeros(2))
 
+    def test_threshold_on_log_determinant(self):
+        # |det A| = 2e-12 passes, 1e-13 fails, as do an exactly singular map
+        # and its inversion; every check reads slogdet, none calls det
+        assert single_flow(np.diag([2e-12, 1.0]), np.zeros(2)).k == 1
+        for a in (np.diag([1e-13, 1.0]), np.diag([0.0, 1.0])):
+            with pytest.raises(ValueError, match="not invertible"):
+                single_flow(a, np.zeros(2))
+        flows = single_flow(np.eye(2), np.zeros(2))
+        flows.A[0, 1, 1] = 0.0  # singular after construction
+        with pytest.raises(ValueError, match="not invertible"):
+            invert_flow(flows, 0, np.zeros(2))
+
 
 class TestKl:
     def test_matched_gaussian_is_zero(self):

@@ -350,6 +350,19 @@ class TestTrainDsf:
 
 
 class TestTrainDlow:
+    @pytest.mark.parametrize("name", ["dlow shared", "dlow featurized"])
+    def test_one_factorization_per_evaluation(self, name, monkeypatch):
+        # the singular-flow check reads the log-determinant the KL takes, so
+        # training never calls np.linalg.det and trains exactly as before
+        runs, outcome = TestOneDecoderPass.runs, TestOneDecoderPass.outcome
+        expected = outcome(runs()[name]())
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert outcome(runs()[name]()) == expected
+
     def test_pure_kl_objective_reaches_standard_normal(self):
         # lambda_d = lambda_r = 0: the unique minimum is A A^T = I, b = 0
         rng = np.random.default_rng(7)

@@ -53,6 +53,18 @@ class TestTrajDistance:
         with pytest.raises(ValueError):
             traj_distance(np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
 
+    def test_equals_pair_apd_bitwise(self):
+        # both add the squares in feature order, so they agree to the last bit,
+        # also from T * D = 8 on, where numpy's norm sums pairwise
+        rng = np.random.default_rng(17)
+        sizes = 0
+        for _ in range(300):
+            t, d = rng.integers(1, 13), rng.integers(1, 4)
+            a, b = rng.normal(size=(2, t, d)) * 10.0 ** rng.uniform(-3, 3)
+            assert traj_distance(a, b) == apd(SampleSet(np.stack([a, b])))
+            sizes += t * d >= 8
+        assert sizes > 100
+
 
 class TestAde:
     def test_exact_sample(self):
@@ -323,6 +335,17 @@ class TestEvaluateSampleSets:
         ds = _dataset_from_contexts([np.zeros((2, 2))], [np.zeros((3, 2))])
         with pytest.raises(ValueError, match="missing"):
             evaluate_sample_sets(ds, {}, eps=0.0)
+
+    def test_extra_ids_rejected_not_dropped(self):
+        ds = _dataset_from_contexts([np.full((2, 2), i) for i in range(3)], [np.zeros((3, 2))] * 3)
+        sets = {i: make_samples(ZERO32, ONES32) for i in range(5)}
+        with pytest.raises(ValueError, match=re.escape("misaligned with dataset: missing ids [], extra ids [3, 4]")):
+            evaluate_sample_sets(ds, sets, eps=0.0)
+        with pytest.raises(ValueError, match=re.escape("missing ids [2], extra ids [7]")):
+            evaluate_sample_sets(ds, {0: sets[0], 1: sets[1], 7: sets[2]}, eps=0.0)
+        # the empty-dataset check comes first
+        with pytest.raises(ValueError, match="dataset has no examples"):
+            evaluate_sample_sets(Dataset(examples=()), sets, eps=0.0)
 
     def test_nan_eps_rejected(self):
         ds = _dataset_from_contexts([np.zeros((2, 2))], [np.zeros((3, 2))])
