@@ -30,7 +30,6 @@ from .energy import (
     diversity_energy,
     dlow_loss,
     dsf_loss,
-    joint_sampler_loss,
     reconstruction_energy,
     similarity_energy,
 )

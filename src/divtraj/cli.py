@@ -18,6 +18,7 @@ import numpy as np
 from .decoders import decoder_from_config
 from .dpp import _greedy_map_sets
 from .fileio import (
+    _TRAIN_CONFIG_KEYS,
     _kernel_config,
     _reject_unknown,
     metrics_to_csv,
@@ -56,9 +57,9 @@ def _apply_overrides(block: dict, args, keys) -> dict:
 
 def cmd_gen_data(args) -> int:
     block = _load_json(args.config)
+    _reject_unknown(block, (*CrossroadConfig.__dataclass_fields__, "out"), "gen-data config")
     block.pop("out", None)  # older configs' output path; --out gives it
     block = _apply_overrides(block, args, ["seed"])
-    _reject_unknown(block, CrossroadConfig.__dataclass_fields__, "gen-data config")
     cfg = CrossroadConfig(**block)
     dataset = generate_crossroad(cfg)
     write_dataset(args.out, dataset)
@@ -74,6 +75,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     block = _load_json(args.config)
+    _reject_unknown(block, (*_TRAIN_CONFIG_KEYS, "decoder"), "train config")
     decoder_block = block.pop("decoder", None)
     if decoder_block is None:
         raise ValueError("train config must contain a 'decoder' block")
@@ -140,7 +142,7 @@ def cmd_sample(args) -> int:
     dataset = read_dataset(args.dataset)
     k = int(model["K"])
     seed = args.seed if args.seed is not None else int(model["seed"])
-    kcfg = _kernel_config(dict(model["train_config"].get("kernel", {}), base_quality=args.omega))
+    kcfg = _kernel_config(model["train_config"].get("kernel", {}), base_quality=args.omega)
     examples = dataset.examples
     records = []
     if examples:  # nothing to stack: an empty dataset gets a header-only file

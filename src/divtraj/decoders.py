@@ -30,13 +30,12 @@ heading at s per step; left/right are quarter-circle arcs of radius
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fileio import _reject_unknown
-from .trajectory import Context, _check_numbers
+from .trajectory import Context, _check_fields, _check_value
 
 __all__ = [
     "route_templates",
@@ -59,10 +58,8 @@ _ROUTE_HEADINGS = {
 
 def route_templates(speed: float, t_steps: int) -> dict[str, np.ndarray]:
     """Exact T x 2 route offsets relative to the junction for the three routes."""
-    if not 0 < speed < math.inf:
-        raise ValueError(f"speed must be finite and > 0, got {speed}")
-    if t_steps < 1:
-        raise ValueError(f"t_steps must be >= 1, got {t_steps}")
+    _check_value("speed", speed, "positive")
+    _check_value("t_steps", t_steps, "count")
     t = np.arange(1, t_steps + 1, dtype=float)
     forward = np.stack([speed * t, np.zeros(t_steps)], axis=1)
     radius = 2.0 * speed * t_steps / np.pi
@@ -83,7 +80,12 @@ def _over_leading_axes(linearize_codes, Z, jac: bool = True) -> tuple:
 
 
 def _checked_mode_probs(mode_probs) -> tuple:
-    """The three route probabilities as floats: each >= 0, summing to 1."""
+    """The three route probabilities, a list of numbers, as floats: each >= 0,
+    summing to 1."""
+    if not isinstance(mode_probs, (list, tuple, np.ndarray)):
+        raise ValueError(f"mode_probs must be a list of 3 numbers, got {mode_probs!r}")
+    for p in mode_probs:
+        _check_value("mode_probs entry", p, "number")
     probs = tuple(float(p) for p in mode_probs)
     if len(probs) != 3 or not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-12:
         raise ValueError(f"mode_probs must be 3 finite values >= 0 summing to 1, got {list(probs)}")
@@ -106,7 +108,7 @@ class LinearDecoder:
     ctx_proj: np.ndarray | None = None  # (T*D, ctx_feature_dim)
 
     def __post_init__(self):
-        _check_numbers(self, integers=("t_steps", "state_dim"))
+        _check_fields(self, t_steps="count", state_dim="count")
         W = np.asarray(self.W, dtype=float)
         c0 = np.asarray(self.c0, dtype=float)
         if W.shape[0] != self.t_steps * self.state_dim or c0.shape != (W.shape[0],):
@@ -182,11 +184,8 @@ class CrossroadDecoder:
     within_mode_scale: float = 0.3
 
     def __post_init__(self):
-        _check_numbers(self, integers=("t_steps",), reals=("speed", "within_mode_scale"))
+        _check_fields(self, t_steps="count", speed="positive", within_mode_scale="positive")
         probs = _checked_mode_probs(self.mode_probs)
-        scale = self.within_mode_scale
-        if not 0 < scale < math.inf:  # route_templates checks speed
-            raise ValueError(f"within_mode_scale must be finite and > 0, got {scale}")
         object.__setattr__(self, "mode_probs", probs)
         p_f, p_l, p_r = probs
         object.__setattr__(
@@ -301,7 +300,7 @@ class TabulatedDecoder:
     def __post_init__(self):
         from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._cdist
 
-        _check_numbers(self, integers=("t_steps", "state_dim"))
+        _check_fields(self, t_steps="count", state_dim="count")
         axes = tuple(np.asarray(ax, dtype=float) for ax in self.z_grid)
         table = np.asarray(self.table, dtype=float)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
@@ -363,7 +362,7 @@ class TabulatedDecoder:
         }
 
 
-_CONFIG_KEYS = {
+_CONFIG_KEYS = {  # every key of a kind's block is required but the linear "ctx_proj"
     "linear": ("kind", "W", "c0", "t_steps", "state_dim", "ctx_proj"),
     "crossroad": ("kind", "mode_probs", "speed", "t_steps", "within_mode_scale"),
     "tabulated": ("kind", "z_grid", "T", "D", "table"),
@@ -372,15 +371,17 @@ _CONFIG_KEYS = {
 
 def decoder_from_config(cfg: dict):
     """Rebuild a decoder from its serialized config block; a key its kind
-    does not use is rejected."""
+    does not use, or a missing one, is rejected."""
+    _reject_unknown(cfg, set().union(*_CONFIG_KEYS.values()), "decoder config")  # an object before its kind is read
     kind = cfg.get("kind")
     if kind not in _CONFIG_KEYS:
         raise ValueError(f"unknown decoder kind: {kind!r}")
-    _reject_unknown(cfg, _CONFIG_KEYS[kind], "decoder config")
+    keys = _CONFIG_KEYS[kind]
+    _reject_unknown(cfg, keys, "decoder config", required=[key for key in keys if key != "ctx_proj"])
     if kind == "linear":
         return LinearDecoder(
             W=cfg["W"], c0=cfg["c0"], t_steps=cfg["t_steps"], state_dim=cfg["state_dim"], ctx_proj=cfg.get("ctx_proj")
         )
-    if kind == "crossroad":  # every key but "kind" is required and names a field
+    if kind == "crossroad":  # every key but "kind" names a field
         return CrossroadDecoder(**{key: cfg[key] for key in _CONFIG_KEYS[kind][1:]})
     return TabulatedDecoder(z_grid=cfg["z_grid"], table=cfg["table"], t_steps=cfg["T"], state_dim=cfg["D"])

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .trajectory import _check_numbers
+from .trajectory import _check_fields, _check_value
 
 __all__ = [
     "KernelConfig",
@@ -46,11 +46,7 @@ class KernelConfig:
     rho: float = 0.9
 
     def __post_init__(self):
-        _check_numbers(self, reals=("sim_scale", "base_quality", "rho"))
-        if not 0 < self.sim_scale < np.inf:
-            raise ValueError(f"sim_scale must be finite and > 0, got {self.sim_scale}")
-        if not 0 < self.base_quality < np.inf:
-            raise ValueError(f"base_quality must be finite and > 0, got {self.base_quality}")
+        _check_fields(self, sim_scale="positive", base_quality="positive", rho="number")
         if not 0 < self.rho < 1:
             raise ValueError("rho must be in (0, 1)")
 
@@ -109,8 +105,7 @@ def _rbf_similarity(items: np.ndarray, sim_scale: float) -> np.ndarray:
 
 def build_similarity(items, sim_scale: float) -> np.ndarray:
     """RBF similarity S_ij = exp(-sim_scale * d^2(x_i, x_j)), unit diagonal."""
-    if not 0 < sim_scale < np.inf:
-        raise ValueError(f"sim_scale must be finite and > 0, got {sim_scale}")
+    _check_value("sim_scale", sim_scale, "positive")
     items = np.atleast_2d(np.asarray(items, dtype=float))
     if not np.all(np.isfinite(items)):
         raise ValueError("items contain non-finite entries")
@@ -128,8 +123,7 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     """
     if not 0 < rho < 1:
         raise ValueError("rho must be in (0, 1)")
-    if latent_dim < 1:
-        raise ValueError("latent_dim must be >= 1")
+    _check_value("latent_dim", latent_dim, "count")
     from scipy.special import gammaincinv  # lazy: see trajectory._cdist
 
     return float(np.sqrt(2.0 * gammaincinv(latent_dim / 2.0, rho)))

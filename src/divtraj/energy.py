@@ -1,10 +1,9 @@
 """Diversity and quality objectives for trajectory sample sets.
 
-Includes the expected-cardinality loss for direct-code samplers, the
+Includes the expected-cardinality loss for direct-code samplers and the
 energy-based objective for affine-flow samplers (RBF diversity energy,
 min-distance reconstruction energy, optional similar-slice energy for
-controllable prediction), and the joint multi-sample variant that adds the
-three terms over whole multi-agent trajectories.
+controllable prediction).
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .dpp import DppKernel, expected_cardinality
 from .flows import AffineFlowSet, kl_to_standard_normal
-from .trajectory import SampleSet, _cdist, _check_numbers, as_trajectory
+from .trajectory import SampleSet, _cdist, _check_fields, _check_value, as_trajectory
 
 __all__ = [
     "EnergyConfig",
@@ -25,7 +24,6 @@ __all__ = [
     "similarity_energy",
     "dsf_loss",
     "dlow_loss",
-    "joint_sampler_loss",
 ]
 
 
@@ -46,15 +44,16 @@ class EnergyConfig:
     joint_split: tuple | None = None
 
     def __post_init__(self):
-        _check_numbers(self, reals=("sigma_d", "lambda_d", "lambda_r", "lambda_s", "beta"))
-        if not 0 < self.sigma_d < math.inf:
-            raise ValueError(f"sigma_d must be finite and > 0, got {self.sigma_d}")
-        for name in ("lambda_d", "lambda_r", "lambda_s", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.joint_split is not None:
-            j_s, j_d = self.joint_split
-            object.__setattr__(self, "joint_split", (tuple(j_s), tuple(j_d)))
+        nonnegative = dict.fromkeys(("lambda_d", "lambda_r", "lambda_s", "beta"), "nonnegative")
+        _check_fields(self, sigma_d="positive", **nonnegative)
+        split = self.joint_split
+        if split is not None:
+            lists = (list, tuple)
+            if not (isinstance(split, lists) and len(split) == 2 and all(isinstance(part, lists) for part in split)):
+                raise ValueError(f"joint_split must be a pair of integer lists, got {split!r}")
+            for j in (*split[0], *split[1]):
+                _check_value("joint_split entry", j, "integer")
+            object.__setattr__(self, "joint_split", (tuple(split[0]), tuple(split[1])))
 
     def validate_split(self, dim: int) -> None:
         if self.joint_split is not None:
@@ -215,8 +214,7 @@ def diversity_energy(samples: SampleSet, sigma_d: float, dims=None) -> float:
     ``dims``, when given, restricts the distance to those state dimensions
     (controllable mode).
     """
-    if not 0 < sigma_d < math.inf:
-        raise ValueError(f"sigma_d must be finite and > 0, got {sigma_d}")
+    _check_value("sigma_d", sigma_d, "positive")
     if samples.k < 2:
         raise ValueError("diversity energy requires K >= 2")
     cols = slice(None) if dims is None else _dim_columns(dims, *samples.samples.shape[1:])
@@ -270,20 +268,3 @@ def dlow_loss(flows: AffineFlowSet, samples: SampleSet, gt, cfg: EnergyConfig) -
         "raw": {"kl_sum": kl_sum, "e_d": e_d, "e_r": e_r, "e_s": e_s},
     }
 
-
-def joint_sampler_loss(sample_sets, gt, kls, sigma_d: float) -> float:
-    """Joint multi-sample loss: best-sample squared error + KL sum + RBF
-    pairwise proximity over whole joint trajectories (0 when K = 1)."""
-    if not 0 < sigma_d < math.inf:
-        raise ValueError(f"sigma_d must be finite and > 0, got {sigma_d}")
-    stacked = np.stack([np.asarray(y, dtype=float) for y in sample_sets])
-    gt = np.asarray(gt, dtype=float)
-    if stacked.shape[1:] != gt.shape:
-        raise ValueError(f"shape mismatch: samples {stacked.shape[1:]} vs gt {gt.shape}")
-    k = stacked.shape[0]
-    flat = stacked.reshape(k, -1)
-    recon = float(_reconstruction(flat, gt.reshape(-1))[0])
-    kl_sum = float(np.sum(np.asarray(kls, dtype=float)))
-    if k < 2:
-        return recon + kl_sum
-    return recon + kl_sum + float(_diversity(flat, sigma_d)[0])

@@ -150,29 +150,40 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-def _reject_unknown(block: dict, allowed, where: str) -> None:
+def _reject_unknown(block: dict, allowed, where: str, required=()) -> None:
+    """Reject a config block that is not a JSON object, has a key outside
+    ``allowed`` or lacks a ``required`` one."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ValueError(f"{where} is missing keys {missing}")
 
 
-def _kernel_config(block: dict) -> KernelConfig:
+def _kernel_config(block: dict, **overrides) -> KernelConfig:
     """The KernelConfig of a kernel block, from a train config or a saved model."""
-    block = dict(block)
+    _reject_unknown(block, (*KernelConfig.__dataclass_fields__, "latent_dim"), "kernel config")
+    block = dict(block, **overrides)
     block.pop("latent_dim", None)  # older files; the quality sphere now takes the codes' n_z
-    _reject_unknown(block, KernelConfig.__dataclass_fields__, "kernel config")
     return KernelConfig(**block)
 
 
+# TrainConfig's fields, and keys that older configs carry
+_TRAIN_CONFIG_KEYS = (*TrainConfig.__dataclass_fields__, "fd_step", "adam_beta1", "adam_beta2", "adam_eps")
+
+
 def train_config_from_dict(block: dict) -> TrainConfig:
+    _reject_unknown(block, _TRAIN_CONFIG_KEYS, "train config")
     block = dict(block)
     block.pop("fd_step", None)  # finite-difference step of older configs, now unused
     for key, fixed in zip(("adam_beta1", "adam_beta2", "adam_eps"), (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)):
         if (value := block.pop(key, fixed)) != fixed:  # older configs; Adam's constants are fixed
             raise ValueError(f"{key} is fixed at {fixed}, got {value}")
     kernel = _kernel_config(block.pop("kernel", {}))
-    energy_block = dict(block.pop("energy", {}))
-    _reject_unknown(block, TrainConfig.__dataclass_fields__, "train config")
+    energy_block = block.pop("energy", {})
     _reject_unknown(energy_block, EnergyConfig.__dataclass_fields__, "energy config")
     return TrainConfig(kernel=kernel, energy=EnergyConfig(**energy_block), **block)
 

@@ -13,13 +13,12 @@ Example generation is seeded per example (generator seeded with
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoders import ROUTE_NAMES, _checked_mode_probs, route_templates
-from .trajectory import Context, Dataset, Example, _check_numbers
+from .trajectory import Context, Dataset, Example, _check_fields
 
 __all__ = ["CrossroadConfig", "generate_crossroad"]
 
@@ -35,18 +34,13 @@ class CrossroadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        reals = ("speed",) if self.noise_std is None else ("speed", "noise_std")
-        _check_numbers(self, integers=("n_examples", "past_steps", "future_steps", "seed"), reals=reals)
+        optional = {} if self.noise_std is None else {"noise_std": "nonnegative"}
+        _check_fields(
+            self, n_examples="count", past_steps="count", future_steps="count", seed="integer", speed="positive",
+            **optional,
+        )
         probs = _checked_mode_probs(self.mode_probs)
-        if self.n_examples < 1:
-            raise ValueError("n_examples must be >= 1")
-        if self.past_steps < 1 or self.future_steps < 1:
-            raise ValueError("past_steps and future_steps must be >= 1")
-        if not 0 < self.speed < math.inf:
-            raise ValueError(f"speed must be finite and > 0, got {self.speed}")
         noise = 0.02 * self.speed if self.noise_std is None else float(self.noise_std)
-        if not 0 <= noise < math.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {noise}")
         object.__setattr__(self, "mode_probs", probs)
         object.__setattr__(self, "noise_std", noise)
 

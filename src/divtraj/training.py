@@ -38,7 +38,7 @@ from . import dpp, energy
 from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .flows import AffineFlowSet, DsfCodes, _apply_flows, _fold_features, _kl
-from .trajectory import Context, Dataset, Example, _check_numbers
+from .trajectory import Context, Dataset, Example, _check_fields
 
 __all__ = [
     "TrainConfig",
@@ -68,14 +68,13 @@ class TrainConfig:
     context_featurization: bool = False
 
     def __post_init__(self):
-        _check_numbers(self, integers=("k", "iters", "seed", "noise_draws_per_iter"), reals=("lr",))
+        _check_fields(
+            self, k="count", iters="count", seed="integer", noise_draws_per_iter="count",
+            lr="nonnegative",  # zero is allowed as an explicit no-op probe
+            fix_first_identity="flag", context_featurization="flag",
+        )
         if self.mode not in ("dsf", "dlow"):
             raise ValueError(f"mode must be 'dsf' or 'dlow', got {self.mode!r}")
-        for name in ("k", "iters", "noise_draws_per_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0 <= self.lr < np.inf:  # zero is allowed as an explicit no-op probe
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ headers):
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -57,15 +58,32 @@ def as_trajectory(steps) -> np.ndarray:
     return arr
 
 
-def _check_numbers(config, integers=(), reals=()) -> None:
-    """Reject a config whose ``integers`` fields are not integers or whose
-    ``reals`` fields are not real numbers; a bool is neither, a numpy scalar
-    of the right kind is either."""
-    for names, kind, what in ((integers, numbers.Integral, "an integer"), (reals, numbers.Real, "a number")):
-        for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+# kind: (accepted types, what they are, the range test or None, what it asks)
+_VALUE_KINDS = {
+    "flag": ((bool, np.bool_), "true or false", None, ""),
+    "integer": (numbers.Integral, "an integer", None, ""),
+    "count": (numbers.Integral, "an integer", lambda v: v >= 1, ">= 1"),
+    "number": (numbers.Real, "a number", None, ""),
+    "positive": (numbers.Real, "a number", lambda v: 0 < v < math.inf, "finite and > 0"),
+    "nonnegative": (numbers.Real, "a number", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+}
+
+
+def _check_value(name: str, value, kind: str) -> None:
+    """Reject a ``value`` that is not of ``kind`` (a key of ``_VALUE_KINDS``)
+    with a message that names it ``name``. A bool is a flag and never a
+    number; a numpy scalar of the right kind passes."""
+    types, what, in_range, bound = _VALUE_KINDS[kind]
+    if not isinstance(value, types) or (kind != "flag" and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if in_range is not None and not in_range(value):
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _check_fields(obj, **kinds: str) -> None:
+    """``_check_value`` on each named field of ``obj``, in the order given."""
+    for name, kind in kinds.items():
+        _check_value(name, getattr(obj, name), kind)
 
 
 @dataclass(frozen=True)
@@ -167,9 +185,6 @@ class MetricsReport:
     means: dict
     conventions: str = METRIC_CONVENTIONS
     group_sizes: tuple = ()  # multi-modal group member counts, in dataset order
-
-    def mean(self, name: str) -> float:
-        return self.means[name]
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:

@@ -67,6 +67,10 @@ DSF_TRAIN_CONFIG = {
 }
 
 
+# a test value: the key is taken out of its block
+MISSING = object()
+
+
 # Adam's constants, which version-1 train configs and saved models carry
 ADAM_CONSTANTS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
@@ -353,14 +357,16 @@ class TestTrain:
 class TestConfigTypes:
     """A config value of the wrong JSON type is a one-line error that names
     the field: integer fields take integers, real fields real numbers, and
-    neither takes a bool."""
+    neither takes a bool; flags take only a bool, ``mode_probs`` a list of
+    numbers, and a config or block that is not a JSON object, or a decoder
+    block without a key, names the block."""
 
     @staticmethod
-    def assert_one_error_line(capsys, field):
+    def assert_one_error_line(capsys, field, says="must be"):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         (line,) = err.splitlines()
-        assert line.startswith("error: ") and f"{field} must be" in line
+        assert line.startswith("error: ") and f"{field} {says}" in line
 
     @pytest.mark.parametrize(
         "block, field",
@@ -371,6 +377,11 @@ class TestConfigTypes:
             ({"n_examples": 3, "seed": 1.5}, "seed"),
             ({"n_examples": 3, "past_steps": 2.0}, "past_steps"),
             ({"n_examples": 3, "noise_std": "0.1"}, "noise_std"),
+            ({"n_examples": 3, "mode_probs": 0.5}, "mode_probs"),
+            ({"n_examples": 3, "mode_probs": "abc"}, "mode_probs"),
+            ({"n_examples": 3, "mode_probs": [True, False, False]}, "mode_probs entry"),
+            ({"n_examples": 3, "mode_probs": ["0.8", "0.1", "0.1"]}, "mode_probs entry"),
+            ([1, 2], "gen-data config"),
         ],
     )
     def test_gen_data(self, tmp_path, capsys, block, field):
@@ -392,18 +403,41 @@ class TestConfigTypes:
             ("decoder", "speed", "1.0"),
             ("kernel", "rho", "0.9"),
             ("energy", "beta", False),
+            (None, "fix_first_identity", "no"),
+            (None, "fix_first_identity", 1),
+            (None, "context_featurization", None),
+            ("decoder", "mode_probs", 0.5),
+            ("decoder", "mode_probs", "abc"),
+            ("energy", "joint_split", 5),
+            ("energy", "joint_split", [[0], [1], [2]]),
+            # no key: the block, or with no block the whole config, is the value
+            ("kernel", None, 5),
+            ("energy", None, "x"),
+            ("decoder", None, 5),
+            (None, None, [1, 2]),
+            ("decoder", "mode_probs", MISSING),
         ],
     )
     def test_train(self, workdir, capsys, block, key, value):
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
         cfg = json.loads(json.dumps(DSF_TRAIN_CONFIG))
-        (cfg.setdefault(block, {}) if block else cfg)[key] = value
+        if key is None:
+            cfg = value if block is None else dict(cfg, **{block: value})
+        elif value is MISSING:
+            del cfg[block][key]
+        else:
+            (cfg.setdefault(block, {}) if block else cfg)[key] = value
         (workdir / "bad.json").write_text(json.dumps(cfg))
         assert run([
             "train", "--config", workdir / "bad.json", "--dataset", workdir / "d.jsonl",
             "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
         ]) == 1
-        self.assert_one_error_line(capsys, key)
+        if key is None:
+            self.assert_one_error_line(capsys, f"{block or 'train'} config", "must be a JSON object")
+        elif value is MISSING:
+            self.assert_one_error_line(capsys, f"{block} config", f"is missing keys ['{key}']")
+        else:
+            self.assert_one_error_line(capsys, key)
         assert not (workdir / "m.json").exists()
 
     @pytest.mark.parametrize(
@@ -422,11 +456,23 @@ class TestConfigTypes:
             (CrossroadDecoder, "within_mode_scale", "0.3"),
             (partial(LinearDecoder, W=np.zeros((6, 2)), c0=np.zeros(6), state_dim=2), "t_steps", 3.0),
             (partial(TabulatedDecoder, z_grid=([0.0, 1.0],), table=np.zeros((2, 3, 2)), t_steps=3), "state_dim", 2.0),
+            (TrainConfig, "fix_first_identity", "no"),
+            (TrainConfig, "fix_first_identity", 1),
+            (TrainConfig, "context_featurization", None),
+            (CrossroadConfig, "mode_probs", 0.5),
+            (CrossroadDecoder, "mode_probs", "abc"),
+            (EnergyConfig, "joint_split", 5),
+            (EnergyConfig, "joint_split", [[0], [1], [2]]),
         ],
     )
     def test_direct_construction(self, make, field, value):
         integral = field in ("n_examples", "seed", "k", "noise_draws_per_iter", "t_steps", "state_dim")
-        kind = "an integer" if integral else "a number"
+        kind = {
+            "fix_first_identity": "true or false",
+            "context_featurization": "true or false",
+            "mode_probs": "a list of 3 numbers",
+            "joint_split": "a pair of integer lists",
+        }.get(field, "an integer" if integral else "a number")
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
             make(**{field: value})
 
@@ -437,6 +483,9 @@ class TestConfigTypes:
         assert KernelConfig(rho=np.float32(0.5)).rho == 0.5
         assert EnergyConfig(beta=np.int64(2)).beta == 2
         assert CrossroadDecoder(t_steps=np.int64(4), speed=2).templates["forward"].shape == (4, 2)
+        for flag in (True, False, np.True_, np.bool_(False)):  # a flag takes a bool, numpy's too
+            cfg = TrainConfig(fix_first_identity=flag, context_featurization=flag)
+            assert cfg.fix_first_identity == cfg.context_featurization == flag
 
 
 def _train_model(workdir):

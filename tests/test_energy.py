@@ -15,7 +15,6 @@ from divtraj import (
     dlow_loss,
     dsf_loss,
     expected_cardinality,
-    joint_sampler_loss,
     reconstruction_energy,
     similarity_energy,
 )
@@ -338,43 +337,6 @@ class TestDlowLoss:
         for sigma_d in (0.0, value):
             with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
                 EnergyConfig(sigma_d=sigma_d)
-
-
-class TestJointSamplerLoss:
-    def test_single_perfect_sample(self):
-        gt = np.arange(8.0).reshape(2, 4)
-        assert joint_sampler_loss([gt], gt, [0.0], 4.0) == pytest.approx(0.0)
-
-    def test_two_identical_samples_on_gt(self):
-        gt = np.arange(8.0).reshape(2, 4)
-        assert joint_sampler_loss([gt, gt], gt, [0.0, 0.0], 4.0) == pytest.approx(1.0)
-
-    def test_term_by_term(self):
-        sigma_d = 4.0
-        gt = np.zeros((2, 2))
-        y1 = gt.copy()
-        y1[0, 0] = 2.0  # squared recon distance 4
-        y2 = gt.copy()
-        y2[0, 1] = 1.0  # squared recon distance 1
-        # pair squared distance = 4 + 1 = 5 != sigma_d; rescale y2 so that
-        # ||y1 - y2||^2 = sigma_d: choose y2 with squared distance to y1 = 4
-        y2 = gt.copy()
-        y2[1, 0] = 1.0  # recon 1; ||y1-y2||^2 = 4 + 1 = 5
-        loss = joint_sampler_loss([y1, y2], gt, [0.1, 0.2], 5.0)
-        assert loss == pytest.approx(1.0 + 0.3 + np.exp(-1.0))
-
-    def test_value_from_spec_arithmetic(self):
-        assert 1.0 + 0.3 + np.exp(-1.0) == pytest.approx(1.6679, abs=2e-4)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_sampler_loss([np.zeros((2, 2))], np.zeros((3, 2)), [0.0], 1.0)
-
-    @pytest.mark.parametrize("sigma_d", [0.0, -1.0, np.nan, np.inf, -np.inf])
-    def test_sigma_must_be_finite_and_positive(self, sigma_d):
-        gt = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
-            joint_sampler_loss([gt, gt + 1.0], gt, [0.0, 0.0], sigma_d)
 
 
 class TestGradientDescentIncreasesApd:
