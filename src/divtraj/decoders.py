@@ -111,6 +111,8 @@ class LinearDecoder:
         _check_fields(self, t_steps="count", state_dim="count")
         W = np.asarray(self.W, dtype=float)
         c0 = np.asarray(self.c0, dtype=float)
+        if W.ndim != 2:
+            raise ValueError(f"W must be a 2-d array, got {W.ndim}-d")
         if W.shape[0] != self.t_steps * self.state_dim or c0.shape != (W.shape[0],):
             raise ValueError("W/c0 shapes inconsistent with t_steps * state_dim")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(c0))):
@@ -119,6 +121,8 @@ class LinearDecoder:
         object.__setattr__(self, "c0", c0)
         if self.ctx_proj is not None:
             m = np.asarray(self.ctx_proj, dtype=float)
+            if m.ndim != 2:
+                raise ValueError(f"ctx_proj must be a 2-d array, got {m.ndim}-d")
             if m.shape[0] != W.shape[0] or not np.all(np.isfinite(m)):
                 raise ValueError("ctx_proj has wrong shape or non-finite entries")
             object.__setattr__(self, "ctx_proj", m)
@@ -301,7 +305,10 @@ class TabulatedDecoder:
         from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._cdist
 
         _check_fields(self, t_steps="count", state_dim="count")
-        axes = tuple(np.asarray(ax, dtype=float) for ax in self.z_grid)
+        grid = self.z_grid
+        if not isinstance(grid, (list, tuple)) or not all(isinstance(ax, (list, tuple, np.ndarray)) for ax in grid):
+            raise ValueError(f"z_grid must be a list of axes, each a list of numbers, got {grid!r}")
+        axes = tuple(np.asarray(ax, dtype=float) for ax in grid)
         table = np.asarray(self.table, dtype=float)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
         if table.shape != expected:
@@ -374,6 +381,8 @@ def decoder_from_config(cfg: dict):
     does not use, or a missing one, is rejected."""
     _reject_unknown(cfg, set().union(*_CONFIG_KEYS.values()), "decoder config")  # an object before its kind is read
     kind = cfg.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError(f"decoder kind must be a string, got {kind!r}")
     if kind not in _CONFIG_KEYS:
         raise ValueError(f"unknown decoder kind: {kind!r}")
     keys = _CONFIG_KEYS[kind]

@@ -9,6 +9,7 @@ standard-normal mass in the codes' own dimension n_z.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -86,6 +87,13 @@ class DppKernel:
         return self.L.shape[0]
 
 
+# Bytes of the largest array one block of a kernel build or search holds:
+# a block of (sets, rows, N, F) item differences, or the (sets, N, N) kernels
+# and greedy state of a block of ground sets. Eval's grouping blocks
+# (trajectory._GROUP_BLOCK_BYTES) take the same size.
+_KERNEL_BLOCK_BYTES = 1 << 20
+
+
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x``: (..., N, F) -> (..., N, N).
 
@@ -93,14 +101,32 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     the package that does not add them in feature order, as the energies and
     the metrics do. The DPP kernel keeps this order on purpose: the README
     walkthrough's trained DSF codes are sensitive to the last bit of S, and
-    the ``cdist`` order moved their mean APD by 1.5%."""
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+    the ``cdist`` order moved their mean APD by 1.5%.
+
+    Besides the result, one block of differences is held at a time, at most
+    ``_KERNEL_BLOCK_BYTES`` (or one row): whole sets a block while a set's
+    (N, N, F) differences fit, else a block of rows of one set. The einsum adds
+    each entry's F squares on their own, so every block gives its entries the
+    bits of one einsum over the whole (..., N, N, F) difference tensor."""
+    n, f = x.shape[-2:]
+    sets = x.reshape((math.prod(x.shape[:-2]), n, f))
+    out = np.empty(sets.shape[:2] + (n,), dtype=x.dtype)
+    rows = max(1, _KERNEL_BLOCK_BYTES // max(1, n * f * x.itemsize))  # F = 0 has no differences
+    step = max(1, rows // n)  # whole sets a block, or one set a block of rows
+    for first in range(0, len(sets), step):
+        block = sets[first : first + step]
+        for i in range(0, n, rows):
+            diff = block[:, i : i + rows, None, :] - block[:, None, :, :]
+            np.einsum("...ijk,...ijk->...ij", diff, diff, out=out[first : first + step, i : i + rows])
+            del diff  # before the next block is made
+    return out.reshape(x.shape[:-1] + (n,))
 
 
 def _rbf_similarity(items: np.ndarray, sim_scale: float) -> np.ndarray:
     # finite items have d^2(x, x) = 0 exactly, so the diagonal is exp(0) = 1
-    return np.exp(-sim_scale * _pairwise_sq_dists(items))
+    s = _pairwise_sq_dists(items)
+    s *= -sim_scale
+    return np.exp(s, out=s)
 
 
 def build_similarity(items, sim_scale: float) -> np.ndarray:
@@ -154,7 +180,8 @@ def _kernel(items: np.ndarray, latents: np.ndarray, config: KernelConfig, vector
     broken input and raises."""
     s = _rbf_similarity(items, config.sim_scale)
     r = _latent_quality(latents, config)
-    L = r[..., :, None] * s * r[..., None, :]
+    L = r[..., :, None] * s
+    L *= r[..., None, :]
     lam, u = np.linalg.eigh(L) if vectors else (np.linalg.eigvalsh(L), None)
     floor = -PSD_TOL * np.maximum(1.0, lam[..., -1])
     bad = lam[..., 0] < floor
@@ -278,18 +305,17 @@ def greedy_map(kernel: DppKernel) -> list[int]:
     return _greedy_map(kernel.L[None])[0]
 
 
-# Bytes of one block's (sets, N, N, F) item differences, the largest array of
-# a kernel build; the block's kernels and greedy state are smaller.
-_KERNEL_BLOCK_BYTES = 4 << 20
-
-
 def _greedy_map_sets(items: np.ndarray, latents: np.ndarray, config: KernelConfig) -> list[list[int]]:
     """``greedy_map(build_kernel(GroundSet(items[i], latents[i]), config))``
     for each of B ground sets, (B, N, F) items and (B, N, n_z) latents. The
-    kernels of a block of sets are built, PSD-checked and searched together."""
+    kernels of a block of sets are built, PSD-checked and searched together;
+    the block's (sets, N, N) kernels and greedy arrays each take at most
+    ``_KERNEL_BLOCK_BYTES`` (or one set), and its distances are built a block
+    of differences at a time within that."""
     if not (np.all(np.isfinite(items)) and np.all(np.isfinite(latents))):
         raise ValueError("ground set contains non-finite entries")
-    step = max(1, _KERNEL_BLOCK_BYTES // (items.shape[1] * items[:1].nbytes))
+    n = items.shape[1]
+    step = max(1, _KERNEL_BLOCK_BYTES // (n * n * items.itemsize))
     selections = []
     for first in range(0, len(items), step):
         block = slice(first, first + step)

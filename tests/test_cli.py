@@ -71,6 +71,15 @@ DSF_TRAIN_CONFIG = {
 MISSING = object()
 
 
+# the decoder block a wrong-type case starts from when its key belongs to
+# the linear or the tabulated kind (2-d codes, T = 3, D = 2)
+DECODER_WITH_KEY = {
+    "W": {"kind": "linear", "W": [[1.0, 0.0]] * 6, "c0": [0.0] * 6, "t_steps": 3, "state_dim": 2},
+    "z_grid": {"kind": "tabulated", "z_grid": [[-1.0, 1.0]] * 2, "table": np.zeros((2, 2, 3, 2)).tolist(), "T": 3, "D": 2},
+}
+DECODER_WITH_KEY["ctx_proj"] = DECODER_WITH_KEY["W"]
+
+
 # Adam's constants, which version-1 train configs and saved models carry
 ADAM_CONSTANTS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
@@ -358,8 +367,9 @@ class TestConfigTypes:
     """A config value of the wrong JSON type is a one-line error that names
     the field: integer fields take integers, real fields real numbers, and
     neither takes a bool; flags take only a bool, ``mode_probs`` a list of
-    numbers, and a config or block that is not a JSON object, or a decoder
-    block without a key, names the block."""
+    numbers, a decoder's ``kind`` a string, ``W`` and ``ctx_proj`` 2-d
+    arrays and ``z_grid`` a list of lists; a config or block that is not a
+    JSON object, or a decoder block without a key, names the block."""
 
     @staticmethod
     def assert_one_error_line(capsys, field, says="must be"):
@@ -416,11 +426,17 @@ class TestConfigTypes:
             ("decoder", None, 5),
             (None, None, [1, 2]),
             ("decoder", "mode_probs", MISSING),
+            ("decoder", "kind", ["crossroad"]),
+            ("decoder", "W", 5),
+            ("decoder", "ctx_proj", 5),
+            ("decoder", "z_grid", 5),
         ],
     )
     def test_train(self, workdir, capsys, block, key, value):
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
         cfg = json.loads(json.dumps(DSF_TRAIN_CONFIG))
+        if block == "decoder" and key in DECODER_WITH_KEY:
+            cfg["decoder"] = dict(DECODER_WITH_KEY[key])
         if key is None:
             cfg = value if block is None else dict(cfg, **{block: value})
         elif value is MISSING:

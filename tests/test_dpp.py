@@ -74,6 +74,53 @@ class TestBuildSimilarity:
         assert np.all(s > 0.0) and np.all(s <= 1.0)
 
 
+def _one_einsum_sq_dists(x):
+    """The distances as one einsum over the whole (..., N, N, F) difference
+    tensor: the reference ``_pairwise_sq_dists`` must match bit for bit."""
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+
+
+class TestPairwiseSqDists:
+    @pytest.mark.parametrize("shape", [(12, 9, 5), (3, 4, 9, 5), (30, 5), (4, 1, 3), (6, 7, 0)])
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "whole stack",  # the default bound: one einsum
+            "3 sets",  # several whole sets a block
+            "1 set",  # exactly one set a block
+            "2 rows",  # a few rows of one set a block
+            "1 byte",  # below one row: a row a block
+        ],
+    )
+    def test_equals_one_einsum_bitwise(self, monkeypatch, shape, block):
+        n, f = shape[-2:]
+        row_bytes = n * f * 8  # one row's differences against its set
+        bound = {"3 sets": 3 * n * row_bytes, "1 set": n * row_bytes, "2 rows": 2 * row_bytes, "1 byte": 1}
+        if block in bound:
+            monkeypatch.setattr(dpp, "_KERNEL_BLOCK_BYTES", bound[block])
+        rng = np.random.default_rng(30)
+        for scale in (1e-3, 1.0, 1e3, 10.0 ** rng.uniform(-3, 3, size=shape)):
+            x = rng.normal(size=shape) * scale
+            got, want = dpp._pairwise_sq_dists(x), _one_einsum_sq_dists(x)
+            assert got.shape == shape[:-1] + (n,)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            if f == 0:
+                assert not got.any()
+
+    def test_memory_one_block_over_many_sets(self):
+        # 200 sets of 30 items: their differences would take 41 MiB at once,
+        # the distances take 1.4 MiB and a block of differences 1 MiB
+        x = np.random.default_rng(31).normal(size=(200, 30, 30))
+        tracemalloc.start()
+        try:
+            dpp._pairwise_sq_dists(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 class TestKernelConfig:
     @pytest.mark.parametrize("name", ["sim_scale", "base_quality"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
@@ -161,6 +208,20 @@ class TestBuildKernel:
         kernel = build_kernel(ground, cfg)
         rebuilt = kernel.r[:, None] * kernel.S * kernel.r[None, :]
         np.testing.assert_allclose(kernel.L, rebuilt, rtol=1e-12)
+
+    def test_memory_bounded_at_n1000(self):
+        # one (N, N, F) difference tensor would take 458 MiB here; S (the
+        # distances, scaled in place), L and the eigenvectors take 7.6 MiB each
+        rng = np.random.default_rng(23)
+        ground = GroundSet(items=rng.normal(size=(1000, 60)), latents=rng.normal(size=(1000, 4)))
+        tracemalloc.start()
+        try:
+            kernel = build_kernel(ground, KernelConfig(sim_scale=0.01, base_quality=1.0, rho=0.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.n == 1000 and kernel.eigvals[-1] > 1.0
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_every_path_builds_the_same_kernel(self, monkeypatch):
         # the DSF objective and the batched greedy MAP build their kernels from
@@ -493,7 +554,10 @@ class TestBatchedGreedyMap:
         latents[3, 4] = latents[3, 1]
         expected = [greedy_map(build_kernel(GroundSet(items=x, latents=z), cfg)) for x, z in zip(items, latents)]
         assert dpp._greedy_map_sets(items, latents, cfg) == expected
-        monkeypatch.setattr(dpp, "_KERNEL_BLOCK_BYTES", 3 * items[0].nbytes * 7)  # 3 sets a block
+        kernel_bytes = 7 * 7 * 8  # one set's (N, N) kernel
+        monkeypatch.setattr(dpp, "_KERNEL_BLOCK_BYTES", 3 * kernel_bytes)  # 3 sets a block
+        assert dpp._greedy_map_sets(items, latents, cfg) == expected
+        monkeypatch.setattr(dpp, "_KERNEL_BLOCK_BYTES", 2 * items[0].nbytes)  # 1 set a block, 2 rows of differences
         assert dpp._greedy_map_sets(items, latents, cfg) == expected
 
     def test_sets_reject_non_finite_and_non_psd(self, monkeypatch):
