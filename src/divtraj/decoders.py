@@ -30,6 +30,7 @@ heading at s per step; left/right are quarter-circle arcs of radius
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,19 @@ def _over_leading_axes(linearize_codes, Z, jac: bool = True) -> tuple:
     return tuple(None if out is None else out.reshape(*lead, *out.shape[1:]) for out in outs)
 
 
+def _float_array(name: str, value, what: str = "an array of numbers in rows of equal length") -> np.ndarray:
+    """``value`` as a float array. A ragged nesting, or an entry that is not a
+    number (a string, a bool, null), raises ``<name> must be <what>``, where
+    numpy's own message would not name the field."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    return arr.astype(float, copy=False)
+
+
 def _checked_mode_probs(mode_probs) -> tuple:
     """The three route probabilities, a list of numbers, as floats: each >= 0,
     summing to 1."""
@@ -109,8 +123,8 @@ class LinearDecoder:
 
     def __post_init__(self):
         _check_fields(self, t_steps="count", state_dim="count")
-        W = np.asarray(self.W, dtype=float)
-        c0 = np.asarray(self.c0, dtype=float)
+        W = _float_array("W", self.W)
+        c0 = _float_array("c0", self.c0)
         if W.ndim != 2:
             raise ValueError(f"W must be a 2-d array, got {W.ndim}-d")
         if W.shape[0] != self.t_steps * self.state_dim or c0.shape != (W.shape[0],):
@@ -120,7 +134,7 @@ class LinearDecoder:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "c0", c0)
         if self.ctx_proj is not None:
-            m = np.asarray(self.ctx_proj, dtype=float)
+            m = _float_array("ctx_proj", self.ctx_proj)
             if m.ndim != 2:
                 raise ValueError(f"ctx_proj must be a 2-d array, got {m.ndim}-d")
             if m.shape[0] != W.shape[0] or not np.all(np.isfinite(m)):
@@ -302,14 +316,14 @@ class TabulatedDecoder:
     _interp: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._cdist
+        from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._sq_dists
 
         _check_fields(self, t_steps="count", state_dim="count")
-        grid = self.z_grid
+        grid, axes_of_numbers = self.z_grid, "a list of axes, each a list of numbers"
         if not isinstance(grid, (list, tuple)) or not all(isinstance(ax, (list, tuple, np.ndarray)) for ax in grid):
-            raise ValueError(f"z_grid must be a list of axes, each a list of numbers, got {grid!r}")
-        axes = tuple(np.asarray(ax, dtype=float) for ax in grid)
-        table = np.asarray(self.table, dtype=float)
+            raise ValueError(f"z_grid must be {axes_of_numbers}, got {grid!r}")
+        axes = tuple(_float_array("z_grid", ax, axes_of_numbers) for ax in grid)
+        table = _float_array("table", self.table)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} does not match grid {expected}")

@@ -98,10 +98,11 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x``: (..., N, F) -> (..., N, N).
 
     The einsum sums the squares in its own order: this is the only distance in
-    the package that does not add them in feature order, as the energies and
-    the metrics do. The DPP kernel keeps this order on purpose: the README
-    walkthrough's trained DSF codes are sensitive to the last bit of S, and
-    the ``cdist`` order moved their mean APD by 1.5%.
+    the package that does not come from ``trajectory._sq_dists``, which the
+    energies and the metrics share and which adds them in feature order. The
+    DPP kernel keeps this order on purpose: the README walkthrough's trained
+    DSF codes are sensitive to the last bit of S, and the feature order moved
+    their mean APD by 1.5%.
 
     Besides the result, one block of differences is held at a time, at most
     ``_KERNEL_BLOCK_BYTES`` (or one row): whole sets a block while a set's
@@ -150,7 +151,7 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     if not 0 < rho < 1:
         raise ValueError("rho must be in (0, 1)")
     _check_value("latent_dim", latent_dim, "count")
-    from scipy.special import gammaincinv  # lazy: see trajectory._cdist
+    from scipy.special import gammaincinv  # lazy: see trajectory._sq_dists
 
     return float(np.sqrt(2.0 * gammaincinv(latent_dim / 2.0, rho)))
 

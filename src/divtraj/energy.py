@@ -4,18 +4,21 @@ Includes the expected-cardinality loss for direct-code samplers and the
 energy-based objective for affine-flow samplers (RBF diversity energy,
 min-distance reconstruction energy, optional similar-slice energy for
 controllable prediction).
+
+The energies compute no distances of their own: every squared distance,
+within a sample set or from a set to its ground truth, comes from
+``trajectory._sq_dists``, as the evaluation metrics' do, so the squares are
+added in feature order with no difference tensor built.
 """
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dpp import DppKernel, expected_cardinality
 from .flows import AffineFlowSet, kl_to_standard_normal
-from .trajectory import SampleSet, _cdist, _check_fields, _check_value, as_trajectory
+from .trajectory import SampleSet, _check_fields, _check_value, _sq_dists, as_trajectory
 
 __all__ = [
     "EnergyConfig",
@@ -73,27 +76,12 @@ def _dim_columns(dims, t_steps: int, state_dim: int) -> np.ndarray:
     return (np.arange(t_steps)[:, None] * state_dim + np.asarray(dims, dtype=int)).reshape(-1)
 
 
-def _set_sq_dists(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the samples of each (..., K, F)
-    sample set, (..., K, K): one ``cdist`` per set into one preallocated
-    array, so no (..., K, K, F) difference tensor is built. ``cdist`` sums the
-    squares in feature order, as ``_target_sq_dists`` and the APD/ASD/FSD
-    metrics do, and gives an exact zero diagonal. Only the DPP kernel keeps
-    another order; ``dpp._pairwise_sq_dists`` says why."""
-    *lead, k, f = v.shape
-    sets = v.reshape(math.prod(lead), k, f)  # not -1: F may be 0
-    out = np.empty((len(sets), k, k))
-    for x, dists in zip(sets, out):
-        _cdist(x, x, "sqeuclidean", out=dists)
-    return out.reshape(*lead, k, k)
-
-
 def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
     """Mean RBF proximity exp(-d^2 / sigma_d) over the ordered pairs of each
-    (..., K, F) sample set, d^2 from ``_set_sq_dists``; with ``grad`` also
-    its gradient wrt ``v``, else None."""
+    (..., K, F) sample set, d^2 from ``_sq_dists``; with ``grad`` also its
+    gradient wrt ``v``, else None."""
     k = v.shape[-2]
-    w = _set_sq_dists(v)
+    w = _sq_dists(v, v)
     np.exp(np.divide(w, -sigma_d, out=w), out=w)
     w.reshape(-1, k * k)[:, :: k + 1] = 0.0  # pairs i != j only
     value = w.sum(axis=(-2, -1)) / (k * (k - 1))
@@ -102,51 +90,13 @@ def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
     return value, (-4.0 / (sigma_d * k * (k - 1))) * (w.sum(axis=-1)[..., None] * v - w @ v)
 
 
-@functools.lru_cache(maxsize=64)
-def _target_plan(v_shape: tuple, gt_shape: tuple) -> tuple:
-    """How ``_target_sq_dists`` lays out (..., K, F) samples and (..., F)
-    targets of these shapes: the shape gt reads as, the leading-axis order,
-    the (calls, rows, F) shapes of both operands, and the result's shape and
-    axis order back. A trainer asks for one pair of shapes at every
-    evaluation, so each plan is worked out once."""
-    *lead_v, k, f = v_shape
-    gt_shape = (1,) * (len(lead_v) + 1 - len(gt_shape)) + gt_shape
-    lead_g = gt_shape[:-1]
-    lead = np.broadcast_shapes(tuple(lead_v), lead_g)
-    only_gt = [i for i, n in enumerate(lead) if lead_v[i] != n]  # v broadcasts along these
-    only_v = [i for i, n in enumerate(lead) if lead_g[i] != n]  # gt broadcasts along these
-    both = [i for i in range(len(lead)) if i not in only_gt + only_v]
-    order = both + only_gt + only_v
-    n_both, n_gt, n_v = (math.prod(lead[i] for i in axes) for axes in (both, only_gt, only_v))
-    back = (*np.argsort(order).tolist(), len(order))
-    lead_shape = (*(lead[i] for i in order), k)
-    return gt_shape, order, (n_both, n_v * k, f), (n_both, n_gt, f), lead_shape, back
-
-
-def _target_sq_dists(v: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (..., K) from the samples of each (..., K, F)
-    sample set to its (..., F) ground truth, squares added in feature order by
-    ``cdist``. The leading axes along which both ``v`` and ``gt`` vary are
-    looped over, one ``cdist`` each; within one call, every target along
-    ``gt``'s other axes meets every sample along ``v``'s. So a flow set
-    shared by M examples costs one call, one set per example M calls, and no
-    (..., K, F) difference tensor is built."""
-    gt_shape, order, x_shape, y_shape, lead_shape, back = _target_plan(v.shape, gt.shape)
-    xs = v.transpose(*order, -2, -1).reshape(x_shape)
-    ys = gt.reshape(gt_shape).transpose(*order, -1).reshape(y_shape)
-    out = np.empty((*y_shape[:2], x_shape[1]))
-    for x, y, dists in zip(xs, ys, out):
-        _cdist(y, x, "sqeuclidean", out=dists)
-    return out.reshape(lead_shape).transpose(back)
-
-
 def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
     """Min squared distance from each (..., K, F) sample set to its (..., F)
-    ground truth, d^2 from ``_target_sq_dists``; with ``grad`` also its
-    gradient wrt ``v``, else None. That gradient is 2 (v - gt) at each set's
-    first nearest sample and zero elsewhere, summed in C order over the axes
-    along which ``gt`` broadcasts ``v``, so it is shaped like ``v``."""
-    dist2 = _target_sq_dists(v, gt)
+    ground truth, d^2 from ``_sq_dists``; with ``grad`` also its gradient wrt
+    ``v``, else None. That gradient is 2 (v - gt) at each set's first nearest
+    sample and zero elsewhere, summed in C order over the axes along which
+    ``gt`` broadcasts ``v``, so it is shaped like ``v``."""
+    dist2 = _sq_dists(gt[..., None, :], v)[..., 0, :]
     value = dist2.min(axis=-1)
     if not grad:
         return value, None
@@ -163,10 +113,10 @@ def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
 
 def _similarity(v: np.ndarray, grad: bool = False):
     """Mean squared distance over the ordered pairs of each (..., K, F) sample
-    set (0 for F = 0), d^2 from ``_set_sq_dists``; with ``grad`` also its
+    set (0 for F = 0), d^2 from ``_sq_dists``; with ``grad`` also its
     gradient wrt ``v``, else None."""
     k = v.shape[-2]
-    value = _set_sq_dists(v).sum(axis=(-2, -1)) / (k * (k - 1))
+    value = _sq_dists(v, v).sum(axis=(-2, -1)) / (k * (k - 1))
     if not grad:
         return value, None
     return value, (4.0 / (k * (k - 1))) * (k * v - v.sum(axis=-2, keepdims=True))

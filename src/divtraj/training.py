@@ -23,8 +23,10 @@ that depends only on the run's shapes is done once per run. The kernel, its
 spectrum, E|Y| and E|Y|'s gradient come from the batched private functions in ``dpp``;
 flow application, the invertibility check, the flow KL and its gradient from
 ``flows``; the three energies, their J_d/J_s columns and their gradient from
-``energy``. The public functions of those modules wrap the same code. The
-optimizer names the iteration in any error an evaluation raises.
+``energy``, whose distances come from ``trajectory._sq_dists`` (its layout
+plan for the run's shapes is worked out once and cached there). The public
+functions of those modules wrap the same code. The optimizer names the
+iteration in any error an evaluation raises.
 """
 from __future__ import annotations
 

@@ -11,6 +11,7 @@ headers):
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -198,31 +199,67 @@ def traj_distance(a, b) -> float:
     a = as_trajectory(a)
     b = as_trajectory(b)
     _check_same_shape(a, b)
-    return float(_cdist(a.reshape(1, -1), b.reshape(1, -1))[0, 0])
+    return float(np.sqrt(_sq_dists(a.reshape(1, -1), b.reshape(1, -1))[0, 0]))
 
 
-def _cdist(xa, xb, *args, **kwargs) -> np.ndarray:
-    """``scipy.spatial.distance.cdist``, imported on first call, so that
-    importing the package (and ``gen-data``) never loads scipy."""
+@functools.lru_cache(maxsize=64)
+def _sq_dists_plan(x_shape: tuple, y_shape: tuple) -> tuple:
+    """How ``_sq_dists`` lays out (..., N, F) and (..., P, F) operands of
+    these shapes: the leading shape each reads as, the leading-axis order,
+    the (calls, rows, F) shapes of both, and the result's shape and axis
+    order back. A trainer asks for one pair of shapes at every evaluation,
+    so each plan is worked out once."""
+    *lead_x, n, f = x_shape
+    *lead_y, p, _ = y_shape
+    ndim = max(len(lead_x), len(lead_y))
+    lead_x = (1,) * (ndim - len(lead_x)) + tuple(lead_x)
+    lead_y = (1,) * (ndim - len(lead_y)) + tuple(lead_y)
+    lead = np.broadcast_shapes(lead_x, lead_y)
+    only_x = [i for i in range(ndim) if lead_y[i] != lead[i]]  # y broadcasts along these
+    only_y = [i for i in range(ndim) if lead_x[i] != lead[i]]  # x broadcasts along these
+    both = [i for i in range(ndim) if i not in only_x + only_y]
+    order = both + only_x + only_y
+    n_both, n_x, n_y = (math.prod(lead[i] for i in axes) for axes in (both, only_x, only_y))
+    axes = both + only_x + [ndim] + only_y + [ndim + 1]  # the computed result's axes, numbered as in (*lead, N, P)
+    out_shape = tuple((*lead, n, p)[i] for i in axes)
+    back = tuple(np.argsort(axes).tolist())
+    return lead_x, lead_y, order, (n_both, n_x * n, f), (n_both, n_y * p, f), out_shape, back
+
+
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (..., N, P) from the rows of each (..., N, F)
+    ``x`` to those of the matching (..., P, F) ``y``, the leading axes
+    broadcast. ``scipy.spatial.distance.cdist`` adds the squares in feature
+    order (only the DPP kernel keeps another order; ``dpp._pairwise_sq_dists``
+    says why) and gives an exact zero between equal rows. One ``cdist`` runs
+    per index of the leading axes along which both operands vary; along an
+    axis where only one varies, its rows join that operand's rows of one
+    call. So one flow set shared by M examples costs one call, and no
+    (..., N, P, F) difference tensor is built. scipy is imported here, on
+    first call, so that importing the package (and ``gen-data``) never
+    loads it."""
     from scipy.spatial.distance import cdist
 
-    return cdist(xa, xb, *args, **kwargs)
+    lead_x, lead_y, order, x_shape, y_shape, out_shape, back = _sq_dists_plan(x.shape, y.shape)
+    xs = x.reshape(*lead_x, *x.shape[-2:]).transpose(*order, -2, -1).reshape(x_shape)
+    ys = y.reshape(*lead_y, *y.shape[-2:]).transpose(*order, -2, -1).reshape(y_shape)
+    out = np.empty((x_shape[0], x_shape[1], y_shape[1]))
+    for xi, yi, dists in zip(xs, ys, out):
+        cdist(xi, yi, "sqeuclidean", out=dists)
+    return out.reshape(out_shape).transpose(back)
 
 
 def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
     """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures
-    (G, T, D), one ``cdist`` per timestep, which adds the squares in feature
-    order, as every distance of the package but the DPP kernel's does. Below
-    D = 8 numpy adds in order too, so they equal
+    (G, T, D), the square roots of ``_sq_dists`` over each timestep. Below
+    D = 8 numpy adds the squares in feature order too, so they equal
     ``norm(samples[:, None] - futures[None], axis=3)`` bitwise; from D = 8 on,
     numpy sums pairwise and the two can differ in the last bit.
     The array is a view of (T, K, G) memory, so a mean over T adds the
     timesteps in order, elementwise over (K, G)."""
     _check_same_shape(samples[0], futures[0])  # (K, 1, D) must not pass as (K, T, D)
-    out = np.empty((samples.shape[1], len(samples), len(futures)))
-    for t, dists in enumerate(out):
-        _cdist(samples[:, t], futures[:, t], out=dists)
-    return out.transpose(1, 2, 0)
+    dists = _sq_dists(samples.transpose(1, 0, 2), futures.transpose(1, 0, 2))
+    return np.sqrt(dists, out=dists).transpose(1, 2, 0)
 
 
 def _best_of_k(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +283,9 @@ def fde(samples: SampleSet, gt) -> float:
 def _self_metrics(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(APD, ASD, FSD), each (B,), of B sample sets stacked as (B, K, T, D).
 
-    The squared differences are formed feature-major, (T, D, B, K, K), and
-    added one feature after another: in flattened (T, D) order for APD, over
-    D for each step's distance. ASD adds the step distances in time order and
+    The distances come from ``_sq_dists``, which adds the squares in feature
+    order: in flattened (T, D) order for APD, over D for each step's
+    distance. ASD adds the (T, B, K, K) step distances in time order and
     divides by T. Where T < 8 and T * D < 8 this equals the
     ``np.linalg.norm`` definition over (B, K, K, T, D) differences bitwise;
     beyond, numpy sums eight or more terms pairwise and the two can differ in
@@ -256,27 +293,17 @@ def _self_metrics(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     b, k, t_steps, d = sets.shape
     if k < 2:
         raise ValueError("asd/fsd require at least 2 samples")
-    x = np.ascontiguousarray(sets.transpose(2, 3, 0, 1))  # (T, D, B, K)
-    sq = x[..., :, None] - x[..., None, :]  # (T, D, B, K, K)
-    np.square(sq, out=sq)
-    apd_vals = np.sqrt(_sum_rows(sq.reshape(t_steps * d, b, k, k))).sum(axis=(1, 2)) / (k * (k - 1))
-    step_dists = np.sqrt(np.stack([_sum_rows(step) for step in sq]))  # (T, B, K, K)
+    flat = sets.reshape(b, k, t_steps * d)
+    apd_vals = np.sqrt(_sq_dists(flat, flat)).sum(axis=(1, 2)) / (k * (k - 1))
+    steps = sets.transpose(2, 0, 1, 3)  # (T, B, K, D)
+    step_dists = np.sqrt(_sq_dists(steps, steps))  # (T, B, K, K)
     diag = np.arange(k)
 
     def nearest_mean(dists):  # (B, K, K) -> mean over i of min over j != i; overwrites the diagonal
         dists[:, diag, diag] = np.inf
         return dists.min(axis=2).mean(axis=1)
 
-    return apd_vals, nearest_mean(_sum_rows(step_dists) / t_steps), nearest_mean(step_dists[-1])
-
-
-def _sum_rows(rows: np.ndarray) -> np.ndarray:
-    """Elementwise sum of ``rows[0], rows[1], ...`` added in that order, into a
-    new array."""
-    acc = rows[0].copy()
-    for row in rows[1:]:
-        acc += row
-    return acc
+    return apd_vals, nearest_mean(step_dists.sum(axis=0) / t_steps), nearest_mean(step_dists[-1])
 
 
 def apd(samples: SampleSet) -> float:
@@ -300,7 +327,7 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
 
 
 # Bytes of one block's largest array: for a block of sample sets their
-# (B*K, M, T) pose distances and (T, D, B, K, K) squared sample differences.
+# (B*K, M, T) pose distances and (T, B, K, K) step distances.
 # Each pass allocates about one more array of that size while it works. The
 # grouping takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its
 # (rows, M) distances stay below the bound.
@@ -312,10 +339,10 @@ def _context_groups(dataset: Dataset, eps: float):
 
     Example j is a member of anchor i iff ||ctx_j - ctx_i|| <= eps on
     flattened contexts: pairwise to the anchor, no transitive closure. The
-    distances are computed a block of anchors at a time with ``cdist``, so
-    memory stays bounded by the block size plus O(M) whatever the dataset
-    size. ``cdist`` adds the squares in feature order; below F = 8 context
-    features numpy does too, so they equal
+    distances are computed a block of anchors at a time with ``_sq_dists``,
+    so memory stays bounded by the block size plus O(M) whatever the dataset
+    size. ``_sq_dists`` adds the squares in feature order; below F = 8
+    context features numpy does too, so they equal
     ``norm(ctx[block, None] - ctx[None], axis=2)`` bitwise, and from F = 8 on
     they can differ in the last bit.
     A context is finite, so its distance to itself is exactly 0 and every
@@ -326,7 +353,7 @@ def _context_groups(dataset: Dataset, eps: float):
     ctx = np.stack([ex.context.flat() for ex in dataset.examples])
     rows = max(1, _GROUP_BLOCK_BYTES // ctx.nbytes)
     for start in range(0, len(ctx), rows):
-        yield from map(np.flatnonzero, _cdist(ctx[start : start + rows], ctx) <= eps)
+        yield from map(np.flatnonzero, np.sqrt(_sq_dists(ctx[start : start + rows], ctx)) <= eps)
 
 
 def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarray]]:
@@ -364,7 +391,7 @@ def _blocks(sets: list, set_bytes):
 
 def _accuracy_rows(sets: list, futures: np.ndarray):
     """Yield each sample set's per-future (ADE, FDE) rows, each (M,), against
-    all M futures, in order: one ``cdist`` per timestep over a block of sets."""
+    all M futures, in order: one ``_pose_dists`` over a block of sets."""
     row_bytes = futures[..., 0].nbytes  # one sample's (M, T) distances
     for block in _blocks(sets, lambda s: len(s) * row_bytes):
         dists = _pose_dists(block.reshape(-1, *block.shape[2:]), futures)
@@ -373,7 +400,7 @@ def _accuracy_rows(sets: list, futures: np.ndarray):
 
 def _self_rows(sets: list):
     """Yield each sample set's (APD, ASD, FSD), in order, a block at a time."""
-    for block in _blocks(sets, lambda s: len(s) * s.nbytes):  # (T, D, K, K) squared differences
+    for block in _blocks(sets, lambda s: len(s) * s[..., 0].nbytes):  # (T, K, K) step distances
         yield from zip(*_self_metrics(block))
 
 

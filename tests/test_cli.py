@@ -77,7 +77,8 @@ DECODER_WITH_KEY = {
     "W": {"kind": "linear", "W": [[1.0, 0.0]] * 6, "c0": [0.0] * 6, "t_steps": 3, "state_dim": 2},
     "z_grid": {"kind": "tabulated", "z_grid": [[-1.0, 1.0]] * 2, "table": np.zeros((2, 2, 3, 2)).tolist(), "T": 3, "D": 2},
 }
-DECODER_WITH_KEY["ctx_proj"] = DECODER_WITH_KEY["W"]
+DECODER_WITH_KEY["ctx_proj"] = DECODER_WITH_KEY["c0"] = DECODER_WITH_KEY["W"]
+DECODER_WITH_KEY["table"] = DECODER_WITH_KEY["z_grid"]
 
 
 # Adam's constants, which version-1 train configs and saved models carry
@@ -368,8 +369,9 @@ class TestConfigTypes:
     the field: integer fields take integers, real fields real numbers, and
     neither takes a bool; flags take only a bool, ``mode_probs`` a list of
     numbers, a decoder's ``kind`` a string, ``W`` and ``ctx_proj`` 2-d
-    arrays and ``z_grid`` a list of lists; a config or block that is not a
-    JSON object, or a decoder block without a key, names the block."""
+    arrays of numbers, ``c0`` and ``table`` arrays of numbers and ``z_grid``
+    a list of lists of numbers; a config or block that is not a JSON
+    object, or a decoder block without a key, names the block."""
 
     @staticmethod
     def assert_one_error_line(capsys, field, says="must be"):
@@ -430,6 +432,13 @@ class TestConfigTypes:
             ("decoder", "W", 5),
             ("decoder", "ctx_proj", 5),
             ("decoder", "z_grid", 5),
+            # decoder arrays with ragged rows or entries that are not numbers
+            ("decoder", "W", [[1, 0], [0]]),
+            ("decoder", "W", [[True, False]] * 6),
+            ("decoder", "c0", ["0"] * 6),
+            ("decoder", "ctx_proj", [[1.0], None]),
+            ("decoder", "z_grid", [["a", "b"]]),
+            ("decoder", "table", [[0.0], [0.0, 1.0]]),
         ],
     )
     def test_train(self, workdir, capsys, block, key, value):

@@ -117,16 +117,6 @@ class TestSimilarityEnergy:
             similarity_energy(make_samples(BASE, BASE), ((0,), ()))
 
 
-def feature_order_sq_dists(v):
-    """(..., K, K) squared distances of (..., K, F) sets, the squares added
-    one feature after another."""
-    acc = np.zeros(v.shape[:-1] + v.shape[-2:-1])
-    for f in range(v.shape[-1]):
-        d = v[..., :, None, f] - v[..., None, :, f]
-        acc = acc + d * d
-    return acc
-
-
 def dense_reconstruction(v, gt):
     """Reference reconstruction energy and gradient: the dense differences
     v - gt, their squares added one feature after another, and a dense
@@ -144,21 +134,6 @@ def dense_reconstruction(v, gt):
 
 class TestEnergyKernels:
     """The batched energies behind the public wrappers and the DLow trainer."""
-
-    @pytest.mark.parametrize("f", [1, 6, 12])
-    def test_set_distances_sum_squares_in_feature_order(self, f):
-        rng = np.random.default_rng(20 + f)
-        v = rng.normal(scale=3.0, size=(2, 3, 7, f))
-        k = v.shape[-2]
-        ref = feature_order_sq_dists(v)
-        dists = energy._set_sq_dists(v)
-        assert np.array_equal(dists, ref)
-        assert np.all(dists[..., np.arange(k), np.arange(k)] == 0.0)
-        off = 1.0 - np.eye(k)
-        e_d = energy._diversity(v, 5.0)[0]
-        assert np.array_equal(e_d, (np.exp(-ref / 5.0) * off).sum(axis=(-2, -1)) / (k * (k - 1)))
-        e_s = energy._similarity(v)[0]
-        assert np.array_equal(e_s, ref.sum(axis=(-2, -1)) / (k * (k - 1)))
 
     @pytest.mark.parametrize(
         "v_shape, gt_shape",
@@ -185,28 +160,6 @@ class TestEnergyKernels:
         assert np.array_equal(grad, ref_grad)
         # only each set's first nearest sample carries gradient
         assert np.count_nonzero(np.any(grad != 0.0, axis=-1)) <= ref_value.size
-
-    @pytest.mark.parametrize(
-        "v_shape, gt_shape, calls",
-        [
-            # shared flows: one call, every target against all E * K samples
-            ((1, 3, 5, 6), (4, 1, 6), [((4, 6), (15, 6))]),
-            # featurized: one call per example
-            ((4, 3, 5, 6), (4, 1, 6), [((1, 6), (15, 6))] * 4),
-            ((5, 6), (6,), [((1, 6), (5, 6))]),
-        ],
-    )
-    def test_reconstruction_cdist_calls(self, monkeypatch, v_shape, gt_shape, calls):
-        seen, cdist = [], energy._cdist
-
-        def counting_cdist(xa, xb, *args, **kwargs):
-            seen.append((xa.shape, xb.shape))
-            return cdist(xa, xb, *args, **kwargs)
-
-        monkeypatch.setattr(energy, "_cdist", counting_cdist)
-        rng = np.random.default_rng(32)
-        energy._reconstruction(rng.normal(size=v_shape), rng.normal(size=gt_shape), grad=True)
-        assert seen == calls
 
     def test_empty_similar_slice_is_zero_over_leading_axes(self):
         rng = np.random.default_rng(31)

@@ -21,7 +21,7 @@ from divtraj import (
     mm_metrics,
     traj_distance,
 )
-from divtraj import trajectory
+from divtraj import energy, trajectory
 
 
 def make_samples(*trajs):
@@ -569,3 +569,70 @@ class TestBatchedDefinitions:
         got = trajectory._self_metrics(sets)
         for i, arr in enumerate(sets):
             assert tuple(float(vals[i]) for vals in got) == _norm_self_metrics_ref(arr)
+
+
+def _feature_loop_sq_dists(x, y):
+    """(..., N, P) squared distances between the rows of (..., N, F) ``x`` and
+    (..., P, F) ``y``, leading axes broadcast, the squares added one feature
+    after another."""
+    acc = np.zeros(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-2]))
+    for f in range(x.shape[-1]):
+        d = x[..., :, None, f] - y[..., None, :, f]
+        acc = acc + d * d
+    return acc
+
+
+class TestSqDists:
+    """The one pairwise squared-distance function, in the shape each of its
+    callers gives it: its bits, its ``cdist`` calls, and its square root
+    against ``cdist``'s own Euclidean distance."""
+
+    @pytest.mark.parametrize(
+        "caller, shapes, calls",
+        [
+            # the diversity and similar-slice energies: (v, v), one call per set
+            *(("set", ((2, 3, 7, f),), [((7, f), (7, f))] * 6) for f in (0, 1, 6, 12)),
+            # the reconstruction energy, (v, gt): shared flows make one call,
+            # every target against all E * K samples
+            ("target", ((1, 3, 5, 6), (4, 1, 6)), [((4, 6), (15, 6))]),
+            # featurized: one call per example
+            ("target", ((4, 3, 5, 6), (4, 1, 6)), [((1, 6), (15, 6))] * 4),
+            ("target", ((5, 6), (6,)), [((1, 6), (5, 6))]),
+            # pose distances, (T, K, D) x (T, G, D): one call per timestep
+            ("pose", ((3, 10, 2), (3, 37, 2)), [((10, 2), (37, 2))] * 3),
+            # context grouping, (R, F) x (M, F)
+            ("context", ((4, 9), (11, 9)), [((4, 9), (11, 9))]),
+        ],
+    )
+    def test_feature_order_bits_and_cdist_calls(self, monkeypatch, caller, shapes, calls):
+        import scipy.spatial.distance
+
+        rng = np.random.default_rng(sum(map(sum, shapes)))
+        ops = [rng.normal(scale=3.0, size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes]
+        x, y = {"set": (ops[0], ops[0]), "target": (ops[-1][..., None, :], ops[0])}.get(caller, ops)
+        cdist, seen = scipy.spatial.distance.cdist, []
+
+        def counting_cdist(xa, xb, *args, **kwargs):
+            seen.append((xa.shape, xb.shape))
+            return cdist(xa, xb, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", counting_cdist)
+        dists = trajectory._sq_dists(x, y)
+        assert seen == calls
+        assert np.array_equal(dists, _feature_loop_sq_dists(x, y))
+        lead = dists.shape[:-2]
+        xb, yb = np.broadcast_to(x, lead + x.shape[-2:]), np.broadcast_to(y, lead + y.shape[-2:])
+        euclidean = np.stack([cdist(xb[i], yb[i]) for i in np.ndindex(lead)]).reshape(dists.shape)
+        assert np.array_equal(np.sqrt(dists), euclidean)
+        if caller == "set":
+            v, ref, k = x, _feature_loop_sq_dists(x, x), x.shape[-2]
+            assert np.all(dists[..., np.arange(k), np.arange(k)] == 0.0)
+            off = 1.0 - np.eye(k)
+            e_d = energy._diversity(v, 5.0)[0]
+            assert np.array_equal(e_d, (np.exp(-ref / 5.0) * off).sum(axis=(-2, -1)) / (k * (k - 1)))
+            e_s = energy._similarity(v)[0]
+            assert np.array_equal(e_s, ref.sum(axis=(-2, -1)) / (k * (k - 1)))
+        if caller == "target":
+            seen.clear()
+            energy._reconstruction(*ops, grad=True)
+            assert seen == calls
