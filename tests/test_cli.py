@@ -246,19 +246,56 @@ class TestGenData:
         assert "--out" in capsys.readouterr().err
 
     def test_fresh_interpreter_loads_no_scipy(self, workdir):
-        # scipy is imported only inside the functions that call it, so neither
-        # importing the CLI nor running gen-data may load any of it
+        # scipy is imported only inside the functions that call it, and the
+        # distances of small sets and the quality radius need none of it:
+        # gen-data, the README's DSF train and sample --dpp-map, and a small
+        # DLow train, sample --dpp-map and eval, each run in a fresh
+        # interpreter, load no scipy module
         script = "\n".join([
             "import json, sys",
             f"sys.path.insert(0, {str(Path(divtraj.__file__).parent.parent)!r})",
             "from divtraj import cli",
-            "code = cli.main(sys.argv[1:])",
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]",
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
         ])
-        argv = ["gen-data", "--config", str(workdir / "gen.json"), "--out", str(workdir / "d.jsonl")]
-        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        readme_gen = {"mode_probs": [0.8, 0.1, 0.1], "n_examples": 300, "seed": 11}
+        readme_train = dict(DSF_TRAIN_CONFIG, k=10, iters=300, lr=0.01, seed=0)
+        dlow_train = {
+            "mode": "dlow", "k": 5, "iters": 40, "lr": 0.01, "seed": 3, "noise_draws_per_iter": 4,
+            "decoder": DSF_TRAIN_CONFIG["decoder"],
+        }
+        for name, cfg in (("readme-gen", readme_gen), ("readme-train", readme_train), ("dlow", dlow_train)):
+            (workdir / f"{name}.json").write_text(json.dumps(cfg))
+
+        def files(*names):
+            return [str(workdir / name) for name in names]
+
+        def train(config, data, tag):
+            return ["train", "--config", *files(config), "--dataset", *files(data),
+                    "--model-out", *files(f"{tag}-m.json"), "--report-out", *files(f"{tag}-r.json")]
+
+        def sample(data, tag):
+            return ["sample", "--model", *files(f"{tag}-m.json"), "--dataset", *files(data),
+                    "--out", *files(f"{tag}-s.jsonl"), "--dpp-map", "--omega", "10"]
+
+        runs = [
+            [["gen-data", "--config", *files("gen.json"), "--out", *files("d.jsonl")]],
+            [
+                ["gen-data", "--config", *files("readme-gen.json"), "--out", *files("readme.jsonl")],
+                train("readme-train.json", "readme.jsonl", "readme"),
+                sample("readme.jsonl", "readme"),
+            ],
+            [
+                train("dlow.json", "d.jsonl", "dlow"),
+                sample("d.jsonl", "dlow"),
+                ["eval", "--samples", *files("dlow-s.jsonl"), "--dataset", *files("d.jsonl"), "--eps", "1.0",
+                 "--out", *files("dlow-metrics"), "--model", *files("dlow-m.json"), "--seed", "99"],
+            ],
+        ]
+        for argvs in runs:
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(argvs), []], argvs
 
     def test_balanced_300_near_uniform_histogram(self, workdir):
         cfg = {"mode_probs": [1 / 3, 1 / 3, 1 / 3], "n_examples": 300, "seed": 4}

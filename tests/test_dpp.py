@@ -156,6 +156,21 @@ class TestQualityRadius:
                 quality_radius(2, rho)
 
 
+@pytest.mark.parametrize("latent_dims, rhos", [
+    (range(1, 65), (1e-12, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-9)),
+    ((1, 7, 64, 1000), (1e-100, 1e-30, 1 - 1e-15)),  # far tails and a large n_z
+])
+def test_quality_radius_matches_gammaincinv(latent_dims, rhos):
+    # the radius solves the chi-squared quantile with math alone; scipy's
+    # gammaincinv is the reference, not always equal in the last bit
+    from scipy.special import gammaincinv
+
+    for n in latent_dims:
+        radii = [quality_radius(n, rho) for rho in rhos]
+        np.testing.assert_allclose(radii, np.sqrt(2.0 * gammaincinv(n / 2.0, rhos)), rtol=1e-13, atol=0)
+        assert np.all(np.diff(radii) > 0)
+
+
 class TestBuildQuality:
     CFG = KernelConfig(sim_scale=1.0, base_quality=2.0, rho=0.9)
 

@@ -584,27 +584,37 @@ def _feature_loop_sq_dists(x, y):
 
 class TestSqDists:
     """The one pairwise squared-distance function, in the shape each of its
-    callers gives it: its bits, its ``cdist`` calls, and its square root
+    callers gives it: its bits, when it calls ``cdist``, and its square root
     against ``cdist``'s own Euclidean distance."""
 
     @pytest.mark.parametrize(
-        "caller, shapes, calls",
+        "caller, shapes, sets",
         [
-            # the diversity and similar-slice energies: (v, v), one call per set
-            *(("set", ((2, 3, 7, f),), [((7, f), (7, f))] * 6) for f in (0, 1, 6, 12)),
-            # the reconstruction energy, (v, gt): shared flows make one call,
+            # the diversity and similar-slice energies: (v, v), one set per
+            # sample set; from 7 x 7 x 12 up to K = 100 at F = 6 (the K = 100
+            # training sets), and at F = 8 just below and above 2^14
+            *(
+                ("set", ((2, 3, k, f),), [((k, f), (k, f))] * 6)
+                for k, f in ((7, 0), (7, 1), (7, 6), (7, 12), (45, 8), (46, 8), (100, 6), (100, 0))
+            ),
+            # the reconstruction energy, (v, gt): shared flows make one set,
             # every target against all E * K samples
             ("target", ((1, 3, 5, 6), (4, 1, 6)), [((4, 6), (15, 6))]),
-            # featurized: one call per example
+            ("target", ((1, 3, 100, 6), (40, 1, 6)), [((40, 6), (300, 6))]),
+            # featurized: one set per example
             ("target", ((4, 3, 5, 6), (4, 1, 6)), [((1, 6), (15, 6))] * 4),
             ("target", ((5, 6), (6,)), [((1, 6), (5, 6))]),
-            # pose distances, (T, K, D) x (T, G, D): one call per timestep
+            # pose distances, (T, K, D) x (T, G, D): one set per timestep; the
+            # second is eval's block of 14 K = 10 sets against 300 futures
             ("pose", ((3, 10, 2), (3, 37, 2)), [((10, 2), (37, 2))] * 3),
-            # context grouping, (R, F) x (M, F)
+            ("pose", ((3, 140, 2), (3, 300, 2)), [((140, 2), (300, 2))] * 3),
+            # context grouping, (R, F) x (M, F): at 2^14 and one row above
             ("context", ((4, 9), (11, 9)), [((4, 9), (11, 9))]),
+            ("context", ((32, 8), (64, 8)), [((32, 8), (64, 8))]),
+            ("context", ((33, 8), (64, 8)), [((33, 8), (64, 8))]),
         ],
     )
-    def test_feature_order_bits_and_cdist_calls(self, monkeypatch, caller, shapes, calls):
+    def test_feature_order_bits_and_cdist_calls(self, monkeypatch, caller, shapes, sets):
         import scipy.spatial.distance
 
         rng = np.random.default_rng(sum(map(sum, shapes)))
@@ -616,6 +626,10 @@ class TestSqDists:
             seen.append((xa.shape, xb.shape))
             return cdist(xa, xb, *args, **kwargs)
 
+        # numpy adds the squares of a set of at most 2^14 pair-features; a
+        # larger set takes one cdist call
+        (n, f), (p, _) = sets[0]
+        calls = sets if n * p * f > trajectory._LOOP_MAX_PAIR_FEATURES else []
         monkeypatch.setattr(scipy.spatial.distance, "cdist", counting_cdist)
         dists = trajectory._sq_dists(x, y)
         assert seen == calls
@@ -636,3 +650,19 @@ class TestSqDists:
             seen.clear()
             energy._reconstruction(*ops, grad=True)
             assert seen == calls
+
+    def test_many_small_sets_hold_one_block_besides_the_result(self):
+        # featurized DLow sends thousands of small sets in one call: besides
+        # the (..., N, P) result, one block of differences is held at a time
+        import tracemalloc
+
+        x = np.random.default_rng(3).normal(size=(3000, 8, 10, 6))
+        tracemalloc.start()
+        try:
+            dists = trajectory._sq_dists(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dists.shape == (3000, 8, 10, 10)
+        assert peak <= dists.nbytes + 2 * trajectory._GROUP_BLOCK_BYTES
+        assert np.array_equal(dists[1234, 5], _feature_loop_sq_dists(x[1234, 5], x[1234, 5]))
