@@ -8,6 +8,7 @@ rejected) and individual flags override config values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -35,7 +36,7 @@ from .fileio import (
 )
 from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, Dataset, SampleSet, evaluate_sample_sets
+from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports
 from .training import train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -162,9 +163,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _metric_report(dataset: Dataset, records: list[dict], eps: float):
-    sample_sets = {rec["id"]: SampleSet(samples=rec["samples"], context_id=rec["id"]) for rec in records}
-    return evaluate_sample_sets(dataset, sample_sets, eps)
+def _sample_sets(records: list[dict]) -> dict:
+    return {rec["id"]: SampleSet(samples=rec["samples"], context_id=rec["id"]) for rec in records}
 
 
 def cmd_eval(args) -> int:
@@ -173,8 +173,17 @@ def cmd_eval(args) -> int:
     if args.seed is not None and args.model is None:
         raise ValueError("baseline comparison needs --model alongside --seed")
     dataset = read_dataset(args.dataset)
-    records = read_samples(args.samples)
-    report = _metric_report(dataset, records, args.eps)
+    sample_set_maps = [_sample_sets(read_samples(args.samples))]
+    if args.model is not None and dataset.examples:  # no examples, nothing to decode: _evaluate_reports says so
+        model = read_model(args.model)
+        decoder = decoder_from_config(model["decoder"])
+        examples = dataset.examples
+        shape = (int(model["K"]), int(model["n_z"]))  # best-of-K metrics compare at the model's K
+        latents = np.stack([sample_noise([args.seed, ex.id], shape) for ex in examples])
+        samples = _decode(decoder, latents, examples)
+        sample_set_maps.append(_sample_sets([{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]))
+    # the samples and the baseline share one pass over the context groups
+    report, *baseline = _evaluate_reports(dataset, sample_set_maps, args.eps)
     out_prefix = Path(args.out)
     payload = {
         "conventions": report.conventions,
@@ -182,16 +191,8 @@ def cmd_eval(args) -> int:
         "means": report.means,
         "per_example": list(report.per_example),
     }
-    if args.model is not None:
-        model = read_model(args.model)
-        decoder = decoder_from_config(model["decoder"])
-        examples = dataset.examples
-        shape = (int(model["K"]), int(model["n_z"]))  # best-of-K metrics compare at the model's K
-        latents = np.stack([sample_noise([args.seed, ex.id], shape) for ex in examples])
-        samples = _decode(decoder, latents, examples)
-        base_records = [{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]
-        baseline = _metric_report(dataset, base_records, args.eps)
-        payload["baseline_means"] = baseline.means
+    if baseline:
+        payload["baseline_means"] = baseline[0].means
     csv_path = out_prefix.with_suffix(".csv")
     json_path = out_prefix.with_suffix(".json")
     csv_path.write_text(metrics_to_csv(report))
@@ -208,6 +209,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divtraj",
@@ -219,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int)
-    p_gen.set_defaults(func=cmd_gen_data)
 
     p_train = sub.add_parser("train", help="train a sampler against a dataset")
     p_train.add_argument("--config", required=True)
@@ -228,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--report-out", required=True)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--k", type=int)
-    p_train.set_defaults(func=cmd_train)
 
     p_sample = sub.add_parser("sample", help="decode sampler outputs for every example")
     p_sample.add_argument("--model", required=True)
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--omega", type=float, default=1.0)
     p_sample.add_argument("--seed", type=int)
     p_sample.add_argument("--dpp-map", action="store_true")
-    p_sample.set_defaults(func=cmd_sample)
 
     p_eval = sub.add_parser("eval", help="evaluate sample files against a dataset")
     p_eval.add_argument("--samples", required=True)
@@ -246,15 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--model")
     p_eval.add_argument("--seed", type=int)
-    p_eval.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handlers are looked up at every call, not kept in the cached parser,
+    # so a wrapper set on this module after the first call runs too
+    handler = {"gen-data": cmd_gen_data, "train": cmd_train, "sample": cmd_sample, "eval": cmd_eval}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

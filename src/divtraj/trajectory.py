@@ -230,6 +230,12 @@ def _sq_dists_plan(x_shape: tuple, y_shape: tuple) -> tuple:
 # adds the squares; a larger set gets one ``cdist`` call. See ``_sq_dists``.
 _LOOP_MAX_PAIR_FEATURES = 1 << 14
 
+# Bytes of the (F, sets, N, P) differences of one block of sets in
+# ``_sq_dists``'s numpy path (or of one set, if larger). Below glibc's default
+# mmap threshold of 128 KiB, so every call takes its block from the heap; a
+# 1 MiB block is a fresh mapping whose pages fault anew on every call.
+_SQ_BLOCK_BYTES = 120 << 10
+
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances (..., N, P) from the rows of each (..., N, F)
@@ -241,38 +247,51 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The operands are laid out as sets of (rows, F): one set per index of the
     leading axes along which both vary; along an axis where only one varies,
     its rows join that operand's rows of the set. So one flow set shared by M
-    examples is one set, and no (..., N, P, F) difference tensor is built.
+    examples is one set, and no (..., N, P, F) difference tensor is built. A
+    caller that wants one set per index of an axis along which only ``x``
+    varies broadcasts ``y`` along it (``np.broadcast_to``).
     Two paths give the same bits, so the choice between them is only speed:
 
     * a set of at most ``_LOOP_MAX_PAIR_FEATURES`` (2^14) pair-features
       N·P·F: numpy forms the (F, sets, N, P) differences of a block of sets,
-      at most ``_GROUP_BLOCK_BYTES``, squares them and adds the F squares to
-      the sum one after another;
+      at most ``_SQ_BLOCK_BYTES``, squares them, writes the first two
+      squares' sum (the first square alone for F = 1) into the result and
+      adds each later square one after another;
     * a larger set: one ``scipy.spatial.distance.cdist`` per set.
 
-    On a 2-vCPU Xeon VM the numpy path costs about 2 ns per pair-feature
-    plus 10 µs per call, ``cdist`` about 0.5 ns per pair-feature plus
+    On a 2-vCPU Xeon VM the numpy path costs about 1-2 ns per pair-feature
+    plus 10-15 µs per call, ``cdist`` about 0.5 ns per pair-feature plus
     2-10 µs per call. Up to 2^14 the numpy path costs at most tens of µs
     more per set, where the first ``cdist`` costs a 0.3-0.4 s, 37 MB import
-    of ``scipy.spatial``; beyond, ``cdist`` wins. So eval and training on small
-    sets never load scipy, while K = 100 sample sets (100·100·6 = 60 000)
-    and eval's pose-distance blocks on hundreds of futures take ``cdist``,
-    which is imported here, on first use."""
+    of ``scipy.spatial``; beyond, ``cdist`` wins. So training on small sets
+    and eval on up to about 800 examples (one (K, D) x (M, D) set per sample
+    set and timestep, one (1, F) x (M, F) set per grouping anchor) never load
+    scipy, while K = 100 sample sets (100·100·6 = 60 000) and eval's sets
+    against thousands of futures take ``cdist``, which is imported here, on
+    first use."""
     lead_x, lead_y, order, x_shape, y_shape, out_shape, back = _sq_dists_plan(x.shape, y.shape)
     xs = x.reshape(*lead_x, *x.shape[-2:]).transpose(*order, -2, -1).reshape(x_shape)
     ys = y.reshape(*lead_y, *y.shape[-2:]).transpose(*order, -2, -1).reshape(y_shape)
     (sets, n, f), p = x_shape, y_shape[1]
-    if n * p * f <= _LOOP_MAX_PAIR_FEATURES:
+    if f == 0:
         out = np.zeros((sets, n, p))
-        step = max(1, _GROUP_BLOCK_BYTES // max(1, n * p * f * out.itemsize))
+    elif n * p * f <= _LOOP_MAX_PAIR_FEATURES:
+        out = np.empty((sets, n, p))
+        step = max(1, _SQ_BLOCK_BYTES // (n * p * f * out.itemsize))
+        xt, yt = xs.transpose(2, 0, 1)[..., None], ys.transpose(2, 0, 1)[:, :, None]  # (F, sets, N, 1), (F, sets, 1, P)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass on silently, as from cdist
             diff = np.empty((f, min(step, sets), n, p))
             for first in range(0, sets, step):
                 block = slice(first, first + step)
                 acc = out[block]
                 d = diff[:, : len(acc)]
-                np.subtract(xs[block].transpose(2, 0, 1)[..., None], ys[block].transpose(2, 0, 1)[:, :, None], out=d)
-                for square in np.multiply(d, d, out=d):  # in feature order
+                np.subtract(xt[:, block], yt[:, block], out=d)
+                np.multiply(d, d, out=d)
+                if f == 1:
+                    np.copyto(acc, d[0])
+                else:  # the squares in feature order, the first two straight into the result
+                    np.add(d[0], d[1], out=acc)
+                for square in d[2:]:
                     acc += square
     else:
         from scipy.spatial.distance import cdist
@@ -284,16 +303,26 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
-    """Per-timestep pose distances (K, G, T) from samples (K, T, D) to futures
-    (G, T, D), the square roots of ``_sq_dists`` over each timestep. Below
-    D = 8 numpy adds the squares in feature order too, so they equal
-    ``norm(samples[:, None] - futures[None], axis=3)`` bitwise; from D = 8 on,
-    numpy sums pairwise and the two can differ in the last bit.
-    The array is a view of (T, K, G) memory, so a mean over T adds the
+    """Per-timestep pose distances (..., K, G, T) from each stack of samples
+    (..., K, T, D) to the futures (G, T, D), the square roots of
+    ``_sq_dists`` over each timestep: one (K, D) x (G, D) set per sample set
+    and timestep, the futures broadcast over the sample sets, where such a
+    set takes numpy's path (K·G·D <= 2^14); a larger one would cost one
+    ``cdist`` call each, so then the sample sets' rows share one set per
+    timestep. The layout changes no bit. Below D = 8
+    numpy adds the squares in feature order too, so they equal
+    ``norm(samples[..., None, :, :] - futures, axis=-1)`` bitwise; from D = 8
+    on, numpy sums pairwise and the two can differ in the last bit.
+    The array is a view of (..., T, K, G) memory, so a mean over T adds the
     timesteps in order, elementwise over (K, G)."""
-    _check_same_shape(samples[0], futures[0])  # (K, 1, D) must not pass as (K, T, D)
-    dists = _sq_dists(samples.transpose(1, 0, 2), futures.transpose(1, 0, 2))
-    return np.sqrt(dists, out=dists).transpose(1, 2, 0)
+    _check_same_shape(samples[(0,) * (samples.ndim - 2)], futures[0])  # (K, 1, D) must not pass as (K, T, D)
+    lead = samples.shape[:-3]
+    (k, _, d), g = samples.shape[-3:], len(futures)
+    steps = futures.transpose(1, 0, 2)
+    if math.prod(lead) > 1 and k * g * d <= _LOOP_MAX_PAIR_FEATURES:
+        steps = np.broadcast_to(steps, lead + steps.shape)
+    dists = _sq_dists(samples.swapaxes(-3, -2), steps)  # (..., T, K, G)
+    return np.sqrt(dists, out=dists).transpose(*range(len(lead)), -2, -1, -3)
 
 
 def _best_of_k(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,11 +390,12 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
 
 
 # Bytes of one block's largest array: for a block of sample sets their
-# (B*K, M, T) pose distances and (T, B, K, K) step distances; in
-# ``_sq_dists``'s numpy path the (F, sets, N, P) differences of a block.
-# Each pass allocates about one more array of that size while it works. The
-# grouping takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its
-# (rows, M) distances stay below the bound.
+# (B, T, K, M) pose distances and (T, B, K, K) step distances. Each pass
+# allocates about one more array of that size while it works (at most
+# D / K of it for the futures broadcast over the block's sets). The grouping
+# takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its (rows, M)
+# distances stay below the bound. ``_sq_dists``'s numpy path works through a
+# call in blocks of ``_SQ_BLOCK_BYTES`` of its own.
 _GROUP_BLOCK_BYTES = 1 << 20
 
 
@@ -376,8 +406,11 @@ def _context_groups(dataset: Dataset, eps: float):
     flattened contexts: pairwise to the anchor, no transitive closure. The
     distances are computed a block of anchors at a time with ``_sq_dists``,
     so memory stays bounded by the block size plus O(M) whatever the dataset
-    size. ``_sq_dists`` adds the squares in feature order; below F = 8
-    context features numpy does too, so they equal
+    size: one (1, F) x (M, F) set per anchor up to 2^14 / F examples, which
+    numpy takes, so they group without scipy; beyond, one (R, F) x (M, F)
+    set per block of anchors, one ``cdist`` call each. The layout changes no
+    bit. ``_sq_dists`` adds the squares in feature order;
+    below F = 8 context features numpy does too, so they equal
     ``norm(ctx[block, None] - ctx[None], axis=2)`` bitwise, and from F = 8 on
     they can differ in the last bit.
     A context is finite, so its distance to itself is exactly 0 and every
@@ -387,8 +420,11 @@ def _context_groups(dataset: Dataset, eps: float):
         raise ValueError(f"eps must be >= 0, got {eps}")
     ctx = np.stack([ex.context.flat() for ex in dataset.examples])
     rows = max(1, _GROUP_BLOCK_BYTES // ctx.nbytes)
+    per_anchor = ctx.size <= _LOOP_MAX_PAIR_FEATURES  # else one cdist per block beats one per anchor
     for start in range(0, len(ctx), rows):
-        yield from map(np.flatnonzero, np.sqrt(_sq_dists(ctx[start : start + rows], ctx)) <= eps)
+        anchors = ctx[start : start + rows, None]  # (R, 1, F)
+        others = np.broadcast_to(ctx, (len(anchors), *ctx.shape)) if per_anchor else ctx
+        yield from map(np.flatnonzero, np.sqrt(_sq_dists(anchors, others)[:, 0]) <= eps)
 
 
 def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarray]]:
@@ -429,8 +465,7 @@ def _accuracy_rows(sets: list, futures: np.ndarray):
     all M futures, in order: one ``_pose_dists`` over a block of sets."""
     row_bytes = futures[..., 0].nbytes  # one sample's (M, T) distances
     for block in _blocks(sets, lambda s: len(s) * row_bytes):
-        dists = _pose_dists(block.reshape(-1, *block.shape[2:]), futures)
-        yield from zip(*_best_of_k(dists.reshape(*block.shape[:2], *dists.shape[1:])))
+        yield from zip(*_best_of_k(_pose_dists(block, futures)))
 
 
 def _self_rows(sets: list):
@@ -447,32 +482,50 @@ def evaluate_sample_sets(dataset: Dataset, sample_sets: dict[int, SampleSet], ep
     example's ADE/FDE rows against every future are computed in blocks of
     examples; its multi-modal metrics average the rows at its group members.
     """
+    return _evaluate_reports(dataset, [sample_sets], eps)[0]
+
+
+def _evaluate_reports(dataset: Dataset, sample_set_maps: list, eps: float) -> list[MetricsReport]:
+    """``evaluate_sample_sets`` of each id -> SampleSet map in
+    ``sample_set_maps`` over the same dataset and eps, in one pass: each
+    anchor's context group is formed once and serves every map's row."""
     examples = dataset.examples
     if not examples:
         raise ValueError("dataset has no examples")
     ids = {ex.id for ex in examples}
-    missing, extra = sorted(ids - set(sample_sets)), sorted(set(sample_sets) - ids)
-    if missing or extra:
-        raise ValueError(f"samples misaligned with dataset: missing ids {missing}, extra ids {extra}")
-    futures = np.stack([ex.future for ex in examples])
-    sets = [sample_sets[ex.id].samples for ex in examples]
-    for s in sets:
-        _check_same_shape(s[0], futures[0])
-    rows, sizes = [], []
-    per_anchor = zip(examples, _context_groups(dataset, eps), _accuracy_rows(sets, futures), _self_rows(sets))
-    for i, (ex, members, (ade_row, fde_row), (apd_val, asd_val, fsd_val)) in enumerate(per_anchor):
-        rows.append(
-            {
-                "id": ex.id,
-                "apd": float(apd_val),
-                "asd": float(asd_val),
-                "fsd": float(fsd_val),
-                "ade": float(ade_row[i]),
-                "fde": float(fde_row[i]),
-                "mmade": float(np.mean(ade_row[members])),
-                "mmfde": float(np.mean(fde_row[members])),
-            }
-        )
+    # (M, T, D) in time-major memory: each timestep's (M, D) futures lie
+    # together, so the per-timestep sets of _pose_dists read them in place
+    futures = np.stack([ex.future for ex in examples], axis=1).transpose(1, 0, 2)
+    per_map = []
+    for sample_sets in sample_set_maps:
+        missing, extra = sorted(ids - set(sample_sets)), sorted(set(sample_sets) - ids)
+        if missing or extra:
+            raise ValueError(f"samples misaligned with dataset: missing ids {missing}, extra ids {extra}")
+        sets = [sample_sets[ex.id].samples for ex in examples]
+        for s in sets:
+            _check_same_shape(s[0], futures[0])
+        per_map.append(zip(_accuracy_rows(sets, futures), _self_rows(sets)))
+    tables, sizes = [[] for _ in per_map], []
+    for i, (ex, members, *map_rows) in enumerate(zip(examples, _context_groups(dataset, eps), *per_map)):
+        for rows, ((ade_row, fde_row), (apd_val, asd_val, fsd_val)) in zip(tables, map_rows):
+            rows.append(
+                {
+                    "id": ex.id,
+                    "apd": float(apd_val),
+                    "asd": float(asd_val),
+                    "fsd": float(fsd_val),
+                    "ade": float(ade_row[i]),
+                    "fde": float(fde_row[i]),
+                    "mmade": float(np.mean(ade_row[members])),
+                    "mmfde": float(np.mean(fde_row[members])),
+                }
+            )
         sizes.append(len(members))
-    means = {name: float(np.mean([r[name] for r in rows])) for name in METRIC_NAMES}
-    return MetricsReport(per_example=tuple(rows), means=means, group_sizes=tuple(sizes))
+    return [
+        MetricsReport(
+            per_example=tuple(rows),
+            means={name: float(np.mean([r[name] for r in rows])) for name in METRIC_NAMES},
+            group_sizes=tuple(sizes),
+        )
+        for rows in tables
+    ]

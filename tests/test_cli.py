@@ -245,12 +245,24 @@ class TestGenData:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_parser_built_once_handlers_looked_up_per_call(self, workdir, monkeypatch):
+        # the parser is cached, so a handler replaced on the module after the
+        # first call (as a tracer wraps them) must still be the one that runs
+        from divtraj import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen_data", lambda args: seen.append(args.out) or 0)
+        assert run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"]) == 0
+        assert seen == [str(workdir / "d.jsonl")] and not (workdir / "d.jsonl").exists()
+
     def test_fresh_interpreter_loads_no_scipy(self, workdir):
         # scipy is imported only inside the functions that call it, and the
         # distances of small sets and the quality radius need none of it:
-        # gen-data, the README's DSF train and sample --dpp-map, and a small
-        # DLow train, sample --dpp-map and eval, each run in a fresh
-        # interpreter, load no scipy module
+        # gen-data, the README's DSF train, sample --dpp-map and eval with its
+        # baseline (one set per sample set and per anchor against 300
+        # examples), and a small DLow train, sample --dpp-map and eval, each
+        # run in a fresh interpreter, load no scipy module
         script = "\n".join([
             "import json, sys",
             f"sys.path.insert(0, {str(Path(divtraj.__file__).parent.parent)!r})",
@@ -284,6 +296,8 @@ class TestGenData:
                 ["gen-data", "--config", *files("readme-gen.json"), "--out", *files("readme.jsonl")],
                 train("readme-train.json", "readme.jsonl", "readme"),
                 sample("readme.jsonl", "readme"),
+                ["eval", "--samples", *files("readme-s.jsonl"), "--dataset", *files("readme.jsonl"), "--eps", "1.0",
+                 "--out", *files("readme-metrics"), "--model", *files("readme-m.json"), "--seed", "99"],
             ],
             [
                 train("dlow.json", "d.jsonl", "dlow"),

@@ -453,7 +453,7 @@ class TestEvaluateSampleSets:
         with pytest.raises(ValueError, match="apd requires at least 2 samples"):
             apd(sets[1])
 
-    @pytest.mark.parametrize("blocks", ["one block", "several blocks"])
+    @pytest.mark.parametrize("blocks", ["one block", "several blocks", "cdist sets"])
     def test_mixed_k_rows_equal_per_set_definitions(self, monkeypatch, blocks):
         rng = np.random.default_rng(31)
         m, ks = 23, (2, 5, 10, 3)
@@ -461,6 +461,8 @@ class TestEvaluateSampleSets:
         sets = {i: SampleSet(samples=rng.normal(size=(ks[i % 4], 3, 2))) for i in range(m)}
         if blocks == "several blocks":  # a few examples per pass, ragged last block
             monkeypatch.setattr(trajectory, "_GROUP_BLOCK_BYTES", 2 * 10 * m * 3 * 8)
+        if blocks == "cdist sets":  # as for thousands of examples: per-timestep pose sets, a context set per block
+            monkeypatch.setattr(trajectory, "_LOOP_MAX_PAIR_FEATURES", 0)
         report = evaluate_sample_sets(ds, sets, eps=1.0)
         groups = build_multimodal_gt(ds, 1.0)
         for ex, row in zip(ds.examples, report.per_example):
@@ -604,14 +606,20 @@ class TestSqDists:
             # featurized: one set per example
             ("target", ((4, 3, 5, 6), (4, 1, 6)), [((1, 6), (15, 6))] * 4),
             ("target", ((5, 6), (6,)), [((1, 6), (5, 6))]),
-            # pose distances, (T, K, D) x (T, G, D): one set per timestep; the
-            # second is eval's block of 14 K = 10 sets against 300 futures
+            # pose distances, (..., T, K, D) x (T, G, D), the futures
+            # broadcast over the sample sets: one set per sample set and
+            # timestep; ade/fde/mm_metrics send one sample set, eval a block
+            # of 14 K = 10 sets against 300 futures (42 sets of 6000
+            # pair-features); against 1000 futures each set is above 2^14
+            # and takes a cdist call, so _pose_dists does not broadcast there
             ("pose", ((3, 10, 2), (3, 37, 2)), [((10, 2), (37, 2))] * 3),
-            ("pose", ((3, 140, 2), (3, 300, 2)), [((140, 2), (300, 2))] * 3),
-            # context grouping, (R, F) x (M, F): at 2^14 and one row above
-            ("context", ((4, 9), (11, 9)), [((4, 9), (11, 9))]),
-            ("context", ((32, 8), (64, 8)), [((32, 8), (64, 8))]),
-            ("context", ((33, 8), (64, 8)), [((33, 8), (64, 8))]),
+            ("pose", ((14, 3, 10, 2), (3, 300, 2)), [((10, 2), (300, 2))] * 42),
+            ("pose", ((2, 3, 10, 2), (3, 1000, 2)), [((10, 2), (1000, 2))] * 6),
+            # context grouping, (R, 1, F) x (M, F), the contexts broadcast
+            # over the anchors: one set per anchor; at 2^14 and one row above
+            ("context", ((5, 1, 4), (300, 4)), [((1, 4), (300, 4))] * 5),
+            ("context", ((3, 1, 8), (2048, 8)), [((1, 8), (2048, 8))] * 3),
+            ("context", ((3, 1, 8), (2049, 8)), [((1, 8), (2049, 8))] * 3),
         ],
     )
     def test_feature_order_bits_and_cdist_calls(self, monkeypatch, caller, shapes, sets):
@@ -619,7 +627,10 @@ class TestSqDists:
 
         rng = np.random.default_rng(sum(map(sum, shapes)))
         ops = [rng.normal(scale=3.0, size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes]
-        x, y = {"set": (ops[0], ops[0]), "target": (ops[-1][..., None, :], ops[0])}.get(caller, ops)
+        if caller in ("pose", "context"):  # the futures or contexts broadcast over the sample sets or anchors
+            x, y = ops[0], np.broadcast_to(ops[1], ops[0].shape[:-2] + ops[1].shape[-2:])
+        else:
+            x, y = {"set": (ops[0], ops[0]), "target": (ops[-1][..., None, :], ops[0])}[caller]
         cdist, seen = scipy.spatial.distance.cdist, []
 
         def counting_cdist(xa, xb, *args, **kwargs):
