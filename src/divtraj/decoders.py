@@ -11,9 +11,9 @@ variation vanishes on the sector bisector at unit radius. ``TabulatedDecoder``
 interpolates a grid of precomputed trajectories so externally produced
 models can be evaluated without linking them in. ``jacobian_batch`` gives
 each decoder's per-code derivative. ``linearize`` returns the decode and that
-derivative together, from one pass over the codes (one sector search, one
-clamp), and both trainers chain through it; the two single-output methods are
-built from the same code, so each formula is written once.
+derivative together, from one pass over the codes (one sector search; one
+clamp, cell search and corner sum), and both trainers chain through it; the
+two single-output methods are built from the same code: each formula once.
 
 All decoders here are additive in the context:
 ``decode_batch(z, ctx) == decode_batch(z, None) + context_offset(ctx)``
@@ -30,8 +30,9 @@ heading at s per step; left/right are quarter-circle arcs of radius
 """
 from __future__ import annotations
 
+import itertools
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +69,6 @@ def route_templates(speed: float, t_steps: int) -> dict[str, np.ndarray]:
     left = np.stack([radius * np.sin(phi), radius * (1.0 - np.cos(phi))], axis=1)
     right = left * np.array([1.0, -1.0])
     return {"forward": forward, "left": left, "right": right}
-
-
-def _over_leading_axes(linearize_codes, Z, jac: bool = True) -> tuple:
-    """Apply ``linearize_codes``, which maps (N, n_z) codes to their (N, T, D)
-    decode and, with ``jac``, their (N, T*D, n_z) Jacobian (else None), to
-    (..., n_z) codes; a single (n_z,) code gives single outputs, without a
-    leading axis."""
-    Z = np.atleast_1d(np.asarray(Z, dtype=float))
-    lead, outs = Z.shape[:-1], linearize_codes(Z.reshape(-1, Z.shape[-1]), jac)
-    return tuple(None if out is None else out.reshape(*lead, *out.shape[1:]) for out in outs)
 
 
 def _float_array(name: str, value, what: str = "an array of numbers in rows of equal length") -> np.ndarray:
@@ -185,15 +176,41 @@ class LinearDecoder:
         return cfg
 
 
+class _PerCodeDecoder:
+    """The decode methods from a subclass's ``_linearize_codes``: (N, n_z) codes
+    to their (N, T, D) decode and, with ``jac``, (N, T*D, n_z) Jacobian (else
+    None). perfbench wraps each subclass's own ``decode_batch``: each binds it."""
+
+    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+        out = self._over_leading_axes(Z, jac=False)[0]
+        return out if ctx is None else out + self.context_offset(ctx).reshape(self.t_steps, self.state_dim)
+
+    def jacobian_batch(self, Z) -> np.ndarray:
+        """(..., T*D, n_z) derivative of the flattened decode at each (..., n_z) code."""
+        return self._over_leading_axes(Z)[1]
+
+    def linearize(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """``(decode_batch(Z), jacobian_batch(Z))`` from one pass over the codes."""
+        return self._over_leading_axes(Z)
+
+    def _over_leading_axes(self, Z, jac: bool = True) -> tuple:
+        """``_linearize_codes`` over (..., n_z) codes; one (n_z,) code gives outputs without a leading axis."""
+        Z = np.atleast_1d(np.asarray(Z, dtype=float))
+        lead, outs = Z.shape[:-1], self._linearize_codes(Z.reshape(-1, Z.shape[-1]), jac)
+        return tuple(None if out is None else out.reshape(*lead, *out.shape[1:]) for out in outs)
+
+
 @dataclass(frozen=True)
-class CrossroadDecoder:
+class CrossroadDecoder(_PerCodeDecoder):
     """Three-route decoder over a 2-d latent plane partitioned by angle.
 
     The forward sector is centered at angle 0 with angular fraction
     mode_probs[0]; left and right sectors follow counterclockwise. Sector
     boundaries are half-open (lower angle inclusive). Mode selection depends
     only on the angle of z; radius and within-sector angular offset add the
-    bounded smooth variation.
+    bounded smooth variation. Inside a sector, d offset/dz = (-z_1, z_0) /
+    (|z|^2 half) and d radial/dz = (1 - radial^2) z / |z|; the Jacobian is zero
+    at z = 0, where the angle is undefined.
     """
 
     mode_probs: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -224,6 +241,7 @@ class CrossroadDecoder:
 
     n_z = 2
     state_dim = 2
+    decode_batch = _PerCodeDecoder.decode_batch
 
     @property
     def templates(self) -> dict[str, np.ndarray]:
@@ -257,22 +275,6 @@ class CrossroadDecoder:
         offset = np.divide(own_rel, half, out=np.zeros_like(own_rel), where=half > 0)
         return Z, sectors, half, offset, np.sqrt(np.einsum("ij,ij->i", Z, Z))
 
-    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
-        out = _over_leading_axes(self._linearize_codes, Z, jac=False)[0]
-        return out if ctx is None else out + ctx.past[-1]
-
-    def jacobian_batch(self, Z) -> np.ndarray:
-        """(..., T*2, 2) derivative of the flattened decode at each of the
-        (..., 2) codes: inside a sector, d offset/dz = (-z_1, z_0) / (|z|^2
-        half) and d radial/dz = (1 - radial^2) z / |z|; zero at z = 0, where
-        the angle is undefined."""
-        return _over_leading_axes(self._linearize_codes, Z)[1]
-
-    def linearize(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        """``(decode_batch(Z), jacobian_batch(Z))`` from one pass that finds
-        each code's sector."""
-        return _over_leading_axes(self._linearize_codes, Z)
-
     def _linearize_codes(self, Z, jac: bool):
         Z, sectors, half, offset, radius = self._polar(Z)
         lateral, heading = self._lateral[sectors], self._heading[sectors]
@@ -302,27 +304,29 @@ class CrossroadDecoder:
 
 
 @dataclass(frozen=True)
-class TabulatedDecoder:
+class TabulatedDecoder(_PerCodeDecoder):
     """Grid of (latent -> trajectory) values with multilinear interpolation.
 
     Latents outside the grid are clamped to the boundary so decoding stays
-    total on finite inputs.
+    total on finite inputs. The Jacobian is the interpolant's cell slopes at the
+    clamped codes, zero along a dimension where the code is off the grid.
     """
 
-    z_grid: tuple  # one ascending axis array per latent dimension
+    z_grid: tuple  # one strictly ascending axis array per latent dimension
     table: np.ndarray  # grid shape + (T, D), row-major
     t_steps: int
     state_dim: int
-    _interp: object = field(init=False, repr=False, compare=False)
+    decode_batch = _PerCodeDecoder.decode_batch
 
     def __post_init__(self):
-        from scipy.interpolate import RegularGridInterpolator  # lazy: see trajectory._sq_dists
-
         _check_fields(self, t_steps="count", state_dim="count")
         grid, axes_of_numbers = self.z_grid, "a list of axes, each a list of numbers"
         if not isinstance(grid, (list, tuple)) or not all(isinstance(ax, (list, tuple, np.ndarray)) for ax in grid):
             raise ValueError(f"z_grid must be {axes_of_numbers}, got {grid!r}")
         axes = tuple(_float_array("z_grid", ax, axes_of_numbers) for ax in grid)
+        ascending = [ax.ndim == 1 and len(ax) > 1 and np.isfinite(ax).all() and (np.diff(ax) > 0).all() for ax in axes]
+        if not (axes and all(ascending)):
+            raise ValueError(f"z_grid must be axes of >= 2 finite, strictly ascending numbers, got {reprlib.repr(grid)}")
         table = _float_array("table", self.table)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
         if table.shape != expected:
@@ -331,10 +335,6 @@ class TabulatedDecoder:
             raise ValueError("table contains non-finite entries")
         object.__setattr__(self, "z_grid", axes)
         object.__setattr__(self, "table", table)
-        flat = table.reshape(table.shape[: len(axes)] + (-1,))
-        object.__setattr__(
-            self, "_interp", RegularGridInterpolator(axes, flat, method="linear")
-        )
 
     @property
     def n_z(self) -> int:
@@ -343,35 +343,34 @@ class TabulatedDecoder:
     def context_offset(self, ctx: Context | None) -> np.ndarray:
         return np.zeros(self.t_steps * self.state_dim)
 
-    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
-        return _over_leading_axes(self._linearize_codes, Z, jac=False)[0]
-
-    def jacobian_batch(self, Z) -> np.ndarray:
-        """(..., T*D, n_z) cell slopes of the multilinear interpolant at the
-        clamped (..., n_z) codes; zero along a dimension where the code is off
-        the grid. The interpolant is linear along each axis inside a cell, so a
-        slope is the difference across the cell's two faces over its width."""
-        return _over_leading_axes(self._linearize_codes, Z)[1]
-
-    def linearize(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        """``(decode_batch(Z), jacobian_batch(Z))``, clamping the codes once."""
-        return _over_leading_axes(self._linearize_codes, Z)
-
     def _linearize_codes(self, Z, jac: bool):
+        """A decode sums the corners of the code's cell: each corner's row times
+        its weights, (1 - t, t) at each axis's low and high face. The interpolant
+        is linear along an axis in a cell, so the slope along axis i is the sum with
+        axis i's weights (0, 1) minus the sum with (1, 0), over the cell width.
+        Weights multiply in axis order; corners add to a zero in ``itertools.product`` order."""
         if Z.shape[1] != self.n_z:
             raise ValueError(f"latent dim mismatch: got {Z.shape[1]}, grid has {self.n_z}")
-        z = np.column_stack([np.clip(Z[:, i], ax[0], ax[-1]) for i, ax in enumerate(self.z_grid)])
-        out = self._interp(z).reshape(Z.shape[0], self.t_steps, self.state_dim)
-        if not jac:
-            return out, None
-        slopes = []
+        corners = np.array(list(itertools.product((0, 1), repeat=self.n_z)))  # (C, n_z): 0 low face, 1 high
+        n_sets = 1 + 2 * self.n_z if jac else 1
+        weights, cell, corner, inv_widths = 1.0, 0, 0, []
         for i, ax in enumerate(self.z_grid):
-            j = np.clip(np.searchsorted(ax, z[:, i], side="right") - 1, 0, len(ax) - 2)
-            lo, hi = z.copy(), z.copy()
-            lo[:, i], hi[:, i] = ax[j], ax[j + 1]
-            inv_width = (Z[:, i] == z[:, i]) / (ax[j + 1] - ax[j])  # zero off the grid
-            slopes.append((self._interp(hi) - self._interp(lo)) * inv_width[:, None])
-        return out, np.stack(slopes, axis=2)
+            z = np.clip(Z[:, i], ax[0], ax[-1])
+            j = np.minimum(np.searchsorted(ax, z, side="right") - 1, len(ax) - 2)  # the top face is in the last cell
+            lo, width = ax[j], ax[j + 1] - ax[j]
+            t = (z - lo) / width
+            w = np.repeat(np.stack([1 - t, t])[None], n_sets, axis=0)  # (sets, low/high face, N)
+            if jac:
+                w[1 + 2 * i], w[2 + 2 * i] = [[0.0], [1.0]], [[1.0], [0.0]]  # axis i's high face, then its low
+                inv_widths.append((Z[:, i] == z) / width)  # zero off the grid
+            weights = weights * w[:, corners[:, i]]  # (sets, C, N)
+            cell, corner = cell * len(ax) + j, corner * len(ax) + corners[:, i]  # rows of the flat table
+        values = self.table.reshape(-1, self.t_steps * self.state_dim).take(corner[:, None] + cell, axis=0)
+        sums = 0.0
+        for value, w in zip(values, weights.swapaxes(0, 1)):
+            sums = sums + value * w[:, :, None]  # (sets, N, T*D)
+        slopes = [(sums[1 + 2 * i] - sums[2 + 2 * i]) * inv_width[:, None] for i, inv_width in enumerate(inv_widths)]
+        return sums[0].reshape(Z.shape[0], self.t_steps, self.state_dim), np.stack(slopes, axis=2) if jac else None
 
     def to_config(self) -> dict:
         return {

@@ -261,7 +261,8 @@ class TestGenData:
         # distances of small sets and the quality radius need none of it:
         # gen-data, the README's DSF train, sample --dpp-map and eval with its
         # baseline (one set per sample set and per anchor against 300
-        # examples), and a small DLow train, sample --dpp-map and eval, each
+        # examples), a small DLow train, sample --dpp-map and eval, and a small
+        # DSF train, sample --dpp-map and eval on a tabulated decoder, each
         # run in a fresh interpreter, load no scipy module
         script = "\n".join([
             "import json, sys",
@@ -276,7 +277,11 @@ class TestGenData:
             "mode": "dlow", "k": 5, "iters": 40, "lr": 0.01, "seed": 3, "noise_draws_per_iter": 4,
             "decoder": DSF_TRAIN_CONFIG["decoder"],
         }
-        for name, cfg in (("readme-gen", readme_gen), ("readme-train", readme_train), ("dlow", dlow_train)):
+        ax = np.linspace(-3.0, 3.0, 13)
+        table = CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1)).decode_batch(np.stack(np.meshgrid(ax, ax, indexing="ij"), -1))
+        tabulated_train = dict(DSF_TRAIN_CONFIG, decoder=TabulatedDecoder((ax, ax), table, 3, 2).to_config())
+        configs = {"readme-gen": readme_gen, "readme-train": readme_train, "dlow": dlow_train, "tab": tabulated_train}
+        for name, cfg in configs.items():
             (workdir / f"{name}.json").write_text(json.dumps(cfg))
 
         def files(*names):
@@ -304,6 +309,12 @@ class TestGenData:
                 sample("d.jsonl", "dlow"),
                 ["eval", "--samples", *files("dlow-s.jsonl"), "--dataset", *files("d.jsonl"), "--eps", "1.0",
                  "--out", *files("dlow-metrics"), "--model", *files("dlow-m.json"), "--seed", "99"],
+            ],
+            [
+                train("tab.json", "d.jsonl", "tab"),
+                sample("d.jsonl", "tab"),
+                ["eval", "--samples", *files("tab-s.jsonl"), "--dataset", *files("d.jsonl"), "--eps", "1.0",
+                 "--out", *files("tab-metrics"), "--model", *files("tab-m.json"), "--seed", "99"],
             ],
         ]
         for argvs in runs:

@@ -278,6 +278,54 @@ class TestTabulatedDecoder:
                 z_grid=(np.linspace(0, 1, 3),), table=np.zeros((4, 2, 2)), t_steps=2, state_dim=2
             )
 
+    @pytest.mark.parametrize(
+        "z_grid",
+        [
+            [[1.0, 0.0]],  # descending: clamping would pin every code to one end
+            [[0.0, 1.0], [0.5]],  # one point: no cell, so no slope
+            [[0.0, 0.0, 1.0]],  # a repeated value: a cell of zero width
+            [[0.0, 1.0], [0.0, np.nan]],
+            [[0.0, np.inf]],
+            [[[0.0, 1.0], [2.0, 3.0]]],  # a 2-d axis
+            [],  # no axis
+        ],
+        ids=["descending", "one point", "repeated", "nan", "inf", "2-d", "empty"],
+    )
+    def test_bad_grid_axes_rejected(self, z_grid):
+        shape = tuple(np.shape(ax)[0] for ax in z_grid) + (2, 2)
+        with pytest.raises(ValueError, match=r"^z_grid must be axes of >= 2 finite, strictly ascending numbers, got "):
+            TabulatedDecoder(z_grid=z_grid, table=np.zeros(shape), t_steps=2, state_dim=2)
+
+    @pytest.mark.parametrize("n_z", [1, 2, 3])
+    def test_decode_and_jacobian_equal_grid_interpolator(self, n_z):
+        # the reference: scipy's multilinear interpolant of the clamped codes,
+        # and its difference across each cell's two faces over the cell width
+        # (zero along a dimension where the code is off the grid)
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(60 + n_z)
+        tab = self.make_random(rng, n_z)
+        axes = tab.z_grid
+        interp = RegularGridInterpolator(axes, tab.table.reshape(tab.table.shape[:n_z] + (-1,)))
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n_z)
+        faces = self.inside_cells(rng, tab, 300)
+        one_off = self.inside_cells(rng, tab, 300)
+        for i, ax in enumerate(axes):
+            faces[i::n_z, i] = rng.choice(ax, size=len(faces[i::n_z]))
+            one_off[i::n_z, i] = rng.choice([ax[0] - 0.5, ax[-1] + 0.5, -1e9, 1e9], size=len(one_off[i::n_z]))
+        all_off = np.where(rng.random((50, n_z)) < 0.5, -9.0, 9.0)
+        Z = np.concatenate([rng.normal(scale=2.0, size=(300, n_z)), nodes, faces, one_off, all_off])
+        z = np.column_stack([np.clip(Z[:, i], ax[0], ax[-1]) for i, ax in enumerate(axes)])
+        slopes = []
+        for i, ax in enumerate(axes):
+            j = np.clip(np.searchsorted(ax, z[:, i], side="right") - 1, 0, len(ax) - 2)
+            lo, hi = z.copy(), z.copy()
+            lo[:, i], hi[:, i] = ax[j], ax[j + 1]
+            slopes.append((interp(hi) - interp(lo)) * ((Z[:, i] == z[:, i]) / (ax[j + 1] - ax[j]))[:, None])
+        value, jac = tab.linearize(Z)
+        assert np.array_equal(value, interp(z).reshape(-1, 3, 2))
+        assert np.array_equal(jac, np.stack(slopes, axis=2))
+
 
 def _decoders(rng):
     ax = np.linspace(-3.0, 3.0, 7)
