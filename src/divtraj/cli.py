@@ -36,7 +36,7 @@ from .fileio import (
 )
 from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports
+from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports, _float_array
 from .training import train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -125,9 +125,9 @@ def _model_latents(model: dict, examples, seed: int) -> np.ndarray:
     the DLow flows applied to the example's own noise draw."""
     params = model["params"]
     if model["mode"] == "dsf":
-        codes = np.asarray(params["codes"], dtype=float)
+        codes = _float_array("codes", params["codes"])
         return np.broadcast_to(codes, (len(examples),) + codes.shape)
-    a, b = np.asarray(params["A"], dtype=float), np.asarray(params["b"], dtype=float)
+    a, b = _float_array("A", params["A"]), _float_array("b", params["b"])
     if "featurization" in params:  # each example's own flows, (M, K, n_z, n_z) and (M, K, n_z)
         k0 = int(model["train_config"].get("fix_first_identity", False))
         features = np.stack([ex.context.features for ex in examples])

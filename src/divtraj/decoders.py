@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import _reject_unknown
-from .trajectory import Context, _check_fields, _check_value
+from .trajectory import Context, _check_fields, _check_value, _float_array
 
 __all__ = [
     "route_templates",
@@ -71,19 +71,6 @@ def route_templates(speed: float, t_steps: int) -> dict[str, np.ndarray]:
     return {"forward": forward, "left": left, "right": right}
 
 
-def _float_array(name: str, value, what: str = "an array of numbers in rows of equal length") -> np.ndarray:
-    """``value`` as a float array. A ragged nesting, or an entry that is not a
-    number (a string, a bool, null), raises ``<name> must be <what>``, where
-    numpy's own message would not name the field."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
-    return arr.astype(float, copy=False)
-
-
 def _checked_mode_probs(mode_probs) -> tuple:
     """The three route probabilities, a list of numbers, as floats: each >= 0,
     summing to 1."""
@@ -114,22 +101,17 @@ class LinearDecoder:
 
     def __post_init__(self):
         _check_fields(self, t_steps="count", state_dim="count")
-        W = _float_array("W", self.W)
-        c0 = _float_array("c0", self.c0)
+        W, c0 = _float_array("W", self.W), _float_array("c0", self.c0)
         if W.ndim != 2:
             raise ValueError(f"W must be a 2-d array, got {W.ndim}-d")
         if W.shape[0] != self.t_steps * self.state_dim or c0.shape != (W.shape[0],):
             raise ValueError("W/c0 shapes inconsistent with t_steps * state_dim")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(c0))):
-            raise ValueError("decoder parameters contain non-finite entries")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "c0", c0)
         if self.ctx_proj is not None:
             m = _float_array("ctx_proj", self.ctx_proj)
-            if m.ndim != 2:
-                raise ValueError(f"ctx_proj must be a 2-d array, got {m.ndim}-d")
-            if m.shape[0] != W.shape[0] or not np.all(np.isfinite(m)):
-                raise ValueError("ctx_proj has wrong shape or non-finite entries")
+            if m.ndim != 2 or m.shape[0] != W.shape[0]:
+                raise ValueError(f"ctx_proj must be a 2-d array of {W.shape[0]} rows, got shape {m.shape}")
             object.__setattr__(self, "ctx_proj", m)
 
     @property
@@ -324,15 +306,13 @@ class TabulatedDecoder(_PerCodeDecoder):
         if not isinstance(grid, (list, tuple)) or not all(isinstance(ax, (list, tuple, np.ndarray)) for ax in grid):
             raise ValueError(f"z_grid must be {axes_of_numbers}, got {grid!r}")
         axes = tuple(_float_array("z_grid", ax, axes_of_numbers) for ax in grid)
-        ascending = [ax.ndim == 1 and len(ax) > 1 and np.isfinite(ax).all() and (np.diff(ax) > 0).all() for ax in axes]
+        ascending = [ax.ndim == 1 and len(ax) > 1 and (np.diff(ax) > 0).all() for ax in axes]
         if not (axes and all(ascending)):
             raise ValueError(f"z_grid must be axes of >= 2 finite, strictly ascending numbers, got {reprlib.repr(grid)}")
         table = _float_array("table", self.table)
         expected = tuple(len(ax) for ax in axes) + (self.t_steps, self.state_dim)
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} does not match grid {expected}")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("table contains non-finite entries")
         object.__setattr__(self, "z_grid", axes)
         object.__setattr__(self, "table", table)
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .trajectory import _check_fields, _check_value
+from .trajectory import _check_fields, _check_value, _float_array
 
 __all__ = [
     "KernelConfig",
@@ -60,12 +60,10 @@ class GroundSet:
     latents: np.ndarray  # (N, n_z)
 
     def __post_init__(self):
-        items = np.atleast_2d(np.asarray(self.items, dtype=float))
-        latents = np.atleast_2d(np.asarray(self.latents, dtype=float))
+        items = np.atleast_2d(_float_array("items", self.items))
+        latents = np.atleast_2d(_float_array("latents", self.latents))
         if items.shape[0] < 1 or items.shape[0] != latents.shape[0]:
             raise ValueError("items and latents must be aligned, N >= 1")
-        if not (np.all(np.isfinite(items)) and np.all(np.isfinite(latents))):
-            raise ValueError("ground set contains non-finite entries")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "latents", latents)
 
@@ -133,10 +131,7 @@ def _rbf_similarity(items: np.ndarray, sim_scale: float) -> np.ndarray:
 def build_similarity(items, sim_scale: float) -> np.ndarray:
     """RBF similarity S_ij = exp(-sim_scale * d^2(x_i, x_j)), unit diagonal."""
     _check_value("sim_scale", sim_scale, "positive")
-    items = np.atleast_2d(np.asarray(items, dtype=float))
-    if not np.all(np.isfinite(items)):
-        raise ValueError("items contain non-finite entries")
-    return _rbf_similarity(items, sim_scale)
+    return _rbf_similarity(np.atleast_2d(_float_array("items", items)), sim_scale)
 
 
 def _log_gamma_pq(a: float, u: float) -> tuple[float, float, float]:
@@ -234,7 +229,7 @@ def _latent_quality(latents: np.ndarray, config: KernelConfig) -> np.ndarray:
 def build_quality(latents, config: KernelConfig) -> np.ndarray:
     """Latent-space quality: flat at the base value inside the sphere of the
     codes' dimension, exponentially decaying outside; continuous at the boundary."""
-    return _latent_quality(np.atleast_2d(np.asarray(latents, dtype=float)), config)
+    return _latent_quality(np.atleast_2d(_float_array("latents", latents)), config)
 
 
 def _kernel(items: np.ndarray, latents: np.ndarray, config: KernelConfig, vectors: bool = False):

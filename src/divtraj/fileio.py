@@ -17,7 +17,7 @@ import numpy as np
 
 from .dpp import KernelConfig
 from .energy import EnergyConfig
-from .trajectory import METRIC_NAMES, Context, Dataset, Example, MetricsReport
+from .trajectory import METRIC_NAMES, Context, Dataset, Example, MetricsReport, _check_value, _float_array
 from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
 
 __all__ = [
@@ -61,19 +61,25 @@ def _write_lines(path, kind: str, meta: dict, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_lines(path, kind: str):
+def _read_lines(path, kind: str, make) -> tuple[dict, list]:
     """The header meta of a JSON-lines artifact of this ``kind``, after its
-    version and kind are checked, and an iterator that parses its records one
-    line at a time."""
+    version and kind are checked, and ``make`` of each record, parsed one line
+    at a time; an error in a record names the file and the line."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty {kind} file")
-    header = json.loads(lines[0])
+    header = _check_object(json.loads(lines[0]), f"{path}:1: header")
     _check_version(header, path)
     if header.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} file")
-    return header.get("meta", {}), map(json.loads, lines[1:])
+    meta, records = _check_object(header.get("meta", {}), f"{path}:1: header meta"), []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            records.append(make(_check_object(json.loads(line), "record")))
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from exc
+    return meta, records
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -91,17 +97,13 @@ def write_dataset(path, dataset: Dataset) -> None:
     _write_lines(path, "dataset", dataset.meta, records)
 
 
+def _example(rec: dict) -> Example:
+    context = Context(past=rec["past"], features=rec.get("features", []))
+    return Example(context=context, future=rec["future"], id=rec["id"], meta=rec.get("meta", {}))
+
+
 def read_dataset(path) -> Dataset:
-    meta, records = _read_lines(path, "dataset")
-    examples = tuple(
-        Example(
-            context=Context(past=rec["past"], features=rec.get("features", [])),
-            future=rec["future"],
-            id=int(rec["id"]),
-            meta=rec.get("meta", {}),
-        )
-        for rec in records
-    )
+    meta, examples = _read_lines(path, "dataset", _example)
     return Dataset(examples=examples, meta=meta)
 
 
@@ -115,14 +117,15 @@ def write_model(path, model: dict) -> None:
 
 def read_model(path) -> dict:
     path = Path(path)
-    model = json.loads(path.read_text())
+    model = _check_object(json.loads(path.read_text()), f"{path}: model")
     _check_version(model, path)
     if model.get("mode") not in ("dsf", "dlow"):
         raise ValueError(f"{path}: unknown sampler mode {model.get('mode')!r}")
     k, n_z = int(model["K"]), int(model["n_z"])
     shapes = {"codes": (k, n_z)} if model["mode"] == "dsf" else {"A": (k, n_z, n_z), "b": (k, n_z)}
+    params = _check_object(model["params"], f"{path}: model params")
     for name, shape in shapes.items():
-        found = np.shape(model["params"][name])
+        found = _float_array(f"{path}: {name}", params[name]).shape
         if found != shape:
             raise ValueError(f"{path}: {name} of shape {found} does not match K={k}, n_z={n_z}")
     return model
@@ -138,23 +141,30 @@ def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
     _write_lines(path, "samples", meta or {}, rows)
 
 
+def _sample_record(rec: dict) -> dict:
+    _check_value("id", rec["id"], "integer")
+    return {"id": rec["id"], "samples": _float_array("samples", rec["samples"]), "dpp_map": rec.get("dpp_map")}
+
+
 def read_samples(path) -> list[dict]:
-    _, records = _read_lines(path, "samples")
-    return [
-        {"id": int(rec["id"]), "samples": np.asarray(rec["samples"], dtype=float), "dpp_map": rec.get("dpp_map")}
-        for rec in records
-    ]
+    return _read_lines(path, "samples", _sample_record)[1]
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
+def _check_object(block, where: str) -> dict:
+    """``block``, if it is a JSON object; else a ValueError naming ``where``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
+    return block
+
+
 def _reject_unknown(block: dict, allowed, where: str, required=()) -> None:
     """Reject a config block that is not a JSON object, has a key outside
     ``allowed`` or lacks a ``required`` one."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
+    _check_object(block, where)
     unknown = set(block) - set(allowed)
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trajectory import _float_array
+
 __all__ = [
     "AffineFlowSet",
     "DsfCodes",
@@ -30,14 +32,11 @@ class AffineFlowSet:
     b: np.ndarray  # (K, n_z)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        A, b = _float_array("A", self.A), _float_array("b", self.b)
         if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[0] < 1:
             raise ValueError(f"A must be (K, n_z, n_z) with K >= 1, got {A.shape}")
         if b.shape != A.shape[:2]:
             raise ValueError(f"b must be (K, n_z), got {b.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("flow parameters contain non-finite entries")
         _check_invertible(A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -62,11 +61,9 @@ class DsfCodes:
     codes: np.ndarray  # (K, n_z)
 
     def __post_init__(self):
-        codes = np.atleast_2d(np.asarray(self.codes, dtype=float))
+        codes = np.atleast_2d(_float_array("codes", self.codes))
         if codes.shape[0] < 1:
             raise ValueError("need K >= 1 codes")
-        if not np.all(np.isfinite(codes)):
-            raise ValueError("codes contain non-finite entries")
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -89,7 +86,7 @@ def _check_invertible(A: np.ndarray) -> np.ndarray:
 
 def apply_flows(flows: AffineFlowSet, eps) -> np.ndarray:
     """Map one shared noise vector through all K flows: z_k = A_k @ eps + b_k."""
-    eps = np.asarray(eps, dtype=float)
+    eps = _float_array("eps", eps)
     if eps.shape != (flows.n_z,):
         raise ValueError(f"eps must have shape ({flows.n_z},), got {eps.shape}")
     return _apply_flows(flows.A, flows.b, eps)
@@ -103,7 +100,7 @@ def _apply_flows(A: np.ndarray, b: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 def invert_flow(flows: AffineFlowSet, k: int, z) -> np.ndarray:
     """Recover the noise that flow k maps to z: eps = A_k^{-1} (z - b_k)."""
-    z = np.asarray(z, dtype=float)
+    z = _float_array("z", z)
     if z.shape != (flows.n_z,):
         raise ValueError(f"z must have shape ({flows.n_z},), got {z.shape}")
     _check_invertible(flows.A[k])
@@ -126,7 +123,7 @@ def _kl(A: np.ndarray, b: np.ndarray, grad: bool = False):
 def _fold_features(A: np.ndarray, b: np.ndarray, block, features, k0: int):
     """(M, K, n, n) maps A_k + fold(Ma_k f) and (M, K, n) shifts b_k + Mb_k f
     (k >= k0) for (M, F) features; ``block`` is [Ma (K-k0, n, n, F), Mb (K-k0, n, F)]."""
-    block, features = np.asarray(block, dtype=float), np.atleast_2d(features)
+    block, features = _float_array("featurization", block), np.atleast_2d(features)
     (m, f_dim), (k_t, n) = features.shape, (A.shape[0] - k0, A.shape[-1])
     need = k_t * (n * n + n) * f_dim
     if block.size != need:

@@ -40,7 +40,7 @@ from . import dpp, energy
 from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .flows import AffineFlowSet, DsfCodes, _apply_flows, _fold_features, _kl
-from .trajectory import Context, Dataset, Example, _check_fields
+from .trajectory import Context, Dataset, Example, _check_fields, _float_array
 
 __all__ = [
     "TrainConfig",
@@ -326,7 +326,7 @@ def train_dsf(data, decoder, cfg: TrainConfig, init_codes=None) -> tuple[DsfCode
     if init_codes is None:
         codes0 = rng.normal(0.0, 0.1, size=(cfg.k, decoder.n_z))
     else:
-        codes0 = np.asarray(init_codes, dtype=float)
+        codes0 = _float_array("init_codes", init_codes)
         if codes0.shape != (cfg.k, decoder.n_z):
             raise ValueError(
                 f"init_codes must have shape {(cfg.k, decoder.n_z)}, got {codes0.shape}"

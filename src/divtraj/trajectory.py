@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -49,13 +50,11 @@ METRIC_CONVENTIONS = (
 def as_trajectory(steps) -> np.ndarray:
     """Validate and return a T x D float trajectory array.
 
-    Raises ValueError on wrong rank, empty axes, or non-finite entries.
+    Raises ValueError on wrong rank, empty axes, or entries that are not finite numbers.
     """
-    arr = np.asarray(steps, dtype=float)
+    arr = _float_array("trajectory", steps)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"trajectory must be a T x D array with T, D >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("trajectory contains non-finite entries")
     return arr
 
 
@@ -87,6 +86,27 @@ def _check_fields(obj, **kinds: str) -> None:
         _check_value(name, getattr(obj, name), kind)
 
 
+def _float_array(name: str, value, what: str = "an array of numbers in rows of equal length") -> np.ndarray:
+    """``value`` as a finite float array: the one check of every array read
+    from a caller or a file. A ragged nesting, or an entry that is not a number
+    (a string, a bool, null), raises ``<name> must be <what>``, a NaN or inf
+    ``<name> contains non-finite entries``. ``np.asarray(value, dtype=float)``
+    reads ``"1.5"`` as 1.5 and a bool as 0 or 1, and its messages name no field."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    leaves = value if isinstance(value, (list, tuple)) else ()  # numpy reads a bool beside numbers as 0 or 1
+    for _ in range(1, getattr(arr, "ndim", 0)):
+        leaves = chain.from_iterable(leaves)
+    if arr is None or arr.dtype.kind not in "iuf" or not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class Context:
     """Forecasting context: past trajectory plus optional flat side features."""
@@ -96,10 +116,7 @@ class Context:
 
     def __post_init__(self):
         object.__setattr__(self, "past", as_trajectory(self.past))
-        feats = np.asarray(self.features, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("context features contain non-finite entries")
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", _float_array("features", self.features).reshape(-1))
 
     def flat(self) -> np.ndarray:
         """Past trajectory flattened and concatenated with the feature vector."""
@@ -114,6 +131,7 @@ class Example:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_value("id", self.id, "integer")
         object.__setattr__(self, "future", as_trajectory(self.future))
 
 
@@ -162,11 +180,9 @@ class SampleSet:
     context_id: int = -1
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        arr = _float_array("samples", self.samples)
         if arr.ndim != 3 or arr.shape[0] < 1:
             raise ValueError(f"samples must be a K x T x D array with K >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples contain non-finite entries")
         object.__setattr__(self, "samples", arr)
 
     @property

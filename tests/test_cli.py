@@ -583,6 +583,67 @@ def _train_model(workdir):
     ])
 
 
+def _first_entry(value, new):
+    """A nested list ``value`` with its first number replaced by ``new``."""
+    row = value
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = new
+    return value
+
+
+class TestArtifactTypes:
+    """A dataset, sample or model file whose header, meta, record or whole body
+    is not a JSON object, whose ids are not JSON integers, or whose arrays hold
+    an entry that is not a finite number, is a one-line error through the CLI;
+    it names the file, and the line of a JSON-lines file."""
+
+    # id: (file, line, edit of the JSON value on that line, how the error line starts)
+    CASES = {
+        "dataset past string": ("d.jsonl", 2, lambda rec: dict(rec, past=_first_entry(rec["past"], "1.5")),
+                                "{path}:2: trajectory must be an array of numbers"),
+        "dataset features null": ("d.jsonl", 3, lambda rec: dict(rec, features=[None]),
+                                  "{path}:3: features must be an array of numbers"),
+        "dataset header list": ("d.jsonl", 1, lambda header: [header], "{path}:1: header must be a JSON object, got list"),
+        "dataset meta list": ("d.jsonl", 1, lambda header: dict(header, meta=[1]),
+                              "{path}:1: header meta must be a JSON object, got list"),
+        "dataset record list": ("d.jsonl", 3, lambda rec: [rec], "{path}:3: record must be a JSON object, got list"),
+        "dataset id float": ("d.jsonl", 3, lambda rec: dict(rec, id=1.7), "{path}:3: id must be an integer, got 1.7"),
+        "dataset id true": ("d.jsonl", 3, lambda rec: dict(rec, id=True), "{path}:3: id must be an integer, got True"),
+        "dataset id string": ("d.jsonl", 4, lambda rec: dict(rec, id="2"), "{path}:4: id must be an integer, got '2'"),
+        "samples record list": ("s.jsonl", 2, lambda rec: [rec], "{path}:2: record must be a JSON object, got list"),
+        "samples id float": ("s.jsonl", 2, lambda rec: dict(rec, id=0.5), "{path}:2: id must be an integer, got 0.5"),
+        "samples entry null": ("s.jsonl", 3, lambda rec: dict(rec, samples=_first_entry(rec["samples"], None)),
+                               "{path}:3: samples must be an array of numbers"),
+        "model list": ("m.json", 1, lambda model: [model], "{path}: model must be a JSON object, got list"),
+        "model params list": ("m.json", 1, lambda model: dict(model, params=[1]),
+                              "{path}: model params must be a JSON object, got list"),
+        "model codes true": ("m.json", 1, lambda model: dict(model, params={"codes": _first_entry(model["params"]["codes"], True)}),
+                             "{path}: codes must be an array of numbers"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_error_line(self, workdir, capsys, case):
+        name, number, edit, says = self.CASES[case]
+        _train_model(workdir)
+        sample = ["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl", "--out", workdir / "s.jsonl"]
+        assert run(sample) == 0
+        path = workdir / name
+        lines = path.read_text().splitlines()
+        lines[number - 1] = json.dumps(edit(json.loads(lines[number - 1])))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if name == "s.jsonl":
+            assert run(["eval", "--samples", path, "--dataset", workdir / "d.jsonl", "--eps", 1.0, "--out", workdir / "e"]) == 1
+        else:
+            assert run([*sample[:-1], workdir / "t.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: " + says.format(path=path))
+        assert not (workdir / "t.jsonl").exists() and not (workdir / "e.json").exists()
+
+
 class TestSample:
     def test_k_samples_per_example(self, workdir):
         _train_model(workdir)

@@ -278,22 +278,25 @@ class TestTabulatedDecoder:
                 z_grid=(np.linspace(0, 1, 3),), table=np.zeros((4, 2, 2)), t_steps=2, state_dim=2
             )
 
+    AXES = r"^z_grid must be axes of >= 2 finite, strictly ascending numbers, got "
+    NON_FINITE = r"^z_grid contains non-finite entries$"
+
     @pytest.mark.parametrize(
-        "z_grid",
+        "z_grid, message",
         [
-            [[1.0, 0.0]],  # descending: clamping would pin every code to one end
-            [[0.0, 1.0], [0.5]],  # one point: no cell, so no slope
-            [[0.0, 0.0, 1.0]],  # a repeated value: a cell of zero width
-            [[0.0, 1.0], [0.0, np.nan]],
-            [[0.0, np.inf]],
-            [[[0.0, 1.0], [2.0, 3.0]]],  # a 2-d axis
-            [],  # no axis
+            ([[1.0, 0.0]], AXES),  # descending: clamping would pin every code to one end
+            ([[0.0, 1.0], [0.5]], AXES),  # one point: no cell, so no slope
+            ([[0.0, 0.0, 1.0]], AXES),  # a repeated value: a cell of zero width
+            ([[0.0, 1.0], [0.0, np.nan]], NON_FINITE),
+            ([[0.0, np.inf]], NON_FINITE),
+            ([[[0.0, 1.0], [2.0, 3.0]]], AXES),  # a 2-d axis
+            ([], AXES),  # no axis
         ],
         ids=["descending", "one point", "repeated", "nan", "inf", "2-d", "empty"],
     )
-    def test_bad_grid_axes_rejected(self, z_grid):
+    def test_bad_grid_axes_rejected(self, z_grid, message):
         shape = tuple(np.shape(ax)[0] for ax in z_grid) + (2, 2)
-        with pytest.raises(ValueError, match=r"^z_grid must be axes of >= 2 finite, strictly ascending numbers, got "):
+        with pytest.raises(ValueError, match=message):
             TabulatedDecoder(z_grid=z_grid, table=np.zeros(shape), t_steps=2, state_dim=2)
 
     @pytest.mark.parametrize("n_z", [1, 2, 3])

@@ -1,6 +1,9 @@
 """Metric suite unit tests: worked examples and structural invariants."""
+import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divtraj import (
+    AffineFlowSet,
     Context,
+    CrossroadDecoder,
     Dataset,
+    DsfCodes,
     Example,
+    GroundSet,
+    KernelConfig,
+    LinearDecoder,
     SampleSet,
+    TabulatedDecoder,
+    TrainConfig,
     ade,
+    apply_flows,
+    build_quality,
+    build_similarity,
+    invert_flow,
+    train_dsf,
     apd,
     asd_fsd,
     build_multimodal_gt,
@@ -21,7 +37,10 @@ from divtraj import (
     mm_metrics,
     traj_distance,
 )
-from divtraj import energy, trajectory
+from divtraj import cli, energy, trajectory
+from divtraj.fileio import read_samples
+from divtraj.flows import _fold_features
+from divtraj.trajectory import as_trajectory
 
 
 def make_samples(*trajs):
@@ -170,6 +189,15 @@ class TestDataset:
         other = Example(context=Context(past=past, features=features), future=future, id=1)
         with pytest.raises(ValueError, match="dataset examples are not shape-homogeneous"):
             Dataset(examples=(first, other))
+
+    @pytest.mark.parametrize("example_id", [1.7, True, "2", None, 2.0])
+    def test_non_integer_id_rejected(self, example_id):
+        # int() would read 1.7 and true as 1, and "2" as 2
+        with pytest.raises(ValueError, match=f"^id must be an integer, got {re.escape(repr(example_id))}$"):
+            Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=example_id)
+
+    def test_numpy_integer_id_accepted(self):
+        assert Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=np.int64(3)).id == 3
 
 
 class TestBuildMultimodalGt:
@@ -677,3 +705,82 @@ class TestSqDists:
         assert dists.shape == (3000, 8, 10, 10)
         assert peak <= dists.nbytes + 2 * trajectory._GROUP_BLOCK_BYTES
         assert np.array_equal(dists[1234, 5], _feature_loop_sq_dists(x[1234, 5], x[1234, 5]))
+
+
+def _read_samples_of(samples):
+    """``read_samples`` of a file with one record holding ``samples``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        header = {"format_version": 1, "kind": "samples", "meta": {}}
+        path.write_text(json.dumps(header) + "\n" + json.dumps({"id": 0, "samples": samples}) + "\n")
+        return read_samples(path)
+
+
+_FLOWS = AffineFlowSet.identity(2, 2)
+_EXAMPLE = Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=0)
+_LINEAR = {"W": np.ones((6, 2)), "c0": np.zeros(6), "t_steps": 3, "state_dim": 2}
+
+
+class TestArrayInputs:
+    """Every array taken from a caller or a file passes one checker: an entry
+    that is not a finite number, or a ragged nesting, is a ValueError that
+    names the array."""
+
+    # id: (the name in the message, a valid value, a call that reads it)
+    READERS = {
+        "as_trajectory": ("trajectory", ZERO32, as_trajectory),
+        "Context.past": ("trajectory", np.zeros((2, 2)), lambda v: Context(past=v)),
+        "Context.features": ("features", np.zeros(2), lambda v: Context(past=np.zeros((2, 2)), features=v)),
+        "Example.future": ("trajectory", ZERO32, lambda v: Example(context=_EXAMPLE.context, future=v, id=0)),
+        "SampleSet": ("samples", np.zeros((2, 3, 2)), SampleSet),
+        "GroundSet.items": ("items", np.zeros((2, 6)), lambda v: GroundSet(items=v, latents=np.zeros((2, 2)))),
+        "GroundSet.latents": ("latents", np.zeros((2, 2)), lambda v: GroundSet(items=np.zeros((2, 6)), latents=v)),
+        "build_similarity": ("items", np.zeros((2, 6)), lambda v: build_similarity(v, 1.0)),
+        "build_quality": ("latents", np.zeros((2, 2)), lambda v: build_quality(v, KernelConfig())),
+        "AffineFlowSet.A": ("A", _FLOWS.A, lambda v: AffineFlowSet(A=v, b=_FLOWS.b)),
+        "AffineFlowSet.b": ("b", _FLOWS.b, lambda v: AffineFlowSet(A=_FLOWS.A, b=v)),
+        "DsfCodes": ("codes", np.zeros((2, 2)), DsfCodes),
+        "apply_flows": ("eps", np.zeros(2), lambda v: apply_flows(_FLOWS, v)),
+        "invert_flow": ("z", np.zeros(2), lambda v: invert_flow(_FLOWS, 0, v)),
+        "featurization": ("featurization", np.zeros(12), lambda v: _fold_features(_FLOWS.A, _FLOWS.b, v, np.ones(1), 0)),
+        "LinearDecoder.W": ("W", _LINEAR["W"], lambda v: LinearDecoder(**dict(_LINEAR, W=v))),
+        "LinearDecoder.c0": ("c0", _LINEAR["c0"], lambda v: LinearDecoder(**dict(_LINEAR, c0=v))),
+        "LinearDecoder.ctx_proj": ("ctx_proj", np.zeros((6, 1)), lambda v: LinearDecoder(**_LINEAR, ctx_proj=v)),
+        "TabulatedDecoder.table": (
+            "table", np.zeros((2, 3, 2)), lambda v: TabulatedDecoder(z_grid=([0.0, 1.0],), table=v, t_steps=3, state_dim=2)
+        ),
+        "read_samples": ("samples", np.zeros((2, 3, 2)), _read_samples_of),
+        "model codes": ("codes", np.zeros((2, 2)), lambda v: cli._model_latents({"mode": "dsf", "params": {"codes": v}}, [_EXAMPLE], 0)),
+        "model A": (
+            "A", _FLOWS.A, lambda v: cli._model_latents({"mode": "dlow", "params": {"A": v, "b": _FLOWS.b}}, [_EXAMPLE], 0)
+        ),
+        "init_codes": (
+            "init_codes", np.zeros((2, 2)), lambda v: train_dsf([], CrossroadDecoder(), TrainConfig(k=2, iters=1), init_codes=v)
+        ),
+    }
+
+    # each replaces the first entry of a valid array, the others left numbers
+    BAD = {"nan": np.nan, "inf": -np.inf, "string": "1.5", "true": True, "null": None, "ragged": [0.0, 0.0]}
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_entry_rejected_with_name(self, reader, bad):
+        name, valid, read = self.READERS[reader]
+        value = np.asarray(valid).tolist()
+        row = value
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = self.BAD[bad]
+        read(np.asarray(valid).tolist())  # the valid array passes
+        if bad in ("nan", "inf"):
+            says = "contains non-finite entries$"
+        else:
+            says = "must be an array of numbers in rows of equal length, got "
+        with pytest.raises(ValueError, match=f"(^|: ){name} {says}"):  # a file's reader puts its path and line first
+            read(value)
+
+    def test_arrays_and_numpy_numbers_accepted(self):
+        arr = trajectory._float_array("x", np.ones((2, 2), dtype=np.float32))
+        assert arr.dtype == float and arr.shape == (2, 2)
+        assert trajectory._float_array("x", [[1, np.int64(2)], [np.float32(0.5), 3.0]]).tolist() == [[1, 2], [0.5, 3]]
+        assert trajectory._float_array("x", []).shape == (0,)
