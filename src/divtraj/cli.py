@@ -21,7 +21,6 @@ from .dpp import _greedy_map_sets
 from .fileio import (
     _TRAIN_CONFIG_KEYS,
     _kernel_config,
-    _reject_unknown,
     metrics_to_csv,
     read_dataset,
     read_model,
@@ -36,7 +35,7 @@ from .fileio import (
 )
 from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports, _float_array
+from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports, _float_array, _reject_unknown
 from .training import train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -141,8 +140,8 @@ def cmd_sample(args) -> int:
     model = read_model(args.model)
     decoder = decoder_from_config(model["decoder"])
     dataset = read_dataset(args.dataset)
-    k = int(model["K"])
-    seed = args.seed if args.seed is not None else int(model["seed"])
+    k = model["K"]
+    seed = args.seed if args.seed is not None else model["seed"]
     kcfg = _kernel_config(model["train_config"].get("kernel", {}), base_quality=args.omega)
     examples = dataset.examples
     records = []
@@ -178,7 +177,7 @@ def cmd_eval(args) -> int:
         model = read_model(args.model)
         decoder = decoder_from_config(model["decoder"])
         examples = dataset.examples
-        shape = (int(model["K"]), int(model["n_z"]))  # best-of-K metrics compare at the model's K
+        shape = (model["K"], model["n_z"])  # best-of-K metrics compare at the model's K
         latents = np.stack([sample_noise([args.seed, ex.id], shape) for ex in examples])
         samples = _decode(decoder, latents, examples)
         sample_set_maps.append(_sample_sets([{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]))

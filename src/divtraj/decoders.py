@@ -9,20 +9,22 @@ the configured route frequencies. Smooth bounded within-mode variation is
 added from the angular offset inside the sector and the latent radius; the
 variation vanishes on the sector bisector at unit radius. ``TabulatedDecoder``
 interpolates a grid of precomputed trajectories so externally produced
-models can be evaluated without linking them in. ``jacobian_batch`` gives
-each decoder's per-code derivative. ``linearize`` returns the decode and that
-derivative together, from one pass over the codes (one sector search; one
-clamp, cell search and corner sum), and both trainers chain through it; the
-two single-output methods are built from the same code: each formula once.
+models can be evaluated without linking them in.
+
+The three share one base, ``_PerCodeDecoder``, and keep only their per-code
+math, ``_linearize_codes``: (N, n_z) codes to their (N, T, D) decode and, on
+request, their (N, T*D, n_z) Jacobian. The base gives the rest once: one check
+of the codes, the flattening of their leading axes, ``decode_batch``,
+``jacobian_batch``, ``linearize`` (the two from one pass over the codes, which
+both trainers chain through) and the config round trip, from one table of
+each kind's config keys and fields.
 
 All decoders here are additive in the context:
 ``decode_batch(z, ctx) == decode_batch(z, None) + context_offset(ctx)``
 (reshaped), a property the trainers and the CLI rely on to batch latent
 codes across contexts. ``decode_batch``, ``jacobian_batch`` and ``linearize``
 take codes with any leading axes, (..., n_z) to (..., T, D) and
-(..., T*D, n_z). The crossroad and tabulated decoders treat each code as they
-would alone; the linear decoder's matmul can differ in the last bit between
-stacks of different shapes.
+(..., T*D, n_z), and treat each code as they would alone.
 
 Route template geometry (speed s, T future steps): forward continues the +x
 heading at s per step; left/right are quarter-circle arcs of radius
@@ -36,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import _reject_unknown
-from .trajectory import Context, _check_fields, _check_value, _float_array
+from .trajectory import Context, _check_fields, _check_value, _float_array, _reject_unknown
 
 __all__ = [
     "route_templates",
@@ -89,8 +90,53 @@ def _wrap_angle(theta):
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
 
 
+class _PerCodeDecoder:
+    """Everything but a decoder's per-code math, ``_linearize_codes``: (N, n_z)
+    codes to their (N, T, D) decode and, with ``jac``, (N, T*D, n_z) Jacobian
+    (else None). perfbench wraps each subclass's own ``decode_batch``: each
+    binds it."""
+
+    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
+        out = self._over_leading_axes(Z, jac=False)[0]
+        return out if ctx is None else out + self.context_offset(ctx).reshape(self.t_steps, self.state_dim)
+
+    def jacobian_batch(self, Z) -> np.ndarray:
+        """(..., T*D, n_z) derivative of the flattened decode at each (..., n_z) code."""
+        return self._over_leading_axes(Z)[1]
+
+    def linearize(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """``(decode_batch(Z), jacobian_batch(Z))`` from one pass over the codes."""
+        return self._over_leading_axes(Z)
+
+    def _codes(self, Z) -> tuple[np.ndarray, tuple]:
+        """The checked (..., n_z) codes as (N, n_z) rows, and their leading axes."""
+        Z = np.atleast_1d(_float_array("codes", Z))
+        if Z.shape[-1] != self.n_z:
+            raise ValueError(f"latent dim mismatch: got {Z.shape[-1]}, decoder has {self.n_z}")
+        return Z.reshape(-1, self.n_z), Z.shape[:-1]
+
+    def _over_leading_axes(self, Z, jac: bool = True) -> tuple:
+        """``_linearize_codes`` over (..., n_z) codes; one (n_z,) code gives outputs without a leading axis."""
+        Z, lead = self._codes(Z)
+        outs = self._linearize_codes(Z, jac)
+        return tuple(None if out is None else out.reshape(*lead, *out.shape[1:]) for out in outs)
+
+    def to_config(self) -> dict:
+        """The serialized config block: each field under its key, arrays as lists."""
+        kind, fields = next((kind, fields) for kind, (cls, fields) in _KINDS.items() if isinstance(self, cls))
+        values = {key: getattr(self, field) for key, field in fields.items()}
+        return {"kind": kind, **{key: _plain(value) for key, value in values.items() if value is not None}}
+
+
+def _plain(value):
+    """A field as JSON data: arrays, and tuples of numbers or arrays, as lists."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 @dataclass(frozen=True)
-class LinearDecoder:
+class LinearDecoder(_PerCodeDecoder):
     """Affine decoder: reshape(W @ z + c0 + M @ ctx.features) to T x D."""
 
     W: np.ndarray  # (T*D, n_z)
@@ -124,62 +170,14 @@ class LinearDecoder:
             return np.zeros(self.W.shape[0])
         return self.ctx_proj @ ctx.features
 
-    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        if Z.shape[-1] != self.n_z:
-            raise ValueError(f"latent dim mismatch: got {Z.shape[-1]}, decoder has {self.n_z}")
-        # over leading axes, matmul runs each (K, n_z) stack through the BLAS
-        # call that the stack alone gets, so stacking never changes a bit
-        flat = Z @ self.W.T + self.c0 + self.context_offset(ctx)
-        return flat.reshape(*Z.shape[:-1], self.t_steps, self.state_dim)
+    decode_batch = _PerCodeDecoder.decode_batch
 
-    def jacobian_batch(self, Z) -> np.ndarray:
-        """(..., T*D, n_z) derivative of the flattened decode at each of the
-        (..., n_z) codes: W."""
-        shape = np.shape(Z)
-        if shape[-1] != self.n_z:
-            raise ValueError(f"latent dim mismatch: got {shape[-1]}, decoder has {self.n_z}")
-        return np.broadcast_to(self.W, shape[:-1] + self.W.shape)
-
-    def linearize(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        """``(decode_batch(Z), jacobian_batch(Z))``."""
-        return self.decode_batch(Z), self.jacobian_batch(Z)
-
-    def to_config(self) -> dict:
-        cfg = {
-            "kind": "linear",
-            "W": self.W.tolist(),
-            "c0": self.c0.tolist(),
-            "t_steps": self.t_steps,
-            "state_dim": self.state_dim,
-        }
-        if self.ctx_proj is not None:
-            cfg["ctx_proj"] = self.ctx_proj.tolist()
-        return cfg
-
-
-class _PerCodeDecoder:
-    """The decode methods from a subclass's ``_linearize_codes``: (N, n_z) codes
-    to their (N, T, D) decode and, with ``jac``, (N, T*D, n_z) Jacobian (else
-    None). perfbench wraps each subclass's own ``decode_batch``: each binds it."""
-
-    def decode_batch(self, Z, ctx: Context | None = None) -> np.ndarray:
-        out = self._over_leading_axes(Z, jac=False)[0]
-        return out if ctx is None else out + self.context_offset(ctx).reshape(self.t_steps, self.state_dim)
-
-    def jacobian_batch(self, Z) -> np.ndarray:
-        """(..., T*D, n_z) derivative of the flattened decode at each (..., n_z) code."""
-        return self._over_leading_axes(Z)[1]
-
-    def linearize(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        """``(decode_batch(Z), jacobian_batch(Z))`` from one pass over the codes."""
-        return self._over_leading_axes(Z)
-
-    def _over_leading_axes(self, Z, jac: bool = True) -> tuple:
-        """``_linearize_codes`` over (..., n_z) codes; one (n_z,) code gives outputs without a leading axis."""
-        Z = np.atleast_1d(np.asarray(Z, dtype=float))
-        lead, outs = Z.shape[:-1], self._linearize_codes(Z.reshape(-1, Z.shape[-1]), jac)
-        return tuple(None if out is None else out.reshape(*lead, *out.shape[1:]) for out in outs)
+    def _linearize_codes(self, Z, jac: bool):
+        # numpy sends a one-row product to BLAS gemv, whose last bit can differ
+        # from gemm's; a doubled row keeps a lone code on the path of a batch
+        rows = Z if len(Z) > 1 else np.concatenate([Z, Z])
+        out = (rows @ self.W.T + self.c0)[: len(Z)].reshape(-1, self.t_steps, self.state_dim)
+        return out, np.broadcast_to(self.W, (len(Z), *self.W.shape)) if jac else None
 
 
 @dataclass(frozen=True)
@@ -230,8 +228,9 @@ class CrossroadDecoder(_PerCodeDecoder):
         return route_templates(self.speed, self.t_steps)
 
     def sector_of(self, Z) -> np.ndarray:
-        """Route index (0 forward, 1 left, 2 right) for each 2-d latent code."""
-        return self._polar(Z)[1]
+        """Route index (0 forward, 1 left, 2 right) for each (..., 2) latent code."""
+        Z, lead = self._codes(Z)
+        return self._polar(Z)[0].reshape(lead)
 
     def context_offset(self, ctx: Context | None) -> np.ndarray:
         """Flattened junction-anchor translation (the context's last pose)."""
@@ -240,11 +239,8 @@ class CrossroadDecoder(_PerCodeDecoder):
         return np.tile(ctx.past[-1], self.t_steps)
 
     def _polar(self, Z):
-        """Checked (N, 2) codes, their sectors, the sectors' half widths, the
-        in-sector offsets rel / half, and the radii."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if Z.shape[1] != 2:
-            raise ValueError("crossroad decoder expects 2-d latent codes")
+        """The sectors of (N, 2) codes, the sectors' half widths, the in-sector
+        offsets rel / half, and the radii."""
         rel = _wrap_angle(np.arctan2(Z[:, 1], Z[:, 0])[:, None] - self._centers)  # (n, 3)
         hit = (rel >= -self._half) & (rel < self._half)
         # the first sector that holds the angle; the widest if rounding leaves a gap.
@@ -255,10 +251,10 @@ class CrossroadDecoder(_PerCodeDecoder):
         half = self._half[sectors]
         own_rel = rel[np.arange(Z.shape[0]), sectors]
         offset = np.divide(own_rel, half, out=np.zeros_like(own_rel), where=half > 0)
-        return Z, sectors, half, offset, np.sqrt(np.einsum("ij,ij->i", Z, Z))
+        return sectors, half, offset, np.sqrt(np.einsum("ij,ij->i", Z, Z))
 
     def _linearize_codes(self, Z, jac: bool):
-        Z, sectors, half, offset, radius = self._polar(Z)
+        sectors, half, offset, radius = self._polar(Z)
         lateral, heading = self._lateral[sectors], self._heading[sectors]
         radial = np.tanh(radius - 1.0)
         wobble_dir = offset[:, None] * lateral + radial[:, None] * heading  # (n, 2)
@@ -274,16 +270,6 @@ class CrossroadDecoder(_PerCodeDecoder):
         d_dir = lateral[:, :, None] * d_offset[:, None] + heading[:, :, None] * d_radial[:, None]
         d_out = self.within_mode_scale * self._ramp[None, :, None, None] * d_dir[:, None]
         return out, d_out.reshape(Z.shape[0], -1, 2)
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "crossroad",
-            "mode_probs": list(self.mode_probs),
-            "speed": self.speed,
-            "t_steps": self.t_steps,
-            "within_mode_scale": self.within_mode_scale,
-        }
-
 
 @dataclass(frozen=True)
 class TabulatedDecoder(_PerCodeDecoder):
@@ -329,8 +315,6 @@ class TabulatedDecoder(_PerCodeDecoder):
         is linear along an axis in a cell, so the slope along axis i is the sum with
         axis i's weights (0, 1) minus the sum with (1, 0), over the cell width.
         Weights multiply in axis order; corners add to a zero in ``itertools.product`` order."""
-        if Z.shape[1] != self.n_z:
-            raise ValueError(f"latent dim mismatch: got {Z.shape[1]}, grid has {self.n_z}")
         corners = np.array(list(itertools.product((0, 1), repeat=self.n_z)))  # (C, n_z): 0 low face, 1 high
         n_sets = 1 + 2 * self.n_z if jac else 1
         weights, cell, corner, inv_widths = 1.0, 0, 0, []
@@ -352,38 +336,24 @@ class TabulatedDecoder(_PerCodeDecoder):
         slopes = [(sums[1 + 2 * i] - sums[2 + 2 * i]) * inv_width[:, None] for i, inv_width in enumerate(inv_widths)]
         return sums[0].reshape(Z.shape[0], self.t_steps, self.state_dim), np.stack(slopes, axis=2) if jac else None
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "z_grid": [ax.tolist() for ax in self.z_grid],
-            "T": self.t_steps,
-            "D": self.state_dim,
-            "table": self.table.tolist(),
-        }
 
-
-_CONFIG_KEYS = {  # every key of a kind's block is required but the linear "ctx_proj"
-    "linear": ("kind", "W", "c0", "t_steps", "state_dim", "ctx_proj"),
-    "crossroad": ("kind", "mode_probs", "speed", "t_steps", "within_mode_scale"),
-    "tabulated": ("kind", "z_grid", "T", "D", "table"),
+# kind: (decoder, {config key: field}); every key is required but the linear "ctx_proj"
+_KINDS = {
+    "linear": (LinearDecoder, {key: key for key in ("W", "c0", "t_steps", "state_dim", "ctx_proj")}),
+    "crossroad": (CrossroadDecoder, {key: key for key in ("mode_probs", "speed", "t_steps", "within_mode_scale")}),
+    "tabulated": (TabulatedDecoder, {"z_grid": "z_grid", "T": "t_steps", "D": "state_dim", "table": "table"}),
 }
 
 
 def decoder_from_config(cfg: dict):
     """Rebuild a decoder from its serialized config block; a key its kind
     does not use, or a missing one, is rejected."""
-    _reject_unknown(cfg, set().union(*_CONFIG_KEYS.values()), "decoder config")  # an object before its kind is read
+    _reject_unknown(cfg, {"kind"}.union(*(f for _, f in _KINDS.values())), "decoder config")  # an object first
     kind = cfg.get("kind")
     if not isinstance(kind, str):
         raise ValueError(f"decoder kind must be a string, got {kind!r}")
-    if kind not in _CONFIG_KEYS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown decoder kind: {kind!r}")
-    keys = _CONFIG_KEYS[kind]
-    _reject_unknown(cfg, keys, "decoder config", required=[key for key in keys if key != "ctx_proj"])
-    if kind == "linear":
-        return LinearDecoder(
-            W=cfg["W"], c0=cfg["c0"], t_steps=cfg["t_steps"], state_dim=cfg["state_dim"], ctx_proj=cfg.get("ctx_proj")
-        )
-    if kind == "crossroad":  # every key but "kind" names a field
-        return CrossroadDecoder(**{key: cfg[key] for key in _CONFIG_KEYS[kind][1:]})
-    return TabulatedDecoder(z_grid=cfg["z_grid"], table=cfg["table"], t_steps=cfg["T"], state_dim=cfg["D"])
+    cls, fields = _KINDS[kind]
+    _reject_unknown(cfg, ("kind", *fields), "decoder config", required=[key for key in fields if key != "ctx_proj"])
+    return cls(**{field: cfg[key] for key, field in fields.items() if key in cfg})

@@ -17,7 +17,9 @@ import numpy as np
 
 from .dpp import KernelConfig
 from .energy import EnergyConfig
-from .trajectory import METRIC_NAMES, Context, Dataset, Example, MetricsReport, _check_value, _float_array
+from .trajectory import (
+    METRIC_NAMES, Context, Dataset, Example, MetricsReport, _check_object, _check_value, _float_array, _reject_unknown,
+)
 from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
 
 __all__ = [
@@ -121,7 +123,9 @@ def read_model(path) -> dict:
     _check_version(model, path)
     if model.get("mode") not in ("dsf", "dlow"):
         raise ValueError(f"{path}: unknown sampler mode {model.get('mode')!r}")
-    k, n_z = int(model["K"]), int(model["n_z"])
+    for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "integer")):
+        _check_value(f"{path}: {key}", model[key], kind)
+    k, n_z = model["K"], model["n_z"]
     shapes = {"codes": (k, n_z)} if model["mode"] == "dsf" else {"A": (k, n_z, n_z), "b": (k, n_z)}
     params = _check_object(model["params"], f"{path}: model params")
     for name, shape in shapes.items():
@@ -152,25 +156,6 @@ def read_samples(path) -> list[dict]:
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
-
-
-def _check_object(block, where: str) -> dict:
-    """``block``, if it is a JSON object; else a ValueError naming ``where``."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
-    return block
-
-
-def _reject_unknown(block: dict, allowed, where: str, required=()) -> None:
-    """Reject a config block that is not a JSON object, has a key outside
-    ``allowed`` or lacks a ``required`` one."""
-    _check_object(block, where)
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = [key for key in required if key not in block]
-    if missing:
-        raise ValueError(f"{where} is missing keys {missing}")
 
 
 def _kernel_config(block: dict, **overrides) -> KernelConfig:

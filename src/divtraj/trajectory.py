@@ -86,6 +86,25 @@ def _check_fields(obj, **kinds: str) -> None:
         _check_value(name, getattr(obj, name), kind)
 
 
+def _check_object(block, where: str) -> dict:
+    """``block``, if it is a JSON object; else a ValueError naming ``where``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
+    return block
+
+
+def _reject_unknown(block: dict, allowed, where: str, required=()) -> None:
+    """Reject a config block that is not a JSON object, has a key outside
+    ``allowed`` or lacks a ``required`` one."""
+    _check_object(block, where)
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ValueError(f"{where} is missing keys {missing}")
+
+
 def _float_array(name: str, value, what: str = "an array of numbers in rows of equal length") -> np.ndarray:
     """``value`` as a finite float array: the one check of every array read
     from a caller or a file. A ragged nesting, or an entry that is not a number

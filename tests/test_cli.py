@@ -594,9 +594,10 @@ def _first_entry(value, new):
 
 class TestArtifactTypes:
     """A dataset, sample or model file whose header, meta, record or whole body
-    is not a JSON object, whose ids are not JSON integers, or whose arrays hold
-    an entry that is not a finite number, is a one-line error through the CLI;
-    it names the file, and the line of a JSON-lines file."""
+    is not a JSON object, whose ids (or a model's K, n_z and seed) are not JSON
+    integers, or whose arrays hold an entry that is not a finite number, is a
+    one-line error through the CLI, from ``sample`` and ``eval --model`` alike
+    for a model file; it names the file, and the line of a JSON-lines file."""
 
     # id: (file, line, edit of the JSON value on that line, how the error line starts)
     CASES = {
@@ -620,6 +621,12 @@ class TestArtifactTypes:
                               "{path}: model params must be a JSON object, got list"),
         "model codes true": ("m.json", 1, lambda model: dict(model, params={"codes": _first_entry(model["params"]["codes"], True)}),
                              "{path}: codes must be an array of numbers"),
+        # int() read 10.7 and "10" as 10 and true as 1, and sample wrote the truncated K
+        **{
+            f"model {field} {value!r}": ("m.json", 1, lambda model, field=field, value=value: dict(model, **{field: value}),
+                                         f"{{path}}: {field} must be an integer, got {value!r}")
+            for field in ("K", "n_z", "seed") for value in (10.7, True, "10")
+        },
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -633,14 +640,16 @@ class TestArtifactTypes:
         lines[number - 1] = json.dumps(edit(json.loads(lines[number - 1])))
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        if name == "s.jsonl":
-            assert run(["eval", "--samples", path, "--dataset", workdir / "d.jsonl", "--eps", 1.0, "--out", workdir / "e"]) == 1
-        else:
-            assert run([*sample[:-1], workdir / "t.jsonl"]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        (line,) = err.splitlines()
-        assert line.startswith("error: " + says.format(path=path))
+        resample = [*sample[:-1], workdir / "t.jsonl"]
+        evaluate = ["eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl", "--eps", 1.0,
+                    "--out", workdir / "e"]
+        runs = {"s.jsonl": [evaluate], "m.json": [resample, [*evaluate, "--model", path, "--seed", 99]]}
+        for argv in runs.get(name, [resample]):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            (line,) = err.splitlines()
+            assert line.startswith("error: " + says.format(path=path))
         assert not (workdir / "t.jsonl").exists() and not (workdir / "e.json").exists()
 
 

@@ -1,4 +1,6 @@
 """Decoder unit tests: linear, crossroad, and tabulated."""
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from divtraj import (
     numeric_gradient,
     route_templates,
 )
+from divtraj.fileio import _dumps
 
 
 def fd_jacobian(dec, z, step=1e-6):
@@ -174,7 +177,7 @@ class TestCrossroadDecoder:
         # (N, 3) codes must not be read through their first two columns
         codes = np.random.default_rng(5).standard_normal((4, 3))
         for method in (self.DEC.sector_of, self.DEC.decode_batch):
-            with pytest.raises(ValueError, match="expects 2-d latent codes"):
+            with pytest.raises(ValueError, match="latent dim mismatch: got 3, decoder has 2"):
                 method(codes)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -408,3 +411,85 @@ def test_unknown_config_key_rejected(name):
     cfg = dict(_decoders(np.random.default_rng(51))[name].to_config(), within_mode_scal=9.0)
     with pytest.raises(ValueError, match=r"unknown keys in decoder config: \['within_mode_scal'\]"):
         decoder_from_config(cfg)
+
+
+# Each kind's config block as ``fileio._dumps`` writes it, taken from the
+# decoders before they shared one ``to_config``: the block keeps its bytes.
+_W, _C0 = [[1.0, 0.5], [0.0, -2.0], [0.25, 3.0], [1.5, 0.0]], [0.0, 1.0, -1.0, 2.5]
+CONTRACT = {
+    "linear": (
+        lambda: LinearDecoder(W=_W, c0=_C0, t_steps=2, state_dim=2),
+        '{"W":[[1.0,0.5],[0.0,-2.0],[0.25,3.0],[1.5,0.0]],"c0":[0.0,1.0,-1.0,2.5],"kind":"linear","state_dim":2,'
+        '"t_steps":2}',
+    ),
+    "linear ctx_proj": (
+        lambda: LinearDecoder(W=_W, c0=_C0, t_steps=2, state_dim=2, ctx_proj=[[1.0], [0.0], [2.0], [-1.0]]),
+        '{"W":[[1.0,0.5],[0.0,-2.0],[0.25,3.0],[1.5,0.0]],"c0":[0.0,1.0,-1.0,2.5],'
+        '"ctx_proj":[[1.0],[0.0],[2.0],[-1.0]],"kind":"linear","state_dim":2,"t_steps":2}',
+    ),
+    "crossroad": (
+        lambda: CrossroadDecoder(mode_probs=(0.6, 0.3, 0.1), speed=1.5, t_steps=3, within_mode_scale=0.25),
+        '{"kind":"crossroad","mode_probs":[0.6,0.3,0.1],"speed":1.5,"t_steps":3,"within_mode_scale":0.25}',
+    ),
+    "tabulated": (
+        lambda: TabulatedDecoder(
+            z_grid=([-1, 0, 2], [0.0, 1.0]), table=np.arange(24.0).reshape(3, 2, 2, 2) / 4, t_steps=2, state_dim=2
+        ),
+        '{"D":2,"T":2,"kind":"tabulated","table":[[[[0.0,0.25],[0.5,0.75]],[[1.0,1.25],[1.5,1.75]]],'
+        '[[[2.0,2.25],[2.5,2.75]],[[3.0,3.25],[3.5,3.75]]],[[[4.0,4.25],[4.5,4.75]],[[5.0,5.25],[5.5,5.75]]]],'
+        '"z_grid":[[-1.0,0.0,2.0],[0.0,1.0]]}',
+    ),
+}
+
+
+def _methods(dec):
+    """Every public method that takes codes."""
+    methods = [dec.decode_batch, dec.jacobian_batch, dec.linearize]
+    return methods + [dec.sector_of] if isinstance(dec, CrossroadDecoder) else methods
+
+
+@pytest.mark.parametrize("kind", CONTRACT)
+class TestDecoderContract:
+    """What every decoder kind does the same way, through the one base."""
+
+    def test_linearize_over_leading_axes(self, kind):
+        dec = CONTRACT[kind][0]()
+        codes = np.random.default_rng(70).normal(scale=1.5, size=(12, dec.n_z))
+        for lead in ((), (12,), (3, 4)):
+            Z = codes[: int(np.prod(lead))].reshape(*lead, dec.n_z)
+            value, jac = dec.linearize(Z)
+            assert value.shape == (*lead, dec.t_steps, dec.state_dim)
+            assert jac.shape == (*lead, dec.t_steps * dec.state_dim, dec.n_z)
+            assert np.array_equal(value, dec.decode_batch(Z))
+            assert np.array_equal(jac, dec.jacobian_batch(Z))
+
+    def test_bad_codes_rejected(self, kind):
+        dec = CONTRACT[kind][0]()
+        row = [0.5] * dec.n_z
+        bad = {
+            "string": ([["1.5", *row[1:]]], r"^codes must be an array of numbers in rows of equal length, got "),
+            "bool": ([[True, *row[1:]]], r"^codes must be an array of numbers in rows of equal length, got "),
+            "nan": ([[np.nan, *row[1:]]], r"^codes contains non-finite entries$"),
+            "ragged": ([row, row + [0.5]], r"^codes must be an array of numbers in rows of equal length, got "),
+            "n_z": ([row + [0.5]], rf"^latent dim mismatch: got {dec.n_z + 1}, decoder has {dec.n_z}$"),
+        }
+        for method in _methods(dec):
+            for codes, message in bad.values():
+                with pytest.raises(ValueError, match=message):
+                    method(codes)
+
+    def test_config_keeps_its_bytes(self, kind):
+        make, expected = CONTRACT[kind]
+        assert _dumps(make().to_config()) == expected
+        assert _dumps(decoder_from_config(json.loads(expected)).to_config()) == expected
+
+
+@pytest.mark.parametrize("shape", [(16, 100, 4), (1, 8, 100, 4), (300, 10, 4)])
+def test_flattened_linear_decode_equals_stacked(shape):
+    # the base decodes every code in one (N, n_z) product; each (K, n_z) stack
+    # of it must keep the bits that the stack's own product gives
+    rng = np.random.default_rng(71)
+    dec = LinearDecoder(W=rng.normal(size=(6, 4)), c0=rng.normal(size=6), t_steps=3, state_dim=2)
+    Z = rng.normal(size=shape)
+    stacked = np.stack([z @ dec.W.T + dec.c0 for z in Z.reshape(-1, *shape[-2:])])
+    assert np.array_equal(dec.decode_batch(Z), stacked.reshape(*shape[:-1], 3, 2))
