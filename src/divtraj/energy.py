@@ -7,8 +7,10 @@ controllable prediction).
 
 The energies compute no distances of their own: every squared distance,
 within a sample set or from a set to its ground truth, comes from
-``trajectory._sq_dists``, as the evaluation metrics' do, so the squares are
-added in feature order with no difference tensor built.
+``trajectory._sq_dists`` with ``gram=True``. A set of at most 2^14
+pair-features gets the feature-order bits of the evaluation metrics; a larger
+one, such as a K = 100 sample set, gets the Gram form from one matmul, within
+about eps times its squared spread of those bits, and never a ``cdist`` call.
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
     (..., K, F) sample set, d^2 from ``_sq_dists``; with ``grad`` also its
     gradient wrt ``v``, else None."""
     k = v.shape[-2]
-    w = _sq_dists(v, v)
+    w = _sq_dists(v, v, gram=True)
     np.exp(np.divide(w, -sigma_d, out=w), out=w)
     w.reshape(-1, k * k)[:, :: k + 1] = 0.0  # pairs i != j only
     value = w.sum(axis=(-2, -1)) / (k * (k - 1))
@@ -96,7 +98,7 @@ def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
     ``v``, else None. That gradient is 2 (v - gt) at each set's first nearest
     sample and zero elsewhere, summed in C order over the axes along which
     ``gt`` broadcasts ``v``, so it is shaped like ``v``."""
-    dist2 = _sq_dists(gt[..., None, :], v)[..., 0, :]
+    dist2 = _sq_dists(gt[..., None, :], v, gram=True)[..., 0, :]
     value = dist2.min(axis=-1)
     if not grad:
         return value, None
@@ -116,7 +118,7 @@ def _similarity(v: np.ndarray, grad: bool = False):
     set (0 for F = 0), d^2 from ``_sq_dists``; with ``grad`` also its
     gradient wrt ``v``, else None."""
     k = v.shape[-2]
-    value = _sq_dists(v, v).sum(axis=(-2, -1)) / (k * (k - 1))
+    value = _sq_dists(v, v, gram=True).sum(axis=(-2, -1)) / (k * (k - 1))
     if not grad:
         return value, None
     return value, (4.0 / (k * (k - 1))) * (k * v - v.sum(axis=-2, keepdims=True))

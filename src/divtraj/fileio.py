@@ -58,8 +58,13 @@ def _write_object(path, obj: dict) -> None:
 
 def _write_lines(path, kind: str, meta: dict, records) -> None:
     """A JSON-lines artifact: a {"format_version", "kind", "meta"} header,
-    then one record per line."""
-    lines = [_dumps({"format_version": FORMAT_VERSION, "kind": kind, "meta": meta}), *map(_dumps, records)]
+    then one record per line; a bad record raises, naming the file and its
+    line, before anything is written."""
+    lines = [_dumps({"format_version": FORMAT_VERSION, "kind": kind, "meta": meta})]
+    try:
+        lines.extend(map(_dumps, records))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{len(lines) + 1}: {exc}") from exc
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -135,19 +140,35 @@ def read_model(path) -> dict:
     return model
 
 
+def _dpp_map(selected, k: int):
+    """A sample record's DPP MAP subset: None, or a list of distinct integer
+    indices into its K samples."""
+    if selected is None:
+        return None
+    if not isinstance(selected, (list, tuple)):
+        raise ValueError(f"dpp_map must be null or a list of sample indices, got {selected!r}")
+    for i in (i for i in selected if type(i) is not int):  # a JSON integer needs no ABC check
+        _check_value("dpp_map entry", i, "integer")
+    if not all(0 <= i < k for i in selected) or len(set(selected)) < len(selected):
+        raise ValueError(f"dpp_map must hold distinct indices in [0, {k}), got {list(selected)}")
+    return list(map(int, selected))
+
+
 def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
     """JSON lines: header, then {"id", "samples", optional "dpp_map"} per line."""
-    rows = (
-        {"id": int(rec["id"]), "samples": np.asarray(rec["samples"], dtype=float).tolist()}
-        | ({} if rec.get("dpp_map") is None else {"dpp_map": [int(i) for i in rec["dpp_map"]]})
-        for rec in records
-    )
-    _write_lines(path, "samples", meta or {}, rows)
+    _write_lines(path, "samples", meta or {}, map(_sample_row, records))
+
+
+def _sample_row(rec: dict) -> dict:
+    samples = np.asarray(rec["samples"], dtype=float)
+    selected = _dpp_map(rec.get("dpp_map"), len(samples))
+    return {"id": int(rec["id"]), "samples": samples.tolist()} | ({} if selected is None else {"dpp_map": selected})
 
 
 def _sample_record(rec: dict) -> dict:
     _check_value("id", rec["id"], "integer")
-    return {"id": rec["id"], "samples": _float_array("samples", rec["samples"]), "dpp_map": rec.get("dpp_map")}
+    samples = _float_array("samples", rec["samples"])
+    return {"id": rec["id"], "samples": samples, "dpp_map": _dpp_map(rec.get("dpp_map"), len(samples) if samples.ndim else 0)}
 
 
 def read_samples(path) -> list[dict]:

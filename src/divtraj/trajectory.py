@@ -16,7 +16,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain, groupby, product
 
 import numpy as np
 
@@ -262,17 +262,17 @@ def _sq_dists_plan(x_shape: tuple, y_shape: tuple) -> tuple:
 
 
 # Pair-features N·P·F of one set of ``_sq_dists`` at or below which numpy
-# adds the squares; a larger set gets one ``cdist`` call. See ``_sq_dists``.
+# adds the squares. See ``_sq_dists`` for a larger set.
 _LOOP_MAX_PAIR_FEATURES = 1 << 14
 
 # Bytes of the (F, sets, N, P) differences of one block of sets in
-# ``_sq_dists``'s numpy path (or of one set, if larger). Below glibc's default
-# mmap threshold of 128 KiB, so every call takes its block from the heap; a
-# 1 MiB block is a fresh mapping whose pages fault anew on every call.
+# ``_sq_dists``'s numpy path (or of a block of one set's rows). Below glibc's
+# default mmap threshold of 128 KiB, so every call takes its block from the
+# heap; a 1 MiB block is a fresh mapping whose pages fault anew on every call.
 _SQ_BLOCK_BYTES = 120 << 10
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, y: np.ndarray, gram: bool = False) -> np.ndarray:
     """Squared Euclidean distances (..., N, P) from the rows of each (..., N, F)
     ``x`` to those of the matching (..., P, F) ``y``, the leading axes
     broadcast. The squares are added in feature order (only the DPP kernel
@@ -288,39 +288,46 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Two paths give the same bits, so the choice between them is only speed:
 
     * a set of at most ``_LOOP_MAX_PAIR_FEATURES`` (2^14) pair-features
-      N·P·F: numpy forms the (F, sets, N, P) differences of a block of sets,
+      N·P·F, or a set against itself (``y is x``): numpy forms the
+      (F, sets, N, P) differences of a block of sets (or of one set's rows),
       at most ``_SQ_BLOCK_BYTES``, squares them, writes the first two
       squares' sum (the first square alone for F = 1) into the result and
       adds each later square one after another;
-    * a larger set: one ``scipy.spatial.distance.cdist`` per set.
+    * a larger set of two operands: one ``scipy.spatial.distance.cdist``.
 
     On a 2-vCPU Xeon VM the numpy path costs about 1-2 ns per pair-feature
     plus 10-15 µs per call, ``cdist`` about 0.5 ns per pair-feature plus
     2-10 µs per call. Up to 2^14 the numpy path costs at most tens of µs
     more per set, where the first ``cdist`` costs a 0.3-0.4 s, 37 MB import
-    of ``scipy.spatial``; beyond, ``cdist`` wins. So training on small sets
-    and eval on up to about 800 examples (one (K, D) x (M, D) set per sample
-    set and timestep, one (1, F) x (M, F) set per grouping anchor) never load
-    scipy, while K = 100 sample sets (100·100·6 = 60 000) and eval's sets
-    against thousands of futures take ``cdist``, which is imported here, on
-    first use."""
+    of ``scipy.spatial``; beyond, ``cdist`` wins. So the self metrics at any
+    K, and eval's pose distances and grouping on up to about 800 examples
+    (one (K, D) x (M, D) set per sample set and timestep, one (1, F) x (M, F)
+    set per grouping anchor), never load scipy, while eval's sets against
+    thousands of futures take ``cdist``, which is imported here, on first use.
+
+    With ``gram`` (the training energies), a set above 2^14 takes instead the
+    Gram form |x|^2 + |y|^2 - 2 x.y^T from one batched matmul, clamped at 0,
+    both operands less the mean of the set's ``y`` rows: no slower than
+    ``cdist``, and within about eps times the set's squared spread (not its
+    distance from 0) of the feature-order bits."""
     lead_x, lead_y, order, x_shape, y_shape, out_shape, back = _sq_dists_plan(x.shape, y.shape)
     xs = x.reshape(*lead_x, *x.shape[-2:]).transpose(*order, -2, -1).reshape(x_shape)
     ys = y.reshape(*lead_y, *y.shape[-2:]).transpose(*order, -2, -1).reshape(y_shape)
     (sets, n, f), p = x_shape, y_shape[1]
     if f == 0:
         out = np.zeros((sets, n, p))
-    elif n * p * f <= _LOOP_MAX_PAIR_FEATURES:
+    elif n * p * f <= _LOOP_MAX_PAIR_FEATURES or y is x and not gram:
         out = np.empty((sets, n, p))
-        step = max(1, _SQ_BLOCK_BYTES // (n * p * f * out.itemsize))
+        rows = max(1, _SQ_BLOCK_BYTES // (p * f * out.itemsize))
+        step = max(1, rows // n)  # whole sets a block, or one set a block of rows
         xt, yt = xs.transpose(2, 0, 1)[..., None], ys.transpose(2, 0, 1)[:, :, None]  # (F, sets, N, 1), (F, sets, 1, P)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass on silently, as from cdist
-            diff = np.empty((f, min(step, sets), n, p))
-            for first in range(0, sets, step):
+            diff = np.empty((f, min(step, sets), min(rows, n), p))
+            for first, i in product(range(0, sets, step), range(0, n, rows)):
                 block = slice(first, first + step)
-                acc = out[block]
-                d = diff[:, : len(acc)]
-                np.subtract(xt[:, block], yt[:, block], out=d)
+                acc = out[block, i : i + rows]
+                d = diff[:, : len(acc), : acc.shape[1]]
+                np.subtract(xt[:, block, i : i + rows], yt[:, block], out=d)
                 np.multiply(d, d, out=d)
                 if f == 1:
                     np.copyto(acc, d[0])
@@ -328,6 +335,15 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                     np.add(d[0], d[1], out=acc)
                 for square in d[2:]:
                     acc += square
+    elif gram:  # one matmul of [x, |x|^2, 1] and [y, 1, |y|^2]: no (N, P) pass but the clamp
+        center = np.full((1, 1, p), 1.0 / p) @ ys  # the mean of y's rows; 5x faster than .mean(axis=1)
+        xa, ya = np.ones((sets, n, f + 2)), np.ones((sets, p, f + 2))
+        for a, op, norm in ((xa, xs, f), (ya, ys, f + 1)):
+            np.subtract(op, center, out=a[..., :f])
+            np.einsum("sif,sif->si", a[..., :f], a[..., :f], out=a[..., norm])
+        (xa if n <= p else ya)[..., :f] *= -2.0  # the smaller operand, not the (N, P) result
+        out = np.matmul(xa, ya.transpose(0, 2, 1))
+        np.maximum(out, 0.0, out=out)
     else:
         from scipy.spatial.distance import cdist
 

@@ -194,6 +194,26 @@ class TestJsonLinesCodec:
         write_samples(tmp_path / "t.jsonl", records, meta={"K": 3, "omega": 1.0})
         assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
 
+    @pytest.mark.parametrize(
+        "dpp_map, says",
+        [
+            ([1.7, True], "dpp_map entry must be an integer, got 1.7"),  # was written as [1,1]
+            ([True], "dpp_map entry must be an integer, got True"),
+            ([0, 3], "dpp_map must hold distinct indices in [0, 3), got [0, 3]"),
+            ([2, 2], "dpp_map must hold distinct indices in [0, 3), got [2, 2]"),
+            ("0", "dpp_map must be null or a list of sample indices, got '0'"),
+        ],
+    )
+    def test_write_samples_rejects_a_bad_dpp_map(self, tmp_path, dpp_map, says):
+        path = tmp_path / "s.jsonl"
+        records = [{"id": 1, "samples": np.zeros((3, 2, 2))}, {"id": 2, "samples": np.zeros((3, 2, 2)), "dpp_map": dpp_map}]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {says}')}$"):
+            write_samples(path, records)
+        assert not path.exists()
+        records[1]["dpp_map"] = (np.int64(2), 0)  # numpy integers in a tuple are integer indices too
+        write_samples(path, records)
+        assert [rec["dpp_map"] for rec in read_samples(path)] == [None, [2, 0]]
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -261,8 +281,10 @@ class TestGenData:
         # distances of small sets and the quality radius need none of it:
         # gen-data, the README's DSF train, sample --dpp-map and eval with its
         # baseline (one set per sample set and per anchor against 300
-        # examples), a small DLow train, sample --dpp-map and eval, and a small
-        # DSF train, sample --dpp-map and eval on a tabulated decoder, each
+        # examples), a small DLow train, sample --dpp-map and eval, a small
+        # DSF train, sample --dpp-map and eval on a tabulated decoder, and a
+        # K = 100 DLow walkthrough shaped like perfbench's dpp-map-k100 (its
+        # energies' sets take the Gram form, its self metrics numpy), each
         # run in a fresh interpreter, load no scipy module
         script = "\n".join([
             "import json, sys",
@@ -280,7 +302,17 @@ class TestGenData:
         ax = np.linspace(-3.0, 3.0, 13)
         table = CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1)).decode_batch(np.stack(np.meshgrid(ax, ax, indexing="ij"), -1))
         tabulated_train = dict(DSF_TRAIN_CONFIG, decoder=TabulatedDecoder((ax, ax), table, 3, 2).to_config())
-        configs = {"readme-gen": readme_gen, "readme-train": readme_train, "dlow": dlow_train, "tab": tabulated_train}
+        # 8 examples: the reconstruction set, 8 x (8 draws * 100 samples) x 6, is above 2^14
+        k100_gen = {"mode_probs": [0.8, 0.1, 0.1], "n_examples": 8, "seed": 3000}
+        k100_train = {
+            "mode": "dlow", "k": 100, "iters": 3, "lr": 0.01, "seed": 0,
+            "energy": {"sigma_d": 10.0, "lambda_d": 25.0, "lambda_r": 2.0, "beta": 1.0},
+            "decoder": {"kind": "linear", "W": [[0.6, -0.8, 0, 0], [0.8, 0.6, 0, 0], [0, 0, 0.6, 0], [0, 0, 0, 0.6],
+                                                [0, 0, 0.8, 0], [0, 0, 0, 0.8]],
+                        "c0": [0.0] * 6, "t_steps": 3, "state_dim": 2},
+        }
+        configs = {"readme-gen": readme_gen, "readme-train": readme_train, "dlow": dlow_train, "tab": tabulated_train,
+                   "k100-gen": k100_gen, "k100": k100_train}
         for name, cfg in configs.items():
             (workdir / f"{name}.json").write_text(json.dumps(cfg))
 
@@ -315,6 +347,13 @@ class TestGenData:
                 sample("d.jsonl", "tab"),
                 ["eval", "--samples", *files("tab-s.jsonl"), "--dataset", *files("d.jsonl"), "--eps", "1.0",
                  "--out", *files("tab-metrics"), "--model", *files("tab-m.json"), "--seed", "99"],
+            ],
+            [
+                ["gen-data", "--config", *files("k100-gen.json"), "--out", *files("k100.jsonl")],
+                train("k100.json", "k100.jsonl", "k100"),
+                sample("k100.jsonl", "k100"),
+                ["eval", "--samples", *files("k100-s.jsonl"), "--dataset", *files("k100.jsonl"), "--eps", "0.04",
+                 "--out", *files("k100-metrics")],
             ],
         ]
         for argvs in runs:
@@ -616,6 +655,15 @@ class TestArtifactTypes:
         "samples id float": ("s.jsonl", 2, lambda rec: dict(rec, id=0.5), "{path}:2: id must be an integer, got 0.5"),
         "samples entry null": ("s.jsonl", 3, lambda rec: dict(rec, samples=_first_entry(rec["samples"], None)),
                                "{path}:3: samples must be an array of numbers"),
+        # read_samples returned a dpp_map unchecked
+        "samples dpp_map entries": ("s.jsonl", 2, lambda rec: dict(rec, dpp_map=["x", 99, True, 1.5]),
+                                    "{path}:2: dpp_map entry must be an integer, got 'x'"),
+        "samples dpp_map range": ("s.jsonl", 3, lambda rec: dict(rec, dpp_map=[0, 99]),
+                                  "{path}:3: dpp_map must hold distinct indices in [0, 6), got [0, 99]"),
+        "samples dpp_map repeat": ("s.jsonl", 3, lambda rec: dict(rec, dpp_map=[1, 1]),
+                                   "{path}:3: dpp_map must hold distinct indices in [0, 6), got [1, 1]"),
+        "samples dpp_map object": ("s.jsonl", 2, lambda rec: dict(rec, dpp_map={"0": 1}),
+                                   "{path}:2: dpp_map must be null or a list of sample indices, got {{'0': 1}}"),
         "model list": ("m.json", 1, lambda model: [model], "{path}: model must be a JSON object, got list"),
         "model params list": ("m.json", 1, lambda model: dict(model, params=[1]),
                               "{path}: model params must be a JSON object, got list"),

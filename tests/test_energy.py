@@ -18,7 +18,7 @@ from divtraj import (
     reconstruction_energy,
     similarity_energy,
 )
-from divtraj import energy
+from divtraj import energy, trajectory
 from tests.test_dpp import kernel_from_matrix
 
 
@@ -172,6 +172,59 @@ class TestEnergyKernels:
         assert e_s == 0.0
         per_set = energy._diversity(v, 4.0)[0]
         assert e_d == float(per_set.sum()) / per_set.size
+
+
+class TestGramPath:
+    """A training-energy set above 2^14 pair-features takes the Gram form
+    from one matmul, not ``cdist``. Each energy's value and gradient stay
+    within rtol 1e-12 of the feature-order definition: the energies on
+    ``_sq_dists``, and the dense reconstruction reference."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    @pytest.mark.parametrize("k", [52, 53, 100])
+    def test_energies_match_feature_order(self, monkeypatch, k, shift):
+        # shared flows: 4 draws of K samples, and 13 targets against all 4K,
+        # so both the (K, K, 6) sets and the (13, 4K, 6) set hold at most 2^14
+        # pair-features at K = 52 and more at K = 53
+        rng = np.random.default_rng(k)
+        v = rng.normal(size=(1, 4, k, 6)) + shift
+        gt = rng.normal(size=(13, 1, 6)) + shift
+        sq_dists = trajectory._sq_dists
+        for x, y in ((v, v), (gt[..., None, :], v)):  # the Gram form from K = 53 on
+            assert np.array_equal(sq_dists(x, y, gram=True), sq_dists(x, y)) == (k == 52)
+        got = [energy._diversity(v, 5.0, True), energy._similarity(v, True), energy._reconstruction(v, gt, True)]
+        monkeypatch.setattr(energy, "_sq_dists", lambda x, y, gram: sq_dists(x, y))
+        want = [energy._diversity(v, 5.0, True), energy._similarity(v, True), dense_reconstruction(v, gt)]
+        for (value, grad), (ref_value, ref_grad) in zip(got, want):
+            if k == 52:  # a small set keeps its bits
+                assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
+            np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+            # the diversity gradient adds K terms of about |v| each, so at
+            # |v| = 1e3 a last-bit change in the RBF weights moves its entries
+            # by about 1e-13 of its largest, whatever the distances' path
+            scale = np.abs(ref_grad).max() if shift else 0.0
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_reconstruction_nonnegative_at_a_matching_sample(self):
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=(1, 4, 100, 6)) + 1e3
+        gt = v[0, np.arange(13) % 4, 7 * np.arange(13), None]  # target i is sample 7i of draw i % 4
+        value = energy._reconstruction(v, gt)[0]  # unclamped, the Gram form gives -3.6e-15 here
+        assert np.all(value >= 0.0)
+        assert np.all(value[np.arange(13), np.arange(13) % 4] <= 1e-9)
+
+    def test_energies_never_call_cdist(self, monkeypatch):
+        import scipy.spatial.distance
+
+        def no_cdist(*args, **kwargs):
+            raise AssertionError("cdist called")
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", no_cdist)
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=(1, 8, 100, 6))
+        cfg = EnergyConfig(sigma_d=10.0, lambda_s=1.0, joint_split=((0,), (1,)))
+        means, grad = energy._energies(v, rng.normal(size=(16, 1, 6)), cfg, 2, grad=True)
+        assert np.all(np.isfinite(means)) and grad.shape == v.shape
 
 
 class TestDsfLoss:

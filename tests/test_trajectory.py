@@ -665,10 +665,11 @@ class TestSqDists:
             seen.append((xa.shape, xb.shape))
             return cdist(xa, xb, *args, **kwargs)
 
-        # numpy adds the squares of a set of at most 2^14 pair-features; a
-        # larger set takes one cdist call
+        # numpy adds the squares of a set of at most 2^14 pair-features, and
+        # of a set against itself; a larger set of two operands takes one
+        # cdist call
         (n, f), (p, _) = sets[0]
-        calls = sets if n * p * f > trajectory._LOOP_MAX_PAIR_FEATURES else []
+        calls = sets if n * p * f > trajectory._LOOP_MAX_PAIR_FEATURES and caller != "set" else []
         monkeypatch.setattr(scipy.spatial.distance, "cdist", counting_cdist)
         dists = trajectory._sq_dists(x, y)
         assert seen == calls
@@ -678,17 +679,24 @@ class TestSqDists:
         euclidean = np.stack([cdist(xb[i], yb[i]) for i in np.ndindex(lead)]).reshape(dists.shape)
         assert np.array_equal(np.sqrt(dists), euclidean)
         if caller == "set":
-            v, ref, k = x, _feature_loop_sq_dists(x, x), x.shape[-2]
+            # the energies take these bits up to 2^14 and the Gram form beyond,
+            # off by at most a few eps times the set's squared spread
+            v, ref, k = x, trajectory._sq_dists(x, x, gram=True), x.shape[-2]
+            if n * p * f <= trajectory._LOOP_MAX_PAIR_FEATURES:
+                assert np.array_equal(ref, dists)
+            else:
+                spread = ((x - x.mean(axis=-2, keepdims=True)) ** 2).sum(axis=-1).max(axis=-1)
+                assert np.all(np.abs(ref - dists) <= 8 * f * np.finfo(float).eps * spread[..., None, None])
             assert np.all(dists[..., np.arange(k), np.arange(k)] == 0.0)
             off = 1.0 - np.eye(k)
             e_d = energy._diversity(v, 5.0)[0]
             assert np.array_equal(e_d, (np.exp(-ref / 5.0) * off).sum(axis=(-2, -1)) / (k * (k - 1)))
             e_s = energy._similarity(v)[0]
             assert np.array_equal(e_s, ref.sum(axis=(-2, -1)) / (k * (k - 1)))
-        if caller == "target":
+        if caller == "target":  # the energies never call cdist
             seen.clear()
             energy._reconstruction(*ops, grad=True)
-            assert seen == calls
+            assert seen == []
 
     def test_many_small_sets_hold_one_block_besides_the_result(self):
         # featurized DLow sends thousands of small sets in one call: besides
@@ -705,6 +713,20 @@ class TestSqDists:
         assert dists.shape == (3000, 8, 10, 10)
         assert peak <= dists.nbytes + 2 * trajectory._GROUP_BLOCK_BYTES
         assert np.array_equal(dists[1234, 5], _feature_loop_sq_dists(x[1234, 5], x[1234, 5]))
+
+    def test_set_against_itself_takes_numpy_in_row_blocks(self):
+        # a self-distance larger than one block takes blocks of its rows, so
+        # at K = 1000 no (F, K, K) difference tensor is built: the peak is
+        # the 8 MB result and one block
+        x = np.random.default_rng(4).normal(size=(1000, 6))
+        tracemalloc.start()
+        try:
+            dists = trajectory._sq_dists(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dists.nbytes == 8_000_000 and peak < 12_000_000
+        assert np.array_equal(dists, _feature_loop_sq_dists(x, x))
 
 
 def _read_samples_of(samples):
