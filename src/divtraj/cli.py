@@ -3,7 +3,7 @@ and metric evaluation.
 
 Every command is deterministic given its config and seed; file outputs are
 byte-stable across reruns. Config files are strict JSON (unknown keys are
-rejected) and individual flags override config values.
+rejected); ``--seed`` overrides a config's seed.
 """
 from __future__ import annotations
 
@@ -46,20 +46,15 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
-def _apply_overrides(block: dict, args, keys) -> dict:
-    out = dict(block)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
+def _with_seed(block: dict, args) -> dict:
+    return block if args.seed is None else dict(block, seed=args.seed)
 
 
 def cmd_gen_data(args) -> int:
     block = _load_json(args.config)
     _reject_unknown(block, (*CrossroadConfig.__dataclass_fields__, "out"), "gen-data config")
     block.pop("out", None)  # older configs' output path; --out gives it
-    block = _apply_overrides(block, args, ["seed"])
+    block = _with_seed(block, args)
     cfg = CrossroadConfig(**block)
     dataset = generate_crossroad(cfg)
     write_dataset(args.out, dataset)
@@ -79,7 +74,7 @@ def cmd_train(args) -> int:
     decoder_block = block.pop("decoder", None)
     if decoder_block is None:
         raise ValueError("train config must contain a 'decoder' block")
-    block = _apply_overrides(block, args, ["seed", "k"])
+    block = _with_seed(block, args)
     cfg = train_config_from_dict(block)
     decoder = decoder_from_config(decoder_block)
     dataset = read_dataset(args.dataset)
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model-out", required=True)
     p_train.add_argument("--report-out", required=True)
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--k", type=int)
 
     p_sample = sub.add_parser("sample", help="decode sampler outputs for every example")
     p_sample.add_argument("--model", required=True)

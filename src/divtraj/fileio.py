@@ -19,6 +19,7 @@ from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .trajectory import (
     METRIC_NAMES, Context, Dataset, Example, MetricsReport, _check_object, _check_value, _float_array, _reject_unknown,
+    _require_keys,
 )
 from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
 
@@ -114,11 +115,12 @@ def read_dataset(path) -> Dataset:
     return Dataset(examples=examples, meta=meta)
 
 
+# the fields of every model file
+_MODEL_FIELDS = ("mode", "n_z", "K", "params", "decoder", "train_config", "seed")
+
+
 def write_model(path, model: dict) -> None:
-    required = {"mode", "n_z", "K", "params", "decoder", "train_config", "seed"}
-    missing = required - set(model)
-    if missing:
-        raise ValueError(f"model is missing fields: {sorted(missing)}")
+    _require_keys(model, _MODEL_FIELDS, "model")
     _write_object(path, model)
 
 
@@ -126,13 +128,16 @@ def read_model(path) -> dict:
     path = Path(path)
     model = _check_object(json.loads(path.read_text()), f"{path}: model")
     _check_version(model, path)
-    if model.get("mode") not in ("dsf", "dlow"):
-        raise ValueError(f"{path}: unknown sampler mode {model.get('mode')!r}")
+    _require_keys(model, _MODEL_FIELDS, f"{path}: model")
+    if model["mode"] not in ("dsf", "dlow"):
+        raise ValueError(f"{path}: unknown sampler mode {model['mode']!r}")
     for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "integer")):
         _check_value(f"{path}: {key}", model[key], kind)
+    _check_object(model["train_config"], f"{path}: model train_config")
     k, n_z = model["K"], model["n_z"]
     shapes = {"codes": (k, n_z)} if model["mode"] == "dsf" else {"A": (k, n_z, n_z), "b": (k, n_z)}
     params = _check_object(model["params"], f"{path}: model params")
+    _require_keys(params, shapes, f"{path}: model params")
     for name, shape in shapes.items():
         found = _float_array(f"{path}: {name}", params[name]).shape
         if found != shape:

@@ -341,7 +341,8 @@ def train_dlow(data, decoder, cfg: TrainConfig, init_flows=None) -> tuple[Affine
     The per-run noise draws are fixed up front (common random numbers across
     iterations), so runs are fully deterministic given (seed, config, data).
     Returns the flow set and the training report; featurization blocks, when
-    enabled, are returned via ``report.extras["featurization"]``.
+    enabled, are returned via ``report.extras["featurization"]``; enabling it
+    on examples without context features is an error.
     """
     if cfg.mode != "dlow":
         raise ValueError("config mode must be 'dlow'")
@@ -350,6 +351,8 @@ def train_dlow(data, decoder, cfg: TrainConfig, init_flows=None) -> tuple[Affine
     examples = _as_examples(data)
     if not examples:
         raise ValueError("training data must contain at least one example with a future")
+    if cfg.context_featurization and not all(len(ex.context.features) for ex in examples):
+        raise ValueError("context_featurization needs context features, but an example has none")
     _check_decoder_shape(decoder, examples)
     rng = np.random.default_rng(cfg.seed)
     a0 = np.tile(np.eye(decoder.n_z), (cfg.k, 1, 1)) + rng.normal(

@@ -100,7 +100,12 @@ def _reject_unknown(block: dict, allowed, where: str, required=()) -> None:
     unknown = set(block) - set(allowed)
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = [key for key in required if key not in block]
+    _require_keys(block, required, where)
+
+
+def _require_keys(block: dict, keys, where: str) -> None:
+    """Reject a JSON object ``block`` that lacks one of ``keys``."""
+    missing = [key for key in keys if key not in block]
     if missing:
         raise ValueError(f"{where} is missing keys {missing}")
 
@@ -282,41 +287,58 @@ def _sq_dists(x: np.ndarray, y: np.ndarray, gram: bool = False) -> np.ndarray:
     The operands are laid out as sets of (rows, F): one set per index of the
     leading axes along which both vary; along an axis where only one varies,
     its rows join that operand's rows of the set. So one flow set shared by M
-    examples is one set, and no (..., N, P, F) difference tensor is built. A
-    caller that wants one set per index of an axis along which only ``x``
-    varies broadcasts ``y`` along it (``np.broadcast_to``).
-    Two paths give the same bits, so the choice between them is only speed:
+    examples is one set, and no (..., N, P, F) difference tensor is built.
+    The path is chosen from the caller's own pair set, the N·P·F
+    pair-features at one index of the leading axes, counted before any rows
+    join. Two paths give the same bits, so the choice is only speed:
 
-    * a set of at most ``_LOOP_MAX_PAIR_FEATURES`` (2^14) pair-features
-      N·P·F, or a set against itself (``y is x``): numpy forms the
-      (F, sets, N, P) differences of a block of sets (or of one set's rows),
-      at most ``_SQ_BLOCK_BYTES``, squares them, writes the first two
-      squares' sum (the first square alone for F = 1) into the result and
-      adds each later square one after another;
-    * a larger set of two operands: one ``scipy.spatial.distance.cdist``.
+    * a pair set of at most ``_LOOP_MAX_PAIR_FEATURES`` (2^14), or a set
+      against itself (``y is x``) at any size: numpy forms the
+      (F, sets, N, P) differences of a block of laid-out sets (or of one
+      set's rows), at most ``_SQ_BLOCK_BYTES``, squares them, writes the
+      first two squares' sum (the first square alone for F = 1) into the
+      result and adds each later square one after another;
+    * a larger pair set of two operands: one
+      ``scipy.spatial.distance.cdist`` per laid-out set.
 
     On a 2-vCPU Xeon VM the numpy path costs about 1-2 ns per pair-feature
     plus 10-15 µs per call, ``cdist`` about 0.5 ns per pair-feature plus
     2-10 µs per call. Up to 2^14 the numpy path costs at most tens of µs
-    more per set, where the first ``cdist`` costs a 0.3-0.4 s, 37 MB import
-    of ``scipy.spatial``; beyond, ``cdist`` wins. So the self metrics at any
-    K, and eval's pose distances and grouping on up to about 800 examples
-    (one (K, D) x (M, D) set per sample set and timestep, one (1, F) x (M, F)
-    set per grouping anchor), never load scipy, while eval's sets against
-    thousands of futures take ``cdist``, which is imported here, on first use.
+    more per pair set, where the first ``cdist`` costs a 0.3-0.4 s, 37 MB
+    import of ``scipy.spatial``; beyond, ``cdist`` wins. So the self metrics
+    at any K, eval's pose distances on up to about 800 examples (a (K, D) x
+    (M, D) pair set per sample set and timestep) and its grouping on up to
+    2^14 / F examples (a (1, F) x (M, F) pair set per anchor) never load
+    scipy, while eval's sets against thousands of futures take ``cdist``,
+    which is imported here, on first use.
 
-    With ``gram`` (the training energies), a set above 2^14 takes instead the
-    Gram form |x|^2 + |y|^2 - 2 x.y^T from one batched matmul, clamped at 0,
-    both operands less the mean of the set's ``y`` rows: no slower than
-    ``cdist``, and within about eps times the set's squared spread (not its
-    distance from 0) of the feature-order bits."""
+    With ``gram`` (the training energies), a laid-out set above 2^14 takes
+    instead the Gram form |x|^2 + |y|^2 - 2 x.y^T from one batched matmul,
+    clamped at 0, both operands less the mean of the set's ``y`` rows: no
+    slower than ``cdist``, and within about eps times the set's squared
+    spread (not its distance from 0) of the feature-order bits."""
     lead_x, lead_y, order, x_shape, y_shape, out_shape, back = _sq_dists_plan(x.shape, y.shape)
     xs = x.reshape(*lead_x, *x.shape[-2:]).transpose(*order, -2, -1).reshape(x_shape)
     ys = y.reshape(*lead_y, *y.shape[-2:]).transpose(*order, -2, -1).reshape(y_shape)
     (sets, n, f), p = x_shape, y_shape[1]
     if f == 0:
         out = np.zeros((sets, n, p))
-    elif n * p * f <= _LOOP_MAX_PAIR_FEATURES or y is x and not gram:
+    elif gram and n * p * f > _LOOP_MAX_PAIR_FEATURES:  # one matmul of [x, |x|^2, 1] and [y, 1, |y|^2]
+        center = np.full((1, 1, p), 1.0 / p) @ ys  # the mean of y's rows; 5x faster than .mean(axis=1)
+        xa, ya = np.ones((sets, n, f + 2)), np.ones((sets, p, f + 2))
+        for a, op, norm in ((xa, xs, f), (ya, ys, f + 1)):
+            np.subtract(op, center, out=a[..., :f])
+            np.einsum("sif,sif->si", a[..., :f], a[..., :f], out=a[..., norm])
+        (xa if n <= p else ya)[..., :f] *= -2.0  # the smaller operand, not the (N, P) result
+        out = np.matmul(xa, ya.transpose(0, 2, 1))
+        np.maximum(out, 0.0, out=out)  # no (N, P) pass but the clamp
+    elif y is not x and x.shape[-2] * y.shape[-2] * f > _LOOP_MAX_PAIR_FEATURES:
+        from scipy.spatial.distance import cdist
+
+        out = np.empty((sets, n, p))
+        for xi, yi, dists in zip(xs, ys, out):
+            cdist(xi, yi, "sqeuclidean", out=dists)
+    else:
         out = np.empty((sets, n, p))
         rows = max(1, _SQ_BLOCK_BYTES // (p * f * out.itemsize))
         step = max(1, rows // n)  # whole sets a block, or one set a block of rows
@@ -335,45 +357,23 @@ def _sq_dists(x: np.ndarray, y: np.ndarray, gram: bool = False) -> np.ndarray:
                     np.add(d[0], d[1], out=acc)
                 for square in d[2:]:
                     acc += square
-    elif gram:  # one matmul of [x, |x|^2, 1] and [y, 1, |y|^2]: no (N, P) pass but the clamp
-        center = np.full((1, 1, p), 1.0 / p) @ ys  # the mean of y's rows; 5x faster than .mean(axis=1)
-        xa, ya = np.ones((sets, n, f + 2)), np.ones((sets, p, f + 2))
-        for a, op, norm in ((xa, xs, f), (ya, ys, f + 1)):
-            np.subtract(op, center, out=a[..., :f])
-            np.einsum("sif,sif->si", a[..., :f], a[..., :f], out=a[..., norm])
-        (xa if n <= p else ya)[..., :f] *= -2.0  # the smaller operand, not the (N, P) result
-        out = np.matmul(xa, ya.transpose(0, 2, 1))
-        np.maximum(out, 0.0, out=out)
-    else:
-        from scipy.spatial.distance import cdist
-
-        out = np.empty((sets, n, p))
-        for xi, yi, dists in zip(xs, ys, out):
-            cdist(xi, yi, "sqeuclidean", out=dists)
     return out.reshape(out_shape).transpose(back)
 
 
 def _pose_dists(samples: np.ndarray, futures: np.ndarray) -> np.ndarray:
     """Per-timestep pose distances (..., K, G, T) from each stack of samples
     (..., K, T, D) to the futures (G, T, D), the square roots of
-    ``_sq_dists`` over each timestep: one (K, D) x (G, D) set per sample set
-    and timestep, the futures broadcast over the sample sets, where such a
-    set takes numpy's path (K·G·D <= 2^14); a larger one would cost one
-    ``cdist`` call each, so then the sample sets' rows share one set per
-    timestep. The layout changes no bit. Below D = 8
-    numpy adds the squares in feature order too, so they equal
+    ``_sq_dists`` over each timestep: a (K, D) x (G, D) pair set per sample
+    set and timestep, which numpy takes up to K·G·D = 2^14 and ``cdist``
+    beyond, the sample sets' rows sharing one laid-out set per timestep.
+    Below D = 8 numpy adds the squares in feature order too, so they equal
     ``norm(samples[..., None, :, :] - futures, axis=-1)`` bitwise; from D = 8
     on, numpy sums pairwise and the two can differ in the last bit.
-    The array is a view of (..., T, K, G) memory, so a mean over T adds the
-    timesteps in order, elementwise over (K, G)."""
+    The array is a view of memory with T outside (K, G), so a mean over T
+    adds the timesteps in order, elementwise over (K, G)."""
     _check_same_shape(samples[(0,) * (samples.ndim - 2)], futures[0])  # (K, 1, D) must not pass as (K, T, D)
-    lead = samples.shape[:-3]
-    (k, _, d), g = samples.shape[-3:], len(futures)
-    steps = futures.transpose(1, 0, 2)
-    if math.prod(lead) > 1 and k * g * d <= _LOOP_MAX_PAIR_FEATURES:
-        steps = np.broadcast_to(steps, lead + steps.shape)
-    dists = _sq_dists(samples.swapaxes(-3, -2), steps)  # (..., T, K, G)
-    return np.sqrt(dists, out=dists).transpose(*range(len(lead)), -2, -1, -3)
+    dists = _sq_dists(samples.swapaxes(-3, -2), futures.transpose(1, 0, 2))  # (..., T, K, G)
+    return np.sqrt(dists, out=dists).transpose(*range(samples.ndim - 3), -2, -1, -3)
 
 
 def _best_of_k(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,8 +442,7 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
 
 # Bytes of one block's largest array: for a block of sample sets their
 # (B, T, K, M) pose distances and (T, B, K, K) step distances. Each pass
-# allocates about one more array of that size while it works (at most
-# D / K of it for the futures broadcast over the block's sets). The grouping
+# allocates about one more array of that size while it works. The grouping
 # takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its (rows, M)
 # distances stay below the bound. ``_sq_dists``'s numpy path works through a
 # call in blocks of ``_SQ_BLOCK_BYTES`` of its own.
@@ -457,11 +456,10 @@ def _context_groups(dataset: Dataset, eps: float):
     flattened contexts: pairwise to the anchor, no transitive closure. The
     distances are computed a block of anchors at a time with ``_sq_dists``,
     so memory stays bounded by the block size plus O(M) whatever the dataset
-    size: one (1, F) x (M, F) set per anchor up to 2^14 / F examples, which
-    numpy takes, so they group without scipy; beyond, one (R, F) x (M, F)
-    set per block of anchors, one ``cdist`` call each. The layout changes no
-    bit. ``_sq_dists`` adds the squares in feature order;
-    below F = 8 context features numpy does too, so they equal
+    size: a (1, F) x (M, F) pair set per anchor, which numpy takes up to
+    2^14 / F examples, so they group without scipy, and ``cdist`` beyond,
+    one call per block of anchors. ``_sq_dists`` adds the squares in feature
+    order; below F = 8 context features numpy does too, so they equal
     ``norm(ctx[block, None] - ctx[None], axis=2)`` bitwise, and from F = 8 on
     they can differ in the last bit.
     A context is finite, so its distance to itself is exactly 0 and every
@@ -471,11 +469,9 @@ def _context_groups(dataset: Dataset, eps: float):
         raise ValueError(f"eps must be >= 0, got {eps}")
     ctx = np.stack([ex.context.flat() for ex in dataset.examples])
     rows = max(1, _GROUP_BLOCK_BYTES // ctx.nbytes)
-    per_anchor = ctx.size <= _LOOP_MAX_PAIR_FEATURES  # else one cdist per block beats one per anchor
     for start in range(0, len(ctx), rows):
         anchors = ctx[start : start + rows, None]  # (R, 1, F)
-        others = np.broadcast_to(ctx, (len(anchors), *ctx.shape)) if per_anchor else ctx
-        yield from map(np.flatnonzero, np.sqrt(_sq_dists(anchors, others)[:, 0]) <= eps)
+        yield from map(np.flatnonzero, np.sqrt(_sq_dists(anchors, ctx)[:, 0]) <= eps)
 
 
 def build_multimodal_gt(dataset: Dataset, eps: float) -> dict[int, list[np.ndarray]]:

@@ -412,6 +412,21 @@ class TestTrain:
         assert "within_mode_scale must be finite and > 0, got nan" in capsys.readouterr().err
         assert not (workdir / "m.json").exists()
 
+    def test_featurized_dlow_on_featureless_data_fails(self, workdir, capsys):
+        # gen-data writes no context features: featurized flows would train
+        # one copy of the shared flows per example
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        cfg = {"mode": "dlow", "k": 3, "iters": 2, "context_featurization": True, "decoder": DSF_TRAIN_CONFIG["decoder"]}
+        (workdir / "feat.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run([
+            "train", "--config", workdir / "feat.json", "--dataset", workdir / "d.jsonl",
+            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+        ]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: context_featurization needs context features")
+        assert not (workdir / "m.json").exists()
+
     def test_missing_dataset_fails(self, workdir, capsys):
         code = run([
             "train", "--config", workdir / "train.json", "--dataset", workdir / "nope.jsonl",
@@ -669,6 +684,14 @@ class TestArtifactTypes:
                               "{path}: model params must be a JSON object, got list"),
         "model codes true": ("m.json", 1, lambda model: dict(model, params={"codes": _first_entry(model["params"]["codes"], True)}),
                              "{path}: codes must be an array of numbers"),
+        # a missing field read as a bare KeyError, error: 'K', and a train
+        # config that is a list ended sample in an AttributeError traceback
+        "model without K": ("m.json", 1, lambda model: {key: v for key, v in model.items() if key != "K"},
+                            "{path}: model is missing keys ['K']"),
+        "model without codes": ("m.json", 1, lambda model: dict(model, params={}),
+                                "{path}: model params is missing keys ['codes']"),
+        "model train_config list": ("m.json", 1, lambda model: dict(model, train_config=[1]),
+                                    "{path}: model train_config must be a JSON object, got list"),
         # int() read 10.7 and "10" as 10 and true as 1, and sample wrote the truncated K
         **{
             f"model {field} {value!r}": ("m.json", 1, lambda model, field=field, value=value: dict(model, **{field: value}),

@@ -444,6 +444,14 @@ class TestTrainDlow:
             with pytest.raises(ValueError, match="K >= 2.*got K=1"):
                 train_dlow([example], dec, cfg)
 
+    def test_featurization_without_features_rejected(self):
+        # featureless contexts would fold every example to the shared flows,
+        # trained once per example
+        data = generate_crossroad(CrossroadConfig(mode_probs=(0.8, 0.1, 0.1), n_examples=4, seed=3))
+        cfg = TrainConfig(mode="dlow", k=2, iters=2, noise_draws_per_iter=2, context_featurization=True)
+        with pytest.raises(ValueError, match="^context_featurization needs context features"):
+            train_dlow(data, CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1)), cfg)
+
     def test_nonfinite_term_fails_fast_on_both_gradient_paths(self):
         rng = np.random.default_rng(17)
         cfg = TrainConfig(mode="dlow", k=2, iters=5, noise_draws_per_iter=2)
@@ -604,6 +612,10 @@ class TestOneDecoderPass:
         rng = np.random.default_rng(30)
         crossroad = CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1))
         data = generate_crossroad(CrossroadConfig(mode_probs=(0.8, 0.1, 0.1), n_examples=6, seed=3))
+        featured = [  # featurized flows need context features, which gen-data does not write
+            dataclasses.replace(ex, context=Context(past=ex.context.past, features=features))
+            for ex, features in zip(data, np.random.default_rng(31).normal(size=(len(data), 2)))
+        ]
         ctx = Context(past=np.zeros((1, 2)))
         dsf = TrainConfig(mode="dsf", k=5, iters=15, lr=0.02, seed=1, kernel=KernelConfig(sim_scale=2.0))
         dlow = TrainConfig(mode="dlow", k=4, iters=10, lr=0.02, seed=2, noise_draws_per_iter=3,
@@ -614,7 +626,7 @@ class TestOneDecoderPass:
             "dsf tabulated": lambda: train_dsf(ctx, tabulated_decoder(rng), dsf),
             "dlow shared": lambda: train_dlow(data, crossroad, dlow),
             "dlow featurized": lambda: train_dlow(
-                data, crossroad, dataclasses.replace(dlow, context_featurization=True)
+                featured, crossroad, dataclasses.replace(dlow, context_featurization=True)
             ),
         }
 

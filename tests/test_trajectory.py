@@ -618,58 +618,61 @@ class TestSqDists:
     against ``cdist``'s own Euclidean distance."""
 
     @pytest.mark.parametrize(
-        "caller, shapes, sets",
+        "caller, shapes, calls",
         [
             # the diversity and similar-slice energies: (v, v), one set per
             # sample set; from 7 x 7 x 12 up to K = 100 at F = 6 (the K = 100
             # training sets), and at F = 8 just below and above 2^14
             *(
-                ("set", ((2, 3, k, f),), [((k, f), (k, f))] * 6)
+                ("set", ((2, 3, k, f),), [])
                 for k, f in ((7, 0), (7, 1), (7, 6), (7, 12), (45, 8), (46, 8), (100, 6), (100, 0))
             ),
-            # the reconstruction energy, (v, gt): shared flows make one set,
-            # every target against all E * K samples
-            ("target", ((1, 3, 5, 6), (4, 1, 6)), [((4, 6), (15, 6))]),
-            ("target", ((1, 3, 100, 6), (40, 1, 6)), [((40, 6), (300, 6))]),
+            # the reconstruction energy, (v, gt): a (1, F) x (K, F) pair set
+            # per target and noise draw; shared flows lay out as one set of
+            # every target against all E * K samples, (40, 6) x (300, 6) at
+            # K = 100, which numpy takes
+            ("target", ((1, 3, 5, 6), (4, 1, 6)), []),
+            ("target", ((1, 3, 100, 6), (40, 1, 6)), []),
             # featurized: one set per example
-            ("target", ((4, 3, 5, 6), (4, 1, 6)), [((1, 6), (15, 6))] * 4),
-            ("target", ((5, 6), (6,)), [((1, 6), (5, 6))]),
-            # pose distances, (..., T, K, D) x (T, G, D), the futures
-            # broadcast over the sample sets: one set per sample set and
-            # timestep; ade/fde/mm_metrics send one sample set, eval a block
-            # of 14 K = 10 sets against 300 futures (42 sets of 6000
-            # pair-features); against 1000 futures each set is above 2^14
-            # and takes a cdist call, so _pose_dists does not broadcast there
-            ("pose", ((3, 10, 2), (3, 37, 2)), [((10, 2), (37, 2))] * 3),
-            ("pose", ((14, 3, 10, 2), (3, 300, 2)), [((10, 2), (300, 2))] * 42),
-            ("pose", ((2, 3, 10, 2), (3, 1000, 2)), [((10, 2), (1000, 2))] * 6),
-            # context grouping, (R, 1, F) x (M, F), the contexts broadcast
-            # over the anchors: one set per anchor; at 2^14 and one row above
-            ("context", ((5, 1, 4), (300, 4)), [((1, 4), (300, 4))] * 5),
-            ("context", ((3, 1, 8), (2048, 8)), [((1, 8), (2048, 8))] * 3),
-            ("context", ((3, 1, 8), (2049, 8)), [((1, 8), (2049, 8))] * 3),
+            ("target", ((4, 3, 5, 6), (4, 1, 6)), []),
+            ("target", ((5, 6), (6,)), []),
+            # pose distances, (..., T, K, D) x (T, G, D): a (K, D) x (G, D)
+            # pair set per sample set and timestep, the sample sets' rows
+            # laid out as one set per timestep; ade/fde/mm_metrics send one
+            # sample set, eval a block of 14 K = 10 sets against 300 futures
+            # (6000 pair-features a pair set, 84 000 a laid-out set: numpy);
+            # against 1000 futures each pair set is above 2^14 and each
+            # timestep takes one cdist call
+            ("pose", ((3, 10, 2), (3, 37, 2)), []),
+            ("pose", ((14, 3, 10, 2), (3, 300, 2)), []),
+            ("pose", ((2, 3, 10, 2), (3, 1000, 2)), [((20, 2), (1000, 2))] * 3),
+            # context grouping, (R, 1, F) x (M, F): a (1, F) x (M, F) pair set
+            # per anchor, the anchors laid out as one set; at 2^14 and one row
+            # above, and 109 anchors against 300 contexts (130 800
+            # pair-features a laid-out set: numpy)
+            ("context", ((5, 1, 4), (300, 4)), []),
+            ("context", ((109, 1, 4), (300, 4)), []),
+            ("context", ((3, 1, 8), (2048, 8)), []),
+            ("context", ((3, 1, 8), (2049, 8)), [((3, 8), (2049, 8))]),
         ],
     )
-    def test_feature_order_bits_and_cdist_calls(self, monkeypatch, caller, shapes, sets):
+    def test_feature_order_bits_and_cdist_calls(self, monkeypatch, caller, shapes, calls):
         import scipy.spatial.distance
 
         rng = np.random.default_rng(sum(map(sum, shapes)))
         ops = [rng.normal(scale=3.0, size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes]
-        if caller in ("pose", "context"):  # the futures or contexts broadcast over the sample sets or anchors
-            x, y = ops[0], np.broadcast_to(ops[1], ops[0].shape[:-2] + ops[1].shape[-2:])
-        else:
-            x, y = {"set": (ops[0], ops[0]), "target": (ops[-1][..., None, :], ops[0])}[caller]
+        x, y = {"set": (ops[0], ops[0]), "target": (ops[-1][..., None, :], ops[0])}.get(caller, ops)
         cdist, seen = scipy.spatial.distance.cdist, []
 
         def counting_cdist(xa, xb, *args, **kwargs):
             seen.append((xa.shape, xb.shape))
             return cdist(xa, xb, *args, **kwargs)
 
-        # numpy adds the squares of a set of at most 2^14 pair-features, and
-        # of a set against itself; a larger set of two operands takes one
-        # cdist call
-        (n, f), (p, _) = sets[0]
-        calls = sets if n * p * f > trajectory._LOOP_MAX_PAIR_FEATURES and caller != "set" else []
+        # numpy adds the squares of a pair set of at most 2^14 pair-features,
+        # and of a set against itself; a larger pair set of two operands
+        # takes one cdist call per laid-out set
+        n, p, f = x.shape[-2], y.shape[-2], x.shape[-1]
+        assert bool(calls) == (n * p * f > trajectory._LOOP_MAX_PAIR_FEATURES and caller != "set")
         monkeypatch.setattr(scipy.spatial.distance, "cdist", counting_cdist)
         dists = trajectory._sq_dists(x, y)
         assert seen == calls
@@ -678,6 +681,8 @@ class TestSqDists:
         xb, yb = np.broadcast_to(x, lead + x.shape[-2:]), np.broadcast_to(y, lead + y.shape[-2:])
         euclidean = np.stack([cdist(xb[i], yb[i]) for i in np.ndindex(lead)]).reshape(dists.shape)
         assert np.array_equal(np.sqrt(dists), euclidean)
+        if caller in ("pose", "context"):  # the same bits with y broadcast to one laid-out set per pair set
+            assert np.array_equal(trajectory._sq_dists(x, yb), dists)
         if caller == "set":
             # the energies take these bits up to 2^14 and the Gram form beyond,
             # off by at most a few eps times the set's squared spread
