@@ -36,7 +36,7 @@ from .fileio import (
 from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
 from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports, _float_array, _reject_unknown
-from .training import train_dlow, train_dsf
+from .training import _check_decoder_shape, train_dlow, train_dsf
 
 __all__ = ["main"]
 
@@ -108,7 +108,9 @@ def cmd_train(args) -> int:
 
 def _decode(decoder, latents: np.ndarray, examples) -> np.ndarray:
     """Samples (M, K, T, D) from (M, K, n_z) latents: one decode of every
-    code, plus each example's context offset."""
+    code, plus each example's context offset. A decoder whose (T, D) is not
+    the examples' is rejected first, as in ``train``."""
+    _check_decoder_shape(decoder, examples)
     samples = decoder.decode_batch(latents)
     offsets = np.stack([decoder.context_offset(ex.context) for ex in examples])
     return samples + offsets.reshape(len(examples), 1, *samples.shape[2:])

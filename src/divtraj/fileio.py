@@ -170,14 +170,18 @@ def _sample_row(rec: dict) -> dict:
     return {"id": int(rec["id"]), "samples": samples.tolist()} | ({} if selected is None else {"dpp_map": selected})
 
 
-def _sample_record(rec: dict) -> dict:
+def _sample_record(rec: dict, seen: set) -> dict:
     _check_value("id", rec["id"], "integer")
+    if rec["id"] in seen:
+        raise ValueError(f"duplicate sample id {rec['id']}")
+    seen.add(rec["id"])
     samples = _float_array("samples", rec["samples"])
     return {"id": rec["id"], "samples": samples, "dpp_map": _dpp_map(rec.get("dpp_map"), len(samples) if samples.ndim else 0)}
 
 
 def read_samples(path) -> list[dict]:
-    return _read_lines(path, "samples", _sample_record)[1]
+    seen = set()  # the ids of the records read so far
+    return _read_lines(path, "samples", lambda rec: _sample_record(rec, seen))[1]
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:

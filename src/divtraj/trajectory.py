@@ -306,11 +306,11 @@ def _sq_dists(x: np.ndarray, y: np.ndarray, gram: bool = False) -> np.ndarray:
     2-10 µs per call. Up to 2^14 the numpy path costs at most tens of µs
     more per pair set, where the first ``cdist`` costs a 0.3-0.4 s, 37 MB
     import of ``scipy.spatial``; beyond, ``cdist`` wins. So the self metrics
-    at any K, eval's pose distances on up to about 800 examples (a (K, D) x
-    (M, D) pair set per sample set and timestep) and its grouping on up to
-    2^14 / F examples (a (1, F) x (M, F) pair set per anchor) never load
-    scipy, while eval's sets against thousands of futures take ``cdist``,
-    which is imported here, on first use.
+    at any K, eval's pose distances to context groups of up to about 800
+    futures (a (K, D) x (G, D) pair set per sample set and timestep) and its
+    grouping on up to 2^14 / F examples (a (1, F) x (M, F) pair set per
+    anchor) never load scipy; larger sets take ``cdist``, which is imported
+    here, on first use.
 
     With ``gram`` (the training energies), a laid-out set above 2^14 takes
     instead the Gram form |x|^2 + |y|^2 - 2 x.y^T from one batched matmul,
@@ -440,12 +440,12 @@ def asd_fsd(samples: SampleSet) -> tuple[float, float]:
     return float(asd_vals[0]), float(fsd_vals[0])
 
 
-# Bytes of one block's largest array: for a block of sample sets their
-# (B, T, K, M) pose distances and (T, B, K, K) step distances. Each pass
-# allocates about one more array of that size while it works. The grouping
-# takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its (rows, M)
-# distances stay below the bound. ``_sq_dists``'s numpy path works through a
-# call in blocks of ``_SQ_BLOCK_BYTES`` of its own.
+# Bytes of one block's largest array: for a block of sample sets that share a
+# group of G futures their (B, T, K, G) pose distances, or their (T, B, K, K)
+# step distances; each pass allocates about one more of that size. The
+# grouping takes _GROUP_BLOCK_BYTES // (M * F * 8) anchors a block, so its
+# (rows, M) distances stay below the bound. ``_sq_dists``'s numpy path works
+# through a call in blocks of ``_SQ_BLOCK_BYTES`` of its own.
 _GROUP_BLOCK_BYTES = 1 << 20
 
 
@@ -507,14 +507,6 @@ def _blocks(sets: list, set_bytes):
             yield np.stack(run[first : first + step])
 
 
-def _accuracy_rows(sets: list, futures: np.ndarray):
-    """Yield each sample set's per-future (ADE, FDE) rows, each (M,), against
-    all M futures, in order: one ``_pose_dists`` over a block of sets."""
-    row_bytes = futures[..., 0].nbytes  # one sample's (M, T) distances
-    for block in _blocks(sets, lambda s: len(s) * row_bytes):
-        yield from zip(*_best_of_k(_pose_dists(block, futures)))
-
-
 def _self_rows(sets: list):
     """Yield each sample set's (APD, ASD, FSD), in order, a block at a time."""
     for block in _blocks(sets, lambda s: len(s) * s[..., 0].nbytes):  # (T, K, K) step distances
@@ -526,23 +518,36 @@ def evaluate_sample_sets(dataset: Dataset, sample_sets: dict[int, SampleSet], ep
 
     ``sample_sets`` maps example id -> SampleSet, one for each dataset example
     and no other. ``eps`` is the multi-modal context-grouping threshold. Each
-    example's ADE/FDE rows against every future are computed in blocks of
-    examples; its multi-modal metrics average the rows at its group members.
+    sample set is scored against its own context group's futures only: ADE/FDE
+    at the example's own future, MMADE/MMFDE averaged over the group.
     """
     return _evaluate_reports(dataset, [sample_sets], eps)[0]
 
 
+def _group_runs(dataset: Dataset, eps: float):
+    """Yield (anchors, members) for each run of consecutive anchors with equal
+    context groups: a range of dataset indices and the one group they share."""
+    groups = enumerate(_context_groups(dataset, eps))
+    start, run = next(groups)
+    for i, members in groups:
+        if not np.array_equal(members, run):
+            yield range(start, i), run
+            start, run = i, members
+    yield range(start, len(dataset)), run
+
+
 def _evaluate_reports(dataset: Dataset, sample_set_maps: list, eps: float) -> list[MetricsReport]:
     """``evaluate_sample_sets`` of each id -> SampleSet map in
-    ``sample_set_maps`` over the same dataset and eps, in one pass: each
-    anchor's context group is formed once and serves every map's row."""
+    ``sample_set_maps`` over the same dataset and eps, in one pass: each run
+    of anchors that share a context group is formed once and scored for
+    every map against the group's futures."""
     examples = dataset.examples
     if not examples:
         raise ValueError("dataset has no examples")
     ids = {ex.id for ex in examples}
-    # (M, T, D) in time-major memory: each timestep's (M, D) futures lie
-    # together, so the per-timestep sets of _pose_dists read them in place
-    futures = np.stack([ex.future for ex in examples], axis=1).transpose(1, 0, 2)
+    # (T, M, D): a group's futures taken along M are (G, T, D) in time-major
+    # memory, so the per-timestep sets of _pose_dists read them in place
+    futures = np.stack([ex.future for ex in examples], axis=1)
     per_map = []
     for sample_sets in sample_set_maps:
         missing, extra = sorted(ids - set(sample_sets)), sorted(set(sample_sets) - ids)
@@ -550,29 +555,24 @@ def _evaluate_reports(dataset: Dataset, sample_set_maps: list, eps: float) -> li
             raise ValueError(f"samples misaligned with dataset: missing ids {missing}, extra ids {extra}")
         sets = [sample_sets[ex.id].samples for ex in examples]
         for s in sets:
-            _check_same_shape(s[0], futures[0])
-        per_map.append(zip(_accuracy_rows(sets, futures), _self_rows(sets)))
-    tables, sizes = [[] for _ in per_map], []
-    for i, (ex, members, *map_rows) in enumerate(zip(examples, _context_groups(dataset, eps), *per_map)):
-        for rows, ((ade_row, fde_row), (apd_val, asd_val, fsd_val)) in zip(tables, map_rows):
-            rows.append(
-                {
-                    "id": ex.id,
-                    "apd": float(apd_val),
-                    "asd": float(asd_val),
-                    "fsd": float(fsd_val),
-                    "ade": float(ade_row[i]),
-                    "fde": float(fde_row[i]),
-                    "mmade": float(np.mean(ade_row[members])),
-                    "mmfde": float(np.mean(fde_row[members])),
-                }
-            )
-        sizes.append(len(members))
+            _check_same_shape(s[0], futures[:, 0])
+        per_map.append((sets, _self_rows(sets), []))
+    sizes = []
+    for anchors, members in _group_runs(dataset, eps):
+        group = futures[:, members].transpose(1, 0, 2)
+        for sets, self_rows, rows in per_map:  # blocks of about _GROUP_BLOCK_BYTES of (B, K, G, T) distances
+            blocks = _blocks(sets[anchors.start : anchors.stop], lambda s: len(s) * group[..., 0].nbytes)
+            scores = chain.from_iterable(zip(*_best_of_k(_pose_dists(block, group))) for block in blocks)
+            for i, (ade_row, fde_row), self_vals in zip(anchors, scores, self_rows):
+                own = np.searchsorted(members, i)  # every anchor is its own member
+                vals = (*self_vals, ade_row[own], fde_row[own], np.mean(ade_row), np.mean(fde_row))
+                rows.append({"id": examples[i].id, **{name: float(v) for name, v in zip(METRIC_NAMES, vals)}})
+        sizes += [len(members)] * len(anchors)
     return [
         MetricsReport(
             per_example=tuple(rows),
             means={name: float(np.mean([r[name] for r in rows])) for name in METRIC_NAMES},
             group_sizes=tuple(sizes),
         )
-        for rows in tables
+        for _, _, rows in per_map
     ]

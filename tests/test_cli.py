@@ -668,6 +668,8 @@ class TestArtifactTypes:
         "dataset id string": ("d.jsonl", 4, lambda rec: dict(rec, id="2"), "{path}:4: id must be an integer, got '2'"),
         "samples record list": ("s.jsonl", 2, lambda rec: [rec], "{path}:2: record must be a JSON object, got list"),
         "samples id float": ("s.jsonl", 2, lambda rec: dict(rec, id=0.5), "{path}:2: id must be an integer, got 0.5"),
+        # eval scored the later of two records with one id
+        "samples id repeated": ("s.jsonl", 3, lambda rec: dict(rec, id=rec["id"] - 1), "{path}:3: duplicate sample id 0"),
         "samples entry null": ("s.jsonl", 3, lambda rec: dict(rec, samples=_first_entry(rec["samples"], None)),
                                "{path}:3: samples must be an array of numbers"),
         # read_samples returned a dpp_map unchecked
@@ -724,6 +726,14 @@ class TestArtifactTypes:
         assert not (workdir / "t.jsonl").exists() and not (workdir / "e.json").exists()
 
 
+def _write_long_decoder_model(workdir):
+    """A trained model on T = 3 data, saved as long.json with its decoder's
+    t_steps set to 5."""
+    _train_model(workdir)
+    model = read_model(workdir / "m.json")
+    write_model(workdir / "long.json", dict(model, decoder=dict(model["decoder"], t_steps=5)))
+
+
 class TestSample:
     def test_k_samples_per_example(self, workdir):
         _train_model(workdir)
@@ -764,6 +774,14 @@ class TestSample:
                 err = capsys.readouterr().err
                 assert "K=4" in err and "n_z=2" in err
             assert not (workdir / "bad.jsonl").exists() and not (workdir / "report.json").exists()
+
+    def test_decoder_shape_mismatch_rejected(self, workdir, capsys):
+        # sample wrote (K, 5, 2) sets for T = 3 data, and only eval failed
+        _write_long_decoder_model(workdir)
+        assert run(["sample", "--model", workdir / "long.json", "--dataset", workdir / "d.jsonl",
+                    "--out", workdir / "s.jsonl"]) == 1
+        assert "error: decoder output shape (5, 2) does not match data (3, 2)" in capsys.readouterr().err
+        assert not (workdir / "s.jsonl").exists()
 
     def test_dpp_map_never_selects_duplicates(self, workdir):
         _train_model(workdir)
@@ -1049,6 +1067,17 @@ class TestEval:
         }
         payload = json.loads((workdir / "report.json").read_text())
         assert payload["baseline_means"] == evaluate_sample_sets(ds, sets, 1.0).means
+
+    def test_baseline_decoder_shape_mismatch_rejected(self, workdir, capsys):
+        # the baseline's (K, 5, 2) sets failed later, as "shape mismatch"
+        _write_long_decoder_model(workdir)
+        run(["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl", "--out", workdir / "s.jsonl"])
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl", "--eps", "1.0",
+            "--out", workdir / "report", "--model", workdir / "long.json", "--seed", "77",
+        ]) == 1
+        assert "error: decoder output shape (5, 2) does not match data (3, 2)" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
 
     def test_trained_beats_iid_baseline_on_imbalanced_data(self, workdir):
         # needs the tuned full config: K=10, 300 iters

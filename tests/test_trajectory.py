@@ -481,26 +481,52 @@ class TestEvaluateSampleSets:
         with pytest.raises(ValueError, match="apd requires at least 2 samples"):
             apd(sets[1])
 
+    @pytest.mark.parametrize("groups", ["eps 1", "eps zero", "eps inf", "paired contexts"])
     @pytest.mark.parametrize("blocks", ["one block", "several blocks", "cdist sets"])
-    def test_mixed_k_rows_equal_per_set_definitions(self, monkeypatch, blocks):
+    def test_mixed_k_rows_equal_per_set_definitions(self, monkeypatch, blocks, groups):
         rng = np.random.default_rng(31)
         m, ks = 23, (2, 5, 10, 3)
-        ds = _dataset_from_contexts(rng.normal(scale=0.5, size=(m, 2, 2)), rng.normal(size=(m, 3, 2)))
+        pasts = rng.normal(scale=0.5, size=(m, 2, 2))
+        if groups == "paired contexts":  # runs of two anchors that share a partial group
+            pasts[1::2] = pasts[0::2][: m // 2]
+        ds = _dataset_from_contexts(pasts, rng.normal(size=(m, 3, 2)))
+        eps = {"eps zero": 0.0, "eps inf": np.inf}.get(groups, 1.0)
         sets = {i: SampleSet(samples=rng.normal(size=(ks[i % 4], 3, 2))) for i in range(m)}
         if blocks == "several blocks":  # a few examples per pass, ragged last block
             monkeypatch.setattr(trajectory, "_GROUP_BLOCK_BYTES", 2 * 10 * m * 3 * 8)
         if blocks == "cdist sets":  # as for thousands of examples: per-timestep pose sets, a context set per block
             monkeypatch.setattr(trajectory, "_LOOP_MAX_PAIR_FEATURES", 0)
-        report = evaluate_sample_sets(ds, sets, eps=1.0)
-        groups = build_multimodal_gt(ds, 1.0)
+        report = evaluate_sample_sets(ds, sets, eps=eps)
+        groups_of = build_multimodal_gt(ds, eps)
+        sizes = report.group_sizes
+        assert sizes == tuple(len(groups_of[ex.id]) for ex in ds.examples)
+        low, high = {"eps zero": (1, 1), "eps inf": (m, m), "paired contexts": (2, m - 1)}.get(groups, (1, m - 1))
+        assert low <= min(sizes) and max(sizes) <= high
         for ex, row in zip(ds.examples, report.per_example):
             arr = sets[ex.id].samples
-            ades = np.stack([_ade_fde_ref(arr, gt) for gt in groups[ex.id]])
+            ades = np.stack([_ade_fde_ref(arr, gt) for gt in groups_of[ex.id]])
             assert row == {
                 "id": ex.id, "apd": _apd_ref(arr), "asd": _asd_fsd_ref(arr)[0], "fsd": _asd_fsd_ref(arr)[1],
                 "ade": _ade_fde_ref(arr, ex.future)[0], "fde": _ade_fde_ref(arr, ex.future)[1],
                 "mmade": float(np.mean(ades[:, 0])), "mmfde": float(np.mean(ades[:, 1])),
             }
+
+    def test_sets_scored_against_their_group_only(self, monkeypatch):
+        # every set was scored against all M futures, O(M^2 K T) at any eps
+        rng = np.random.default_rng(5)
+        m = 60
+        ds = _dataset_from_contexts(rng.normal(size=(m, 2, 2)), rng.normal(size=(m, 3, 2)))
+        sets = {i: SampleSet(samples=s) for i, s in enumerate(rng.normal(size=(m, 4, 3, 2)))}
+        futures_seen, pose_dists_of = [], trajectory._pose_dists
+
+        def pose_dists(samples, futures):
+            futures_seen.append(len(futures))
+            return pose_dists_of(samples, futures)
+
+        monkeypatch.setattr(trajectory, "_pose_dists", pose_dists)
+        sizes = evaluate_sample_sets(ds, sets, eps=0.5).group_sizes
+        assert 1 < max(sizes) < m
+        assert futures_seen and max(futures_seen) <= max(sizes)
 
 
 # The per-set definitions the batched passes replaced, kept as references.
