@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, SampleSet, _evaluate_reports, _float_array, _reject_unknown
+from .trajectory import METRIC_NAMES, _evaluate_reports, _float_array, _reject_unknown
 from .training import _check_decoder_shape, train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -145,22 +145,17 @@ def cmd_sample(args) -> int:
     if examples:  # nothing to stack: an empty dataset gets a header-only file
         latents = _model_latents(model, examples, seed)
         samples = _decode(decoder, latents, examples)
-        records = [{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]
+        maps = [None] * len(examples)  # write_samples leaves a null dpp_map out
         if args.dpp_map:
             maps = _greedy_map_sets(samples.reshape(len(examples), k, -1), latents, kcfg)
-            for rec, selected in zip(records, maps):
-                rec["dpp_map"] = selected
+        records = [{"id": ex.id, "samples": s, "dpp_map": m} for ex, s, m in zip(examples, samples, maps)]
     meta = {"model_mode": model["mode"], "K": k, "seed": seed, "omega": args.omega}
     write_samples(args.out, records, meta=meta)
     read_samples(args.out)
-    map_sizes = Counter(len(rec["dpp_map"]) for rec in records if "dpp_map" in rec)
+    map_sizes = Counter(len(rec["dpp_map"]) for rec in records if args.dpp_map)
     note = f" map sizes={dict(sorted(map_sizes.items()))}" if args.dpp_map else ""
     print(f"wrote {len(records)} sample sets (K={k}) to {args.out}{note}")
     return 0
-
-
-def _sample_sets(records: list[dict]) -> dict:
-    return {rec["id"]: SampleSet(samples=rec["samples"], context_id=rec["id"]) for rec in records}
 
 
 def cmd_eval(args) -> int:
@@ -169,7 +164,7 @@ def cmd_eval(args) -> int:
     if args.seed is not None and args.model is None:
         raise ValueError("baseline comparison needs --model alongside --seed")
     dataset = read_dataset(args.dataset)
-    sample_set_maps = [_sample_sets(read_samples(args.samples))]
+    sample_set_maps = [{rec["id"]: rec["samples"] for rec in read_samples(args.samples)}]
     if args.model is not None and dataset.examples:  # no examples, nothing to decode: _evaluate_reports says so
         model = read_model(args.model)
         decoder = decoder_from_config(model["decoder"])
@@ -177,7 +172,7 @@ def cmd_eval(args) -> int:
         shape = (model["K"], model["n_z"])  # best-of-K metrics compare at the model's K
         latents = np.stack([sample_noise([args.seed, ex.id], shape) for ex in examples])
         samples = _decode(decoder, latents, examples)
-        sample_set_maps.append(_sample_sets([{"id": ex.id, "samples": s} for ex, s in zip(examples, samples)]))
+        sample_set_maps.append({ex.id: s for ex, s in zip(examples, samples)})
     # the samples and the baseline share one pass over the context groups
     report, *baseline = _evaluate_reports(dataset, sample_set_maps, args.eps)
     out_prefix = Path(args.out)

@@ -13,13 +13,11 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .trajectory import (
-    METRIC_NAMES, Context, Dataset, Example, MetricsReport, _check_object, _check_value, _float_array, _reject_unknown,
-    _require_keys,
+    METRIC_NAMES, Context, Dataset, Example, MetricsReport, SampleSet, _check_object, _check_value, _float_array,
+    _reject_unknown, _require_keys,
 )
 from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
 
@@ -71,8 +69,8 @@ def _write_lines(path, kind: str, meta: dict, records) -> None:
 
 def _read_lines(path, kind: str, make) -> tuple[dict, list]:
     """The header meta of a JSON-lines artifact of this ``kind``, after its
-    version and kind are checked, and ``make`` of each record, parsed one line
-    at a time; an error in a record names the file and the line."""
+    version and kind are checked, and ``make(record, ids so far)`` of each
+    record, one line at a time; an error in a record names the file and line."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -81,10 +79,10 @@ def _read_lines(path, kind: str, make) -> tuple[dict, list]:
     _check_version(header, path)
     if header.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} file")
-    meta, records = _check_object(header.get("meta", {}), f"{path}:1: header meta"), []
+    meta, records, seen = _check_object(header.get("meta", {}), f"{path}:1: header meta"), [], set()
     for number, line in enumerate(lines[1:], start=2):
         try:
-            records.append(make(_check_object(json.loads(line), "record")))
+            records.append(make(_check_object(json.loads(line), "record"), seen))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}:{number}: {exc}") from exc
     return meta, records
@@ -105,9 +103,19 @@ def write_dataset(path, dataset: Dataset) -> None:
     _write_lines(path, "dataset", dataset.meta, records)
 
 
-def _example(rec: dict) -> Example:
+def _new_id(value, seen: set, what: str) -> int:
+    """A record's id: an integer that no earlier record of its file used."""
+    _check_value("id", value, "integer")
+    if value in seen:
+        raise ValueError(f"duplicate {what} id {value}")
+    seen.add(value)
+    return int(value)
+
+
+def _example(rec: dict, seen: set) -> Example:
+    key = _new_id(rec["id"], seen, "example")
     context = Context(past=rec["past"], features=rec.get("features", []))
-    return Example(context=context, future=rec["future"], id=rec["id"], meta=rec.get("meta", {}))
+    return Example(context=context, future=rec["future"], id=key, meta=rec.get("meta", {}))
 
 
 def read_dataset(path) -> Dataset:
@@ -159,29 +167,27 @@ def _dpp_map(selected, k: int):
     return list(map(int, selected))
 
 
-def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
-    """JSON lines: header, then {"id", "samples", optional "dpp_map"} per line."""
-    _write_lines(path, "samples", meta or {}, map(_sample_row, records))
+def _sample_record(rec: dict, seen: set) -> dict:
+    """The one check of a sample record, written or read: an integer id that
+    no earlier record used, a K x T x D ``samples`` array and its ``dpp_map``."""
+    key = _new_id(rec["id"], seen, "sample")
+    samples = SampleSet(rec["samples"]).samples
+    return {"id": key, "samples": samples, "dpp_map": _dpp_map(rec.get("dpp_map"), len(samples))}
 
 
 def _sample_row(rec: dict) -> dict:
-    samples = np.asarray(rec["samples"], dtype=float)
-    selected = _dpp_map(rec.get("dpp_map"), len(samples))
-    return {"id": int(rec["id"]), "samples": samples.tolist()} | ({} if selected is None else {"dpp_map": selected})
+    """A checked sample record as written: without "dpp_map" when it is null."""
+    return {key: value for key, value in dict(rec, samples=rec["samples"].tolist()).items() if value is not None}
 
 
-def _sample_record(rec: dict, seen: set) -> dict:
-    _check_value("id", rec["id"], "integer")
-    if rec["id"] in seen:
-        raise ValueError(f"duplicate sample id {rec['id']}")
-    seen.add(rec["id"])
-    samples = _float_array("samples", rec["samples"])
-    return {"id": rec["id"], "samples": samples, "dpp_map": _dpp_map(rec.get("dpp_map"), len(samples) if samples.ndim else 0)}
+def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
+    """JSON lines: header, then {"id", "samples", optional "dpp_map"} per line."""
+    seen = set()  # the ids of the records written so far
+    _write_lines(path, "samples", meta or {}, (_sample_row(_sample_record(rec, seen)) for rec in records))
 
 
 def read_samples(path) -> list[dict]:
-    seen = set()  # the ids of the records read so far
-    return _read_lines(path, "samples", lambda rec: _sample_record(rec, seen))[1]
+    return _read_lines(path, "samples", _sample_record)[1]
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:

@@ -514,14 +514,13 @@ def _self_rows(sets: list):
 
 
 def evaluate_sample_sets(dataset: Dataset, sample_sets: dict[int, SampleSet], eps: float) -> MetricsReport:
-    """Compute the full metric table for per-example sample sets.
-
-    ``sample_sets`` maps example id -> SampleSet, one for each dataset example
-    and no other. ``eps`` is the multi-modal context-grouping threshold. Each
-    sample set is scored against its own context group's futures only: ADE/FDE
-    at the example's own future, MMADE/MMFDE averaged over the group.
-    """
-    return _evaluate_reports(dataset, [sample_sets], eps)[0]
+    """The full metric table of per-example sample sets, with the bits of the
+    per-set functions. ``sample_sets`` maps example id -> SampleSet, one for
+    each dataset example and no other. ``eps`` is the multi-modal
+    context-grouping threshold. Each sample set is scored against its own
+    context group's futures only: ADE/FDE at the example's own future,
+    MMADE/MMFDE averaged over the group."""
+    return _evaluate_reports(dataset, [{i: s.samples for i, s in sample_sets.items()}], eps)[0]
 
 
 def _group_runs(dataset: Dataset, eps: float):
@@ -537,9 +536,9 @@ def _group_runs(dataset: Dataset, eps: float):
 
 
 def _evaluate_reports(dataset: Dataset, sample_set_maps: list, eps: float) -> list[MetricsReport]:
-    """``evaluate_sample_sets`` of each id -> SampleSet map in
-    ``sample_set_maps`` over the same dataset and eps, in one pass: each run
-    of anchors that share a context group is formed once and scored for
+    """``evaluate_sample_sets`` of each map in ``sample_set_maps`` from id to
+    checked K x T x D samples, over the same dataset and eps, in one pass: each
+    run of anchors that share a context group is formed once and scored for
     every map against the group's futures."""
     examples = dataset.examples
     if not examples:
@@ -553,7 +552,7 @@ def _evaluate_reports(dataset: Dataset, sample_set_maps: list, eps: float) -> li
         missing, extra = sorted(ids - set(sample_sets)), sorted(set(sample_sets) - ids)
         if missing or extra:
             raise ValueError(f"samples misaligned with dataset: missing ids {missing}, extra ids {extra}")
-        sets = [sample_sets[ex.id].samples for ex in examples]
+        sets = [sample_sets[ex.id] for ex in examples]
         for s in sets:
             _check_same_shape(s[0], futures[:, 0])
         per_map.append((sets, _self_rows(sets), []))

@@ -214,6 +214,23 @@ class TestJsonLinesCodec:
         write_samples(path, records)
         assert [rec["dpp_map"] for rec in read_samples(path)] == [None, [2, 0]]
 
+    # write_samples wrote each of these, and read_samples rejected the file
+    @pytest.mark.parametrize(
+        "edit, says",
+        [
+            ({"id": 1}, "duplicate sample id 1"),
+            ({"id": 2.0}, "id must be an integer, got 2.0"),
+            ({"samples": [[[0.0, True]]]}, "samples must be an array of numbers in rows of equal length, got [[[0.0, True]]]"),
+            ({"samples": [[["0.5", 0.0]]]}, "samples must be an array of numbers in rows of equal length, got [[['0.5', 0.0]]]"),
+        ],
+    )
+    def test_write_samples_rejects_what_read_samples_rejects(self, tmp_path, edit, says):
+        path = tmp_path / "s.jsonl"
+        records = [{"id": 1, "samples": np.zeros((1, 1, 2))}, {"id": 2, "samples": np.zeros((1, 1, 2))} | edit]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {says}')}$"):
+            write_samples(path, records)
+        assert not path.exists()
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -666,10 +683,15 @@ class TestArtifactTypes:
         "dataset id float": ("d.jsonl", 3, lambda rec: dict(rec, id=1.7), "{path}:3: id must be an integer, got 1.7"),
         "dataset id true": ("d.jsonl", 3, lambda rec: dict(rec, id=True), "{path}:3: id must be an integer, got True"),
         "dataset id string": ("d.jsonl", 4, lambda rec: dict(rec, id="2"), "{path}:4: id must be an integer, got '2'"),
+        # the error came from Dataset, naming neither the file nor the line
+        "dataset id repeated": ("d.jsonl", 3, lambda rec: dict(rec, id=0), "{path}:3: duplicate example id 0"),
         "samples record list": ("s.jsonl", 2, lambda rec: [rec], "{path}:2: record must be a JSON object, got list"),
         "samples id float": ("s.jsonl", 2, lambda rec: dict(rec, id=0.5), "{path}:2: id must be an integer, got 0.5"),
         # eval scored the later of two records with one id
         "samples id repeated": ("s.jsonl", 3, lambda rec: dict(rec, id=rec["id"] - 1), "{path}:3: duplicate sample id 0"),
+        # read_samples passed it, and eval's check named no file
+        "samples not K x T x D": ("s.jsonl", 2, lambda rec: dict(rec, samples=rec["samples"][0]),
+                                  "{path}:2: samples must be a K x T x D array with K >= 1, got shape (3, 2)"),
         "samples entry null": ("s.jsonl", 3, lambda rec: dict(rec, samples=_first_entry(rec["samples"], None)),
                                "{path}:3: samples must be an array of numbers"),
         # read_samples returned a dpp_map unchecked
