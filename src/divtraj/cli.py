@@ -33,9 +33,9 @@ from .fileio import (
     write_report,
     write_samples,
 )
-from .flows import AffineFlowSet, _apply_flows, _fold_features, sample_noise
+from .flows import _apply_flows, _check_invertible, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, _evaluate_reports, _float_array, _reject_unknown
+from .trajectory import METRIC_NAMES, _evaluate_reports, _reject_unknown
 from .training import _check_decoder_shape, train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -58,7 +58,6 @@ def cmd_gen_data(args) -> int:
     cfg = CrossroadConfig(**block)
     dataset = generate_crossroad(cfg)
     write_dataset(args.out, dataset)
-    read_dataset(args.out)  # validation round-trip
     histogram = Counter(ex.meta.get("route", "?") for ex in dataset.examples)
     print(
         f"wrote {len(dataset)} examples to {args.out} "
@@ -100,7 +99,6 @@ def cmd_train(args) -> int:
         "seed": cfg.seed,
     }
     write_model(args.model_out, model)
-    read_model(args.model_out)
     write_report(args.report_out, report_to_dict(report))
     print(f"wrote model to {args.model_out}, report to {args.report_out}")
     return 0
@@ -117,19 +115,19 @@ def _decode(decoder, latents: np.ndarray, examples) -> np.ndarray:
 
 
 def _model_latents(model: dict, examples, seed: int) -> np.ndarray:
-    """The model's (M, K, n_z) latent codes for each example: the DSF codes, or
-    the DLow flows applied to the example's own noise draw."""
+    """The (M, K, n_z) latent codes of a model from ``read_model`` for each
+    example: the DSF codes, or the DLow flows applied to its own noise draw."""
     params = model["params"]
     if model["mode"] == "dsf":
-        codes = _float_array("codes", params["codes"])
+        codes = np.asarray(params["codes"], dtype=float)
         return np.broadcast_to(codes, (len(examples),) + codes.shape)
-    a, b = _float_array("A", params["A"]), _float_array("b", params["b"])
+    a, b = np.asarray(params["A"], dtype=float), np.asarray(params["b"], dtype=float)
     if "featurization" in params:  # each example's own flows, (M, K, n_z, n_z) and (M, K, n_z)
         k0 = int(model["train_config"].get("fix_first_identity", False))
         features = np.stack([ex.context.features for ex in examples])
         a, b = _fold_features(a, b, params["featurization"], features, k0)
-    flows = AffineFlowSet(A=a.reshape(-1, *a.shape[-2:]), b=b.reshape(-1, b.shape[-1]))  # all valid
-    eps = np.stack([sample_noise([seed, ex.id], flows.n_z) for ex in examples])
+    _check_invertible(a)
+    eps = np.stack([sample_noise([seed, ex.id], a.shape[-1]) for ex in examples])
     return _apply_flows(a, b, eps)
 
 
@@ -151,7 +149,6 @@ def cmd_sample(args) -> int:
         records = [{"id": ex.id, "samples": s, "dpp_map": m} for ex, s, m in zip(examples, samples, maps)]
     meta = {"model_mode": model["mode"], "K": k, "seed": seed, "omega": args.omega}
     write_samples(args.out, records, meta=meta)
-    read_samples(args.out)
     map_sizes = Counter(len(rec["dpp_map"]) for rec in records if args.dpp_map)
     note = f" map sizes={dict(sorted(map_sizes.items()))}" if args.dpp_map else ""
     print(f"wrote {len(records)} sample sets (K={k}) to {args.out}{note}")

@@ -3,7 +3,9 @@ reports, CSV metric tables.
 
 All writers emit canonical JSON (sorted keys, fixed separators) so that
 reruns with identical seeds produce byte-identical files. Volatile values
-(wall time) are deliberately kept out of written artifacts.
+(wall time) are deliberately kept out of written artifacts. Each writer
+rejects what its reader rejects, with the reader's message, before it writes,
+so a written file needs no read-back.
 """
 from __future__ import annotations
 
@@ -127,15 +129,8 @@ def read_dataset(path) -> Dataset:
 _MODEL_FIELDS = ("mode", "n_z", "K", "params", "decoder", "train_config", "seed")
 
 
-def write_model(path, model: dict) -> None:
-    _require_keys(model, _MODEL_FIELDS, "model")
-    _write_object(path, model)
-
-
-def read_model(path) -> dict:
-    path = Path(path)
-    model = _check_object(json.loads(path.read_text()), f"{path}: model")
-    _check_version(model, path)
+def _model(model: dict, path) -> dict:
+    """The one check of a model, written or read; ``path`` starts each message."""
     _require_keys(model, _MODEL_FIELDS, f"{path}: model")
     if model["mode"] not in ("dsf", "dlow"):
         raise ValueError(f"{path}: unknown sampler mode {model['mode']!r}")
@@ -151,6 +146,17 @@ def read_model(path) -> dict:
         if found != shape:
             raise ValueError(f"{path}: {name} of shape {found} does not match K={k}, n_z={n_z}")
     return model
+
+
+def write_model(path, model: dict) -> None:
+    _write_object(path, _model(model, Path(path)))  # the path as read_model names it
+
+
+def read_model(path) -> dict:
+    path = Path(path)
+    model = _check_object(json.loads(path.read_text()), f"{path}: model")
+    _check_version(model, path)
+    return _model(model, path)
 
 
 def _dpp_map(selected, k: int):
@@ -183,7 +189,8 @@ def _sample_row(rec: dict) -> dict:
 def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
     """JSON lines: header, then {"id", "samples", optional "dpp_map"} per line."""
     seen = set()  # the ids of the records written so far
-    _write_lines(path, "samples", meta or {}, (_sample_row(_sample_record(rec, seen)) for rec in records))
+    meta = _check_object(meta or {}, f"{path}:1: header meta")
+    _write_lines(path, "samples", meta, (_sample_row(_sample_record(rec, seen)) for rec in records))
 
 
 def read_samples(path) -> list[dict]:

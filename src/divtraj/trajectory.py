@@ -169,6 +169,7 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_object(self.meta, "dataset meta")  # the reader's header rule
         examples = tuple(self.examples)
         object.__setattr__(self, "examples", examples)
         if examples:
@@ -183,11 +184,7 @@ class Dataset:
                 if ex.id in ids:
                     raise ValueError(f"duplicate example id {ex.id}")
                 ids.add(ex.id)
-            meta = dict(self.meta)
-            meta.setdefault("T", t)
-            meta.setdefault("H", h)
-            meta.setdefault("D", d)
-            object.__setattr__(self, "meta", meta)
+            object.__setattr__(self, "meta", {"T": t, "H": h, "D": d, **self.meta})  # meta's own T, H, D win
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -201,7 +198,6 @@ class SampleSet:
     """K forecast samples for one context, stored as a K x T x D array."""
 
     samples: np.ndarray
-    context_id: int = -1
 
     def __post_init__(self):
         arr = _float_array("samples", self.samples)

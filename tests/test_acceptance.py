@@ -250,7 +250,7 @@ def test_criterion_7_mode_coverage(crossroad_data, trained_dsf_codes):
         apds, asds, mmades = [], [], []
         for ex in eval_examples:
             samples = DSF_DECODER.decode_batch(latents_fn(ex), ex.context)
-            ss = dt.SampleSet(samples=samples, context_id=ex.id)
+            ss = dt.SampleSet(samples=samples)
             apds.append(dt.apd(ss))
             asds.append(dt.asd_fsd(ss)[0])
             dists = np.linalg.norm(samples[:, None] - futures[None], axis=3).mean(axis=2)

@@ -32,6 +32,7 @@ from divtraj import (
     generate_crossroad,
     greedy_map,
 )
+from divtraj import cli
 from divtraj.cli import main
 from divtraj.flows import _fold_features
 from divtraj.fileio import (
@@ -184,6 +185,15 @@ class TestJsonLinesCodec:
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 read(path)
 
+    def test_header_meta_must_be_an_object(self, tmp_path):
+        # each writer wrote these headers, and its reader rejected the file
+        path = tmp_path / "f.jsonl"
+        with pytest.raises(ValueError, match="^dataset meta must be a JSON object, got list$"):
+            write_dataset(path, Dataset(examples=(), meta=[1]))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: header meta must be a JSON object, got list')}$"):
+            write_samples(path, [], meta=[1])
+        assert not path.exists()
+
     def test_write_read_write_same_bytes(self, tmp_path):
         _write_dataset_file(tmp_path / "a.jsonl")
         write_dataset(tmp_path / "b.jsonl", read_dataset(tmp_path / "a.jsonl"))
@@ -230,6 +240,40 @@ class TestJsonLinesCodec:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {says}')}$"):
             write_samples(path, records)
         assert not path.exists()
+
+
+class TestModelCodec:
+    """write_model and read_model run one model check, with the same messages."""
+
+    DSF = {"mode": "dsf", "n_z": 2, "K": 4, "params": {"codes": np.zeros((4, 2)).tolist()}, "decoder": {},
+           "train_config": {}, "seed": 0}
+    DLOW = dict(DSF, mode="dlow", params={"A": np.tile(np.eye(2), (4, 1, 1)).tolist(), "b": np.zeros((4, 2)).tolist()})
+
+    # write_model wrote each of these but the last, and read_model rejected the file
+    CASES = {
+        "codes shape": (dict(DSF, params={"codes": np.zeros((6, 2)).tolist()}), "codes of shape (6, 2) does not match K=4, n_z=2"),
+        "A shape": (dict(DLOW, params=dict(DLOW["params"], A=DLOW["params"]["A"][:3])),
+                    "A of shape (3, 2, 2) does not match K=4, n_z=2"),
+        "b shape": (dict(DLOW, params=dict(DLOW["params"], b=np.zeros((4, 3)).tolist())),
+                    "b of shape (4, 3) does not match K=4, n_z=2"),
+        "float K": (dict(DSF, K=4.0), "K must be an integer, got 4.0"),
+        "unknown mode": (dict(DSF, mode="gan"), "unknown sampler mode 'gan'"),
+        "missing field": ({key: value for key, value in DSF.items() if key != "seed"}, "model is missing keys ['seed']"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_write_model_rejects_what_read_model_rejects(self, tmp_path, case):
+        model, says = self.CASES[case]
+        raw, written = tmp_path / "raw.json", tmp_path / "m.json"
+        raw.write_text(json.dumps({**model, "format_version": 1}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{raw}: {says}')}$"):
+            read_model(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{written}: {says}')}$"):
+            write_model(written, model)
+        assert not written.exists()
+        for valid in (self.DSF, self.DLOW):  # the models each case edits
+            write_model(written, valid)
+            assert read_model(written) == {**valid, "format_version": 1}
 
 
 @pytest.fixture()
@@ -756,6 +800,34 @@ def _write_long_decoder_model(workdir):
     write_model(workdir / "long.json", dict(model, decoder=dict(model["decoder"], t_steps=5)))
 
 
+class TestCommandReads:
+    def test_each_command_reads_only_its_inputs(self, workdir, monkeypatch):
+        # a command checks what it writes as it writes it, so it reads back none of its outputs
+        reads = []
+
+        def recording(reader):
+            def read(path):
+                reads.append((reader.__name__, Path(path).name))
+                return reader(path)
+            return read
+
+        for name in ("read_dataset", "read_model", "read_samples"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        commands = {
+            "gen-data": (["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"], []),
+            "train": (["train", "--config", workdir / "train.json", "--dataset", workdir / "d.jsonl",
+                       "--model-out", workdir / "m.json", "--report-out", workdir / "r.json"],
+                      [("read_dataset", "d.jsonl")]),
+            "sample": (["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl",
+                        "--out", workdir / "s.jsonl", "--dpp-map"],
+                       [("read_model", "m.json"), ("read_dataset", "d.jsonl")]),
+        }
+        for name, (argv, inputs) in commands.items():
+            reads.clear()
+            assert run(argv) == 0, name
+            assert reads == inputs, name
+
+
 class TestSample:
     def test_k_samples_per_example(self, workdir):
         _train_model(workdir)
@@ -781,8 +853,8 @@ class TestSample:
             "dlow_A": dict(model, K=4, mode="dlow", params={"A": a[:3], "b": b}),
             "dlow_b": dict(model, K=4, mode="dlow", params={"A": a, "b": b[:3]}),
         }
-        for name, bad_model in bad.items():
-            write_model(workdir / f"{name}.json", bad_model)
+        for name, bad_model in bad.items():  # as raw JSON: write_model rejects each of them
+            (workdir / f"{name}.json").write_text(json.dumps({**bad_model, "format_version": 1}))
             for argv in (
                 ["sample", "--model", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
                  "--out", workdir / "bad.jsonl"],

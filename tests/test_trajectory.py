@@ -37,8 +37,8 @@ from divtraj import (
     mm_metrics,
     traj_distance,
 )
-from divtraj import cli, energy, trajectory
-from divtraj.fileio import read_samples
+from divtraj import energy, trajectory
+from divtraj.fileio import read_model, read_samples
 from divtraj.flows import _fold_features
 from divtraj.trajectory import as_trajectory
 
@@ -349,7 +349,7 @@ class TestEvaluateSampleSets:
         futures = [rng.normal(size=(3, 2)) for _ in range(4)]
         ds = _dataset_from_contexts(pasts, futures)
         sets = {
-            ex.id: SampleSet(samples=np.stack([ex.future, ex.future + 0.1]), context_id=ex.id)
+            ex.id: SampleSet(samples=np.stack([ex.future, ex.future + 0.1]))
             for ex in ds.examples
         }
         report = evaluate_sample_sets(ds, sets, eps=0.0)
@@ -769,6 +769,15 @@ def _read_samples_of(samples):
         return read_samples(path)
 
 
+def _read_model_of(mode, **params):
+    """``read_model`` of a K = 2, n_z = 2 model file with these ``params``."""
+    model = {"mode": mode, "n_z": 2, "K": 2, "params": params, "decoder": {}, "train_config": {}, "seed": 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(dict(model, format_version=1)))
+        return read_model(path)
+
+
 _FLOWS = AffineFlowSet.identity(2, 2)
 _EXAMPLE = Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=0)
 _LINEAR = {"W": np.ones((6, 2)), "c0": np.zeros(6), "t_steps": 3, "state_dim": 2}
@@ -803,10 +812,9 @@ class TestArrayInputs:
             "table", np.zeros((2, 3, 2)), lambda v: TabulatedDecoder(z_grid=([0.0, 1.0],), table=v, t_steps=3, state_dim=2)
         ),
         "read_samples": ("samples", np.zeros((2, 3, 2)), _read_samples_of),
-        "model codes": ("codes", np.zeros((2, 2)), lambda v: cli._model_latents({"mode": "dsf", "params": {"codes": v}}, [_EXAMPLE], 0)),
-        "model A": (
-            "A", _FLOWS.A, lambda v: cli._model_latents({"mode": "dlow", "params": {"A": v, "b": _FLOWS.b}}, [_EXAMPLE], 0)
-        ),
+        "model codes": ("codes", np.zeros((2, 2)), lambda v: _read_model_of("dsf", codes=v)),
+        "model A": ("A", _FLOWS.A, lambda v: _read_model_of("dlow", A=v, b=_FLOWS.b.tolist())),
+        "model b": ("b", _FLOWS.b, lambda v: _read_model_of("dlow", A=_FLOWS.A.tolist(), b=v)),
         "init_codes": (
             "init_codes", np.zeros((2, 2)), lambda v: train_dsf([], CrossroadDecoder(), TrainConfig(k=2, iters=1), init_codes=v)
         ),
