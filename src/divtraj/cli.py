@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .flows import _apply_flows, _check_invertible, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, _evaluate_reports, _reject_unknown
+from .trajectory import METRIC_NAMES, _check_value, _evaluate_reports, _reject_unknown
 from .training import _check_decoder_shape, train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -160,6 +160,8 @@ def cmd_eval(args) -> int:
         raise ValueError("baseline comparison needs --seed alongside --model")
     if args.seed is not None and args.model is None:
         raise ValueError("baseline comparison needs --model alongside --seed")
+    if np.isinf(args.eps):  # every group would be the whole dataset, and JSON has no inf to record it
+        raise ValueError(f"eps must be finite, got {args.eps}")
     dataset = read_dataset(args.dataset)
     sample_set_maps = [{rec["id"]: rec["samples"] for rec in read_samples(args.samples)}]
     if args.model is not None and dataset.examples:  # no examples, nothing to decode: _evaluate_reports says so
@@ -241,6 +243,8 @@ def main(argv=None) -> int:
     # so a wrapper set on this module after the first call runs too
     handler = {"gen-data": cmd_gen_data, "train": cmd_train, "sample": cmd_sample, "eval": cmd_eval}[args.command]
     try:
+        if args.seed is not None:  # every command takes --seed
+            _check_value("--seed", args.seed, "seed")
         return handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,30 +78,26 @@ def _dim_columns(dims, t_steps: int, state_dim: int) -> np.ndarray:
     return (np.arange(t_steps)[:, None] * state_dim + np.asarray(dims, dtype=int)).reshape(-1)
 
 
-def _diversity(v: np.ndarray, sigma_d: float, grad: bool = False):
+def _diversity(v: np.ndarray, sigma_d: float):
     """Mean RBF proximity exp(-d^2 / sigma_d) over the ordered pairs of each
-    (..., K, F) sample set, d^2 from ``_sq_dists``; with ``grad`` also its
-    gradient wrt ``v``, else None."""
+    (..., K, F) sample set, d^2 from ``_sq_dists``, and its gradient wrt
+    ``v``."""
     k = v.shape[-2]
     w = _sq_dists(v, v, gram=True)
     np.exp(np.divide(w, -sigma_d, out=w), out=w)
     w.reshape(-1, k * k)[:, :: k + 1] = 0.0  # pairs i != j only
     value = w.sum(axis=(-2, -1)) / (k * (k - 1))
-    if not grad:
-        return value, None
     return value, (-4.0 / (sigma_d * k * (k - 1))) * (w.sum(axis=-1)[..., None] * v - w @ v)
 
 
-def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
+def _reconstruction(v: np.ndarray, gt: np.ndarray):
     """Min squared distance from each (..., K, F) sample set to its (..., F)
-    ground truth, d^2 from ``_sq_dists``; with ``grad`` also its gradient wrt
-    ``v``, else None. That gradient is 2 (v - gt) at each set's first nearest
-    sample and zero elsewhere, summed in C order over the axes along which
-    ``gt`` broadcasts ``v``, so it is shaped like ``v``."""
+    ground truth, d^2 from ``_sq_dists``, and its gradient wrt ``v``: 2 (v -
+    gt) at each set's first nearest sample and zero elsewhere, summed in C
+    order over the axes along which ``gt`` broadcasts ``v``, so it is shaped
+    like ``v``."""
     dist2 = _sq_dists(gt[..., None, :], v, gram=True)[..., 0, :]
     value = dist2.min(axis=-1)
-    if not grad:
-        return value, None
     k, f = v.shape[-2:]
     # flat (..., F) row of each set's first nearest sample in v; the row
     # broadcasts like dist2, so sets that share a sample set share its rows
@@ -113,35 +109,30 @@ def _reconstruction(v: np.ndarray, gt: np.ndarray, grad: bool = False):
     return value, g_v
 
 
-def _similarity(v: np.ndarray, grad: bool = False):
+def _similarity(v: np.ndarray):
     """Mean squared distance over the ordered pairs of each (..., K, F) sample
-    set (0 for F = 0), d^2 from ``_sq_dists``; with ``grad`` also its
-    gradient wrt ``v``, else None."""
+    set (0 for F = 0), d^2 from ``_sq_dists``, and its gradient wrt ``v``."""
     k = v.shape[-2]
     value = _sq_dists(v, v, gram=True).sum(axis=(-2, -1)) / (k * (k - 1))
-    if not grad:
-        return value, None
     return value, (4.0 / (k * (k - 1))) * (k * v - v.sum(axis=-2, keepdims=True))
 
 
-def _energies(v: np.ndarray, gt: np.ndarray, cfg: EnergyConfig, state_dim: int, grad: bool = False):
+def _energies(v: np.ndarray, gt: np.ndarray, cfg: EnergyConfig, state_dim: int):
     """Mean diversity, reconstruction and similar-slice energies of the
     (..., K, F) sample sets ``v`` of flattened (T, state_dim) trajectories;
     ``gt`` is (..., F) and broadcasts with, without adding to, ``v``'s leading
     axes. With ``cfg.joint_split`` = (J_s, J_d), diversity acts on the J_d
     columns and the similar-slice energy on the J_s columns; without it, E_s
-    = 0. With ``grad`` also returns the gradient of lambda_d * E_d + lambda_r
-    * E_r + lambda_s * E_s wrt ``v``, else None."""
+    = 0. Also returns the gradient of lambda_d * E_d + lambda_r * E_r +
+    lambda_s * E_s wrt ``v``."""
     cols_d, cols_s = slice(None), None
     if cfg.joint_split is not None:
         t_steps = v.shape[-1] // state_dim
         cols_s, cols_d = (_dim_columns(dims, t_steps, state_dim) for dims in cfg.joint_split)
-    e_d, g_d = _diversity(v[..., cols_d], cfg.sigma_d, grad)
-    e_r, g_r = _reconstruction(v, gt, grad)
-    e_s, g_s = (np.zeros(1), None) if cols_s is None else _similarity(v[..., cols_s], grad)
+    e_d, g_d = _diversity(v[..., cols_d], cfg.sigma_d)
+    e_r, g_r = _reconstruction(v, gt)
+    e_s, g_s = (np.zeros(1), None) if cols_s is None else _similarity(v[..., cols_s])
     means = tuple(float(e.sum()) / e.size for e in (e_d, e_r, e_s))
-    if not grad:
-        return means, None
     g_v = (cfg.lambda_r / e_r.size) * g_r
     g_v[..., cols_d] += (cfg.lambda_d / e_d.size) * g_d
     if g_s is not None:

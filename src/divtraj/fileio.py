@@ -18,8 +18,8 @@ from pathlib import Path
 from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .trajectory import (
-    METRIC_NAMES, Context, Dataset, Example, MetricsReport, SampleSet, _check_object, _check_value, _float_array,
-    _reject_unknown, _require_keys,
+    METRIC_NAMES, Context, Dataset, Example, MetricsReport, SampleSet, _check_like, _check_object, _check_value,
+    _float_array, _reject_unknown, _require_keys,
 )
 from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
 
@@ -61,12 +61,14 @@ def _write_lines(path, kind: str, meta: dict, records) -> None:
     """A JSON-lines artifact: a {"format_version", "kind", "meta"} header,
     then one record per line; a bad record raises, naming the file and its
     line, before anything is written."""
-    lines = [_dumps({"format_version": FORMAT_VERSION, "kind": kind, "meta": meta})]
+    path = Path(path)  # named as _read_lines names it
+    header = {"format_version": FORMAT_VERSION, "kind": kind, "meta": _check_object(meta, f"{path}:1: header meta")}
+    lines = [_dumps(header)]
     try:
         lines.extend(map(_dumps, records))
     except ValueError as exc:
         raise ValueError(f"{path}:{len(lines) + 1}: {exc}") from exc
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _read_lines(path, kind: str, make) -> tuple[dict, list]:
@@ -121,7 +123,14 @@ def _example(rec: dict, seen: set) -> Example:
 
 
 def read_dataset(path) -> Dataset:
-    meta, examples = _read_lines(path, "dataset", _example)
+    first = {}  # the first example, whose shapes every example must have
+
+    def example(rec: dict, seen: set) -> Example:
+        ex = _example(rec, seen)
+        _check_like(first.setdefault("example", ex), ex)
+        return ex
+
+    meta, examples = _read_lines(path, "dataset", example)
     return Dataset(examples=examples, meta=meta)
 
 
@@ -134,7 +143,7 @@ def _model(model: dict, path) -> dict:
     _require_keys(model, _MODEL_FIELDS, f"{path}: model")
     if model["mode"] not in ("dsf", "dlow"):
         raise ValueError(f"{path}: unknown sampler mode {model['mode']!r}")
-    for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "integer")):
+    for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "seed")):
         _check_value(f"{path}: {key}", model[key], kind)
     _check_object(model["train_config"], f"{path}: model train_config")
     k, n_z = model["K"], model["n_z"]
@@ -189,8 +198,7 @@ def _sample_row(rec: dict) -> dict:
 def write_samples(path, records: list[dict], meta: dict | None = None) -> None:
     """JSON lines: header, then {"id", "samples", optional "dpp_map"} per line."""
     seen = set()  # the ids of the records written so far
-    meta = _check_object(meta or {}, f"{path}:1: header meta")
-    _write_lines(path, "samples", meta, (_sample_row(_sample_record(rec, seen)) for rec in records))
+    _write_lines(path, "samples", meta or {}, (_sample_row(_sample_record(rec, seen)) for rec in records))
 
 
 def read_samples(path) -> list[dict]:

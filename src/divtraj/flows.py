@@ -107,16 +107,14 @@ def invert_flow(flows: AffineFlowSet, k: int, z) -> np.ndarray:
     return np.linalg.solve(flows.A[k], z - flows.b[k])
 
 
-def _kl(A: np.ndarray, b: np.ndarray, grad: bool = False):
+def _kl(A: np.ndarray, b: np.ndarray):
     """KL_k of N(b_k, A_k A_k^T) to N(0, I) for (..., K, n, n) maps and
-    (..., K, n) shifts; with ``grad`` also (dKL/dA, dKL/db), else None. A map
-    that is not invertible is rejected."""
+    (..., K, n) shifts, and its gradient (dKL/dA, dKL/db). A map that is not
+    invertible is rejected."""
     logabsdet = _check_invertible(A)
     tr = np.einsum("...kij,...kij->...k", A, A)
     sq = np.einsum("...ki,...ki->...k", b, b)
     kl = 0.5 * (tr + sq - A.shape[-1] - 2.0 * logabsdet)
-    if not grad:
-        return kl, None
     return kl, (A - np.swapaxes(np.linalg.inv(A), -1, -2), b)
 
 

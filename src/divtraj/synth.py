@@ -36,7 +36,7 @@ class CrossroadConfig:
     def __post_init__(self):
         optional = {} if self.noise_std is None else {"noise_std": "nonnegative"}
         _check_fields(
-            self, n_examples="count", past_steps="count", future_steps="count", seed="integer", speed="positive",
+            self, n_examples="count", past_steps="count", future_steps="count", seed="seed", speed="positive",
             **optional,
         )
         probs = _checked_mode_probs(self.mode_probs)

@@ -15,18 +15,18 @@ are exact on every path: the chain rule through each decoder's per-code
 Jacobian and, for featurized flows, through the per-example fold.
 
 The objectives hold no sampler math of their own. Each has one entry point,
-``evaluate(params, grad)``, which returns the loss breakdown and, with
-``grad``, the gradient (else None): it unpacks the parameters and makes one
-decoder pass, ``linearize`` for the decode and its Jacobian with ``grad`` and
-``decode_batch`` without, then chains gradients through that Jacobian. Work
-that depends only on the run's shapes is done once per run. The kernel, its
-spectrum, E|Y| and E|Y|'s gradient come from the batched private functions in ``dpp``;
+``evaluate(params)``, which returns the loss breakdown and its gradient, for
+the final loss too: it unpacks the parameters, makes one decoder pass,
+``linearize`` for the decode and its Jacobian, and chains gradients through
+that Jacobian. Work that depends only on the run's shapes is done once per
+run. The kernel, its eigendecomposition, E|Y| and E|Y|'s gradient come from
+the batched private functions in ``dpp``;
 flow application, the invertibility check, the flow KL and its gradient from
 ``flows``; the three energies, their J_d/J_s columns and their gradient from
 ``energy``, whose distances come from ``trajectory._sq_dists`` (its layout
 plan for the run's shapes is worked out once and cached there). The public
-functions of those modules wrap the same code. The optimizer names the
-iteration in any error an evaluation raises.
+functions of those modules wrap the same code and drop the gradient. The
+optimizer names the iteration in any error an evaluation raises.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_fields(
-            self, k="count", iters="count", seed="integer", noise_draws_per_iter="count",
+            self, k="count", iters="count", seed="seed", noise_draws_per_iter="count",
             lr="nonnegative",  # zero is allowed as an explicit no-op probe
             fix_first_identity="flag", context_featurization="flag",
         )
@@ -152,16 +152,13 @@ class _DsfObjective:
         self.kcfg = kcfg
         self.k = k
 
-    def evaluate(self, params: np.ndarray, grad: bool = False):
+    def evaluate(self, params: np.ndarray):
         codes = params.reshape(self.k, self.decoder.n_z)
-        dec = self.decoder
-        items, jac = dec.linearize(codes) if grad else (dec.decode_batch(codes), None)
+        items, jac = self.decoder.linearize(codes)
         items = items.reshape(self.k, -1)
-        s, r, _, lam, u = dpp._kernel(items, codes, self.kcfg, vectors=grad)
+        s, r, _, lam, u = dpp._kernel(items, codes, self.kcfg, vectors=True)
         total = float(-dpp._cardinality(lam))
         bd = {"total": total, "terms": {"neg_expected_cardinality": total}}
-        if not grad:
-            return bd, None
         g_items, g_codes = dpp._cardinality_grads(items, codes, s, r, lam, u, self.kcfg)
         g_codes += np.einsum("kf,kfn->kn", g_items, jac)
         return bd, -g_codes.reshape(-1)
@@ -230,19 +227,16 @@ class _DlowObjective:
         return _fold_features(a, b, feat, self.features, self.k0)
 
     # --- loss ----------------------------------------------------------------
-    def evaluate(self, params: np.ndarray, grad: bool = False):
+    def evaluate(self, params: np.ndarray):
         a, b = self._flows(params)
         cfg = self.ecfg
-        kl, g_kl = _kl(a, b, grad)  # rejects a singular flow
+        kl, g_kl = _kl(a, b)  # rejects a singular flow
         z = _apply_flows(a[:, None], b[:, None], self.eps[None])  # (M', E, K, n_z)
-        codes, dec = z.reshape(-1, self.n_z), self.decoder
-        v, jac = dec.linearize(codes) if grad else (dec.decode_batch(codes), None)
+        v, jac = self.decoder.linearize(z.reshape(-1, self.n_z))
         v = v.reshape(*z.shape[:3], -1)
-        (e_d, e_r, e_s), g_v = energy._energies(v, self.targets, cfg, self.decoder.state_dim, grad)
+        (e_d, e_r, e_s), g_v = energy._energies(v, self.targets, cfg, self.decoder.state_dim)
         terms = energy._weighted_terms(cfg, float(kl.sum()) / len(kl), e_d, e_r, e_s)
         bd = {"total": float(sum(terms.values())), "terms": terms}
-        if not grad:
-            return bd, None
         g_z = np.einsum("mekf,mekfn->mekn", g_v, jac.reshape(*v.shape, self.n_z))
         # per flow set (M', K, ...): summed for the base flows, and taken as
         # outer products with each example's features for the feature blocks
@@ -274,18 +268,18 @@ def _check_decoder_shape(decoder, examples) -> None:
             )
 
 
-def _evaluate(objective, params: np.ndarray, i: int, grad: bool = False):
+def _evaluate(objective, params: np.ndarray, i: int):
     """``objective.evaluate`` at iteration ``i``: a rejected input, a
     non-finite term or a non-finite gradient raises a ValueError that names
     the iteration."""
     try:
-        bd, g = objective.evaluate(params, grad)
+        bd, g = objective.evaluate(params)
     except ValueError as exc:
         raise ValueError(f"{exc} at iteration {i}") from exc
     for name, value in [*bd["terms"].items(), ("total", bd["total"])]:
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} term ({value}) at iteration {i}")
-    if grad and not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(g)):
         raise ValueError(f"non-finite gradient at iteration {i}")
     return bd, g
 
@@ -295,18 +289,13 @@ def _run_optimizer(objective, params: np.ndarray, cfg: TrainConfig):
     trace = []
     start = time.perf_counter()
     for i in range(cfg.iters):
-        bd, grad = _evaluate(objective, params, i, grad=True)
+        bd, grad = _evaluate(objective, params, i)
         trace.append({"iter": i, "total": bd["total"], "terms": bd["terms"]})
         params, state = adam_step(params, grad, state, cfg.lr)
     final, _ = _evaluate(objective, params, cfg.iters)
-    wall = time.perf_counter() - start
     report = TrainReport(
-        trace=tuple(trace),
-        final_loss=final["total"],
-        final_terms=final["terms"],
-        wall_time=wall,
-        seed=cfg.seed,
-        mode=cfg.mode,
+        trace=tuple(trace), final_loss=final["total"], final_terms=final["terms"],
+        wall_time=time.perf_counter() - start, seed=cfg.seed, mode=cfg.mode,
     )
     return params, report
 

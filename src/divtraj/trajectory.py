@@ -63,6 +63,7 @@ _VALUE_KINDS = {
     "flag": ((bool, np.bool_), "true or false", None, ""),
     "integer": (numbers.Integral, "an integer", None, ""),
     "count": (numbers.Integral, "an integer", lambda v: v >= 1, ">= 1"),
+    "seed": (numbers.Integral, "an integer", lambda v: v >= 0, ">= 0"),
     "number": (numbers.Real, "a number", None, ""),
     "positive": (numbers.Real, "a number", lambda v: 0 < v < math.inf, "finite and > 0"),
     "nonnegative": (numbers.Real, "a number", lambda v: 0 <= v < math.inf, "finite and >= 0"),
@@ -159,6 +160,16 @@ class Example:
         object.__setattr__(self, "future", as_trajectory(self.future))
 
 
+def _check_like(first: Example, ex: Example) -> None:
+    """Reject ``ex`` unless its future has ``first``'s (T, D), its past
+    ``first``'s (H, D) and its features ``first``'s count."""
+    (t, d), h = first.future.shape, first.context.past.shape[0]
+    want = {"future": (t, d), "past": (h, d), "features": first.context.features.shape}
+    for name, got in zip(want, (ex.future.shape, ex.context.past.shape, ex.context.features.shape)):
+        if got != want[name]:
+            raise ValueError(f"dataset examples are not shape-homogeneous: {name} of shape {got}, expected {want[name]}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Shape-homogeneous ordered collection of forecasting examples: every
@@ -173,17 +184,13 @@ class Dataset:
         examples = tuple(self.examples)
         object.__setattr__(self, "examples", examples)
         if examples:
-            t, d = examples[0].future.shape
-            h = examples[0].context.past.shape[0]
-            n_feat = len(examples[0].context.features)
             ids = set()
             for ex in examples:
-                ctx = ex.context
-                if ex.future.shape != (t, d) or ctx.past.shape != (h, d) or len(ctx.features) != n_feat:
-                    raise ValueError("dataset examples are not shape-homogeneous")
+                _check_like(examples[0], ex)
                 if ex.id in ids:
                     raise ValueError(f"duplicate example id {ex.id}")
                 ids.add(ex.id)
+            (t, d), h = examples[0].future.shape, examples[0].context.past.shape[0]
             object.__setattr__(self, "meta", {"T": t, "H": h, "D": d, **self.meta})  # meta's own T, H, D win
 
     def __len__(self) -> int:

@@ -241,6 +241,23 @@ class TestJsonLinesCodec:
             write_samples(path, records)
         assert not path.exists()
 
+    def test_writer_names_the_file_as_the_reader_does(self, tmp_path, monkeypatch):
+        # the writer named the file ./x//s.jsonl, as given, and the reader x/s.jsonl
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").mkdir()
+        records = [{"id": 0, "samples": np.zeros((1, 1, 2))}, {"id": 1, "samples": np.zeros((1, 1, 2))}]
+        with pytest.raises(ValueError) as written:
+            write_samples("./x//s.jsonl", [records[0], dict(records[1], id=0)])
+        with pytest.raises(ValueError) as written_meta:
+            write_samples("./x//s.jsonl", records, meta=[1])
+        write_samples("x/s.jsonl", records)
+        path = tmp_path / "x" / "s.jsonl"
+        path.write_text(path.read_text().replace('{"id":1,', '{"id":0,'))
+        with pytest.raises(ValueError) as read:
+            read_samples("./x//s.jsonl")
+        assert str(written.value) == str(read.value) == "x/s.jsonl:3: duplicate sample id 0"
+        assert str(written_meta.value) == "x/s.jsonl:1: header meta must be a JSON object, got list"
+
 
 class TestModelCodec:
     """write_model and read_model run one model check, with the same messages."""
@@ -678,6 +695,28 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
             make(**{field: value})
 
+    def test_negative_seed_names_the_seed(self, workdir, capsys):
+        # gen-data, train and eval failed with numpy's "expected non-negative
+        # integer", and sample on a DSF model wrote "seed": -3 into its header
+        _train_model(workdir)
+        data, model, out = workdir / "d.jsonl", workdir / "m.json", workdir / "out"
+        assert run(["sample", "--model", model, "--dataset", data, "--out", workdir / "s.jsonl"]) == 0
+        (workdir / "neg-gen.json").write_text(json.dumps({"n_examples": 3, "seed": -1}))
+        (workdir / "neg-train.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, seed=-1)))
+        train = ["train", "--dataset", data, "--model-out", out, "--report-out", out, "--config"]
+        evaluate = ["eval", "--samples", workdir / "s.jsonl", "--dataset", data, "--eps", 1.0, "--out", out, "--model", model]
+        for argv, name in [
+            (["gen-data", "--out", out, "--config", workdir / "neg-gen.json"], "seed"),
+            ([*train, workdir / "neg-train.json"], "seed"),
+            (["gen-data", "--out", out, "--config", workdir / "gen.json", "--seed", -1], "--seed"),
+            ([*train, workdir / "train.json", "--seed", -1], "--seed"),
+            (["sample", "--model", model, "--dataset", data, "--out", out, "--seed", -1], "--seed"),
+            ([*evaluate, "--seed", -1], "--seed"),
+        ]:
+            assert run(argv) == 1
+            self.assert_one_error_line(capsys, name, "must be >= 0, got -1")
+            assert not list(workdir.glob("out*"))
+
     def test_numpy_scalars_accepted(self):
         cfg = CrossroadConfig(n_examples=np.int64(2), seed=np.uint8(3), speed=np.float32(1.5), noise_std=np.float64(0))
         assert (cfg.n_examples, cfg.noise_std) == (2, 0.0)
@@ -729,6 +768,9 @@ class TestArtifactTypes:
         "dataset id string": ("d.jsonl", 4, lambda rec: dict(rec, id="2"), "{path}:4: id must be an integer, got '2'"),
         # the error came from Dataset, naming neither the file nor the line
         "dataset id repeated": ("d.jsonl", 3, lambda rec: dict(rec, id=0), "{path}:3: duplicate example id 0"),
+        "dataset future short": ("d.jsonl", 3, lambda rec: dict(rec, future=rec["future"][:-1]),
+                                 "{path}:3: dataset examples are not shape-homogeneous: future of shape (2, 2), "
+                                 "expected (3, 2)"),
         "samples record list": ("s.jsonl", 2, lambda rec: [rec], "{path}:2: record must be a JSON object, got list"),
         "samples id float": ("s.jsonl", 2, lambda rec: dict(rec, id=0.5), "{path}:2: id must be an integer, got 0.5"),
         # eval scored the later of two records with one id
@@ -766,6 +808,8 @@ class TestArtifactTypes:
                                          f"{{path}}: {field} must be an integer, got {value!r}")
             for field in ("K", "n_z", "seed") for value in (10.7, True, "10")
         },
+        # sample on a DSF model wrote "seed": -3 into its header
+        "model seed negative": ("m.json", 1, lambda model: dict(model, seed=-3), "{path}: seed must be >= 0, got -3"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1237,6 +1281,21 @@ class TestEval:
         ]) == 1
         assert "eps must be >= 0, got nan" in capsys.readouterr().err
         assert not (workdir / "report.json").exists()
+
+    def test_infinite_eps_rejected_before_any_write(self, workdir, capsys):
+        # eval scored every example in one group, wrote report.csv and then
+        # failed to write inf into report.json
+        run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
+        from divtraj.fileio import write_samples
+
+        ds = read_dataset(workdir / "d.jsonl")
+        write_samples(workdir / "s.jsonl", [{"id": ex.id, "samples": np.stack([ex.future] * 2)} for ex in ds.examples])
+        assert run([
+            "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
+            "--eps", "inf", "--out", workdir / "report",
+        ]) == 1
+        assert "error: eps must be finite, got inf" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists() and not (workdir / "report.csv").exists()
 
     def test_group_sizes_printed_not_written(self, workdir, capsys):
         from divtraj import SampleSet, evaluate_sample_sets

@@ -241,7 +241,8 @@ class TestBuildKernel:
     def test_every_path_builds_the_same_kernel(self, monkeypatch):
         # the DSF objective and the batched greedy MAP build their kernels from
         # the same items and codes as build_kernel, bitwise: n_z = 3 codes on
-        # both sides of the quality sphere
+        # both sides of the quality sphere; greedy MAP runs on two copies of
+        # the set, one block each
         rng = np.random.default_rng(21)
         dec = LinearDecoder(W=rng.normal(size=(6, 3)), c0=rng.normal(size=6), t_steps=3, state_dim=2)
         cfg = KernelConfig(sim_scale=0.7, base_quality=1.4, rho=0.9)
@@ -252,9 +253,9 @@ class TestBuildKernel:
         assert (r_sq < quality_radius(3, 0.9) ** 2).any() and (r_sq > quality_radius(3, 0.9) ** 2).any()
         built, kernel_fn = [], dpp._kernel
         monkeypatch.setattr(dpp, "_kernel", lambda *a, **kw: built.append(kernel_fn(*a, **kw)) or built[-1])
-        for grad in (True, False):
-            _DsfObjective(dec, cfg, 5).evaluate(codes.reshape(-1), grad=grad)
-        dpp._greedy_map_sets(items[None], codes[None], cfg)
+        _DsfObjective(dec, cfg, 5).evaluate(codes.reshape(-1))
+        monkeypatch.setattr(dpp, "_KERNEL_BLOCK_BYTES", 1)
+        dpp._greedy_map_sets(np.stack([items] * 2), np.stack([codes] * 2), cfg)
         assert [u is not None for *_, u in built] == [True, False, False]
         # without eigenvectors LAPACK takes another route to the eigenvalues,
         # which agrees with eigvalsh of the same L, not always with eigh

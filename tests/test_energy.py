@@ -153,7 +153,7 @@ class TestEnergyKernels:
             gt = np.round(gt)
             v[..., 3, :] = v[..., 1, :]
             v[..., 4, :] = v[..., 2, :]
-        value, grad = energy._reconstruction(v, gt, grad=True)
+        value, grad = energy._reconstruction(v, gt)
         ref_value, ref_grad = dense_reconstruction(v, gt)
         assert grad.shape == v.shape
         assert np.array_equal(value, ref_value)
@@ -164,11 +164,11 @@ class TestEnergyKernels:
     def test_empty_similar_slice_is_zero_over_leading_axes(self):
         rng = np.random.default_rng(31)
         v = rng.normal(size=(2, 3, 4, 6))
-        value, grad = energy._similarity(v[..., []], grad=True)
+        value, grad = energy._similarity(v[..., []])
         assert value.shape == (2, 3) and np.all(value == 0.0)
         assert grad.shape == (2, 3, 4, 0)
         cfg = EnergyConfig(sigma_d=4.0, lambda_s=2.0, joint_split=((), (0, 1)))
-        (e_d, _, e_s), _ = energy._energies(v, rng.normal(size=(2, 1, 6)), cfg, 2, grad=True)
+        (e_d, _, e_s), _ = energy._energies(v, rng.normal(size=(2, 1, 6)), cfg, 2)
         assert e_s == 0.0
         per_set = energy._diversity(v, 4.0)[0]
         assert e_d == float(per_set.sum()) / per_set.size
@@ -192,9 +192,9 @@ class TestGramPath:
         sq_dists = trajectory._sq_dists
         for x, y in ((v, v), (gt[..., None, :], v)):  # the Gram form from K = 53 on
             assert np.array_equal(sq_dists(x, y, gram=True), sq_dists(x, y)) == (k == 52)
-        got = [energy._diversity(v, 5.0, True), energy._similarity(v, True), energy._reconstruction(v, gt, True)]
+        got = [energy._diversity(v, 5.0), energy._similarity(v), energy._reconstruction(v, gt)]
         monkeypatch.setattr(energy, "_sq_dists", lambda x, y, gram: sq_dists(x, y))
-        want = [energy._diversity(v, 5.0, True), energy._similarity(v, True), dense_reconstruction(v, gt)]
+        want = [energy._diversity(v, 5.0), energy._similarity(v), dense_reconstruction(v, gt)]
         for (value, grad), (ref_value, ref_grad) in zip(got, want):
             if k == 52:  # a small set keeps its bits
                 assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
@@ -223,7 +223,7 @@ class TestGramPath:
         rng = np.random.default_rng(9)
         v = rng.normal(size=(1, 8, 100, 6))
         cfg = EnergyConfig(sigma_d=10.0, lambda_s=1.0, joint_split=((0,), (1,)))
-        means, grad = energy._energies(v, rng.normal(size=(16, 1, 6)), cfg, 2, grad=True)
+        means, grad = energy._energies(v, rng.normal(size=(16, 1, 6)), cfg, 2)
         assert np.all(np.isfinite(means)) and grad.shape == v.shape
 
 
@@ -379,7 +379,7 @@ class TestGradientDescentIncreasesApd:
             flows_cur = dt.AffineFlowSet(A=a_cur, b=b_cur)
             decoded = dec.decode_batch(apply_flows(flows_cur, draws[0]), None)
             apds.append(apd(SampleSet(samples=decoded)))
-            _, grad = obj.evaluate(params, grad=True)
+            _, grad = obj.evaluate(params)
             params, state = adam_step(params, grad, state, cfg.lr)
         diffs = np.diff(apds)
         assert (diffs <= 0).sum() <= 5

@@ -125,7 +125,7 @@ class TestGradientFidelity:
             )
             obj = _DsfObjective(dec, kcfg, k)
             params = rng.normal(scale=1.1, size=k * n_z)
-            g_a = obj.evaluate(params, grad=True)[1]
+            g_a = obj.evaluate(params)[1]
             g_n = numeric_gradient(lambda p: obj.evaluate(p)[0]["total"], params, 1e-5)
             assert self.rel_err(g_a, g_n) < 1e-4
 
@@ -164,7 +164,7 @@ class TestGradientFidelity:
             if featurized:  # a nonzero featurization block
                 n_base = (k - fix_first) * (n_z * n_z + n_z)
                 params[n_base:] = rng.normal(scale=0.2, size=params.size - n_base)
-            g_a = obj.evaluate(params, grad=True)[1]
+            g_a = obj.evaluate(params)[1]
             g_n = numeric_gradient(lambda p: obj.evaluate(p)[0]["total"], params, 1e-5)
             assert self.rel_err(g_a, g_n) < 1e-4
 
@@ -186,7 +186,7 @@ class TestGradientFidelity:
         a = np.tile(np.eye(4), (3, 1, 1)) + rng.normal(scale=0.1, size=(3, 4, 4))
         params = obj.pack(AffineFlowSet(A=a, b=rng.normal(scale=0.3, size=(3, 4))))
         g_n = numeric_gradient(lambda p: obj.evaluate(p)[0]["total"], params, 1e-5)
-        assert self.rel_err(obj.evaluate(params, grad=True)[1], g_n) < 1e-4
+        assert self.rel_err(obj.evaluate(params)[1], g_n) < 1e-4
 
     def test_trainer_fast_loss_equals_public_path(self):
         rng = np.random.default_rng(3)
@@ -218,7 +218,7 @@ class TestDlowObjectiveMemory:
         params = obj.pack(AffineFlowSet(A=a, b=rng.normal(size=(k, n_z))))
         tracemalloc.start()
         try:
-            _, grad = obj.evaluate(params, grad=True)
+            _, grad = obj.evaluate(params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,11 +244,11 @@ class TestRunOptimizer:
         def __init__(self, fail_at: int):
             self.fail_at, self.calls = fail_at, 0
 
-        def evaluate(self, params, grad=False):
+        def evaluate(self, params):
             self.calls += 1
             if self.calls == self.fail_at:
                 raise ValueError("flow not invertible")
-            return {"total": 0.0, "terms": {}}, (np.zeros_like(params) if grad else None)
+            return {"total": 0.0, "terms": {}}, np.zeros_like(params)
 
     def test_rejected_evaluation_names_the_iteration(self):
         cfg = TrainConfig(mode="dlow", k=2, iters=4)
@@ -259,6 +259,23 @@ class TestRunOptimizer:
             _run_optimizer(self.FailingObjective(5), np.zeros(3), cfg)
         _, report = _run_optimizer(self.FailingObjective(6), np.zeros(3), cfg)
         assert len(report.trace) == 4 and report.final_loss == 0.0
+
+    @pytest.mark.parametrize("mode", ["dsf", "dlow"])
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_final_loss_lies_on_the_loss_curve(self, mode, n):
+        # a run of n steps ends with the loss that a run of n + 1 steps traces
+        # before its last step, bit for bit: both come from one evaluation path
+        data = generate_crossroad(CrossroadConfig(mode_probs=(0.8, 0.1, 0.1), n_examples=24, seed=2000))
+        decoder = CrossroadDecoder(mode_probs=(0.8, 0.1, 0.1), within_mode_scale=0.3)
+        cfg, train = {
+            "dsf": (TrainConfig(mode="dsf", k=10, lr=0.01, kernel=KernelConfig(sim_scale=8.0)), train_dsf),
+            "dlow": (TrainConfig(mode="dlow", k=10, lr=0.01, noise_draws_per_iter=4, energy=EnergyConfig(sigma_d=10.0)),
+                     train_dlow),
+        }[mode]
+        _, short = train(data, decoder, dataclasses.replace(cfg, iters=n))
+        _, long = train(data, decoder, dataclasses.replace(cfg, iters=n + 1))
+        assert short.final_loss == long.trace[n]["total"]
+        assert short.final_terms == long.trace[n]["terms"]
 
     def test_singular_featurized_flow_names_the_iteration(self):
         # invertible base flows; the example with feature 1 folds flow 0 to I - I
@@ -648,7 +665,7 @@ class TestOneDecoderPass:
         assert self.outcome(self.runs()[name]()) == fused
 
     def test_crossroad_dsf_finds_sectors_once_per_evaluation(self, monkeypatch):
-        # N iterations evaluate the loss with its gradient N times, then once without
+        # N iterations evaluate the loss with its gradient N times, and the final loss once more
         calls = []
         polar = CrossroadDecoder._polar
         monkeypatch.setattr(CrossroadDecoder, "_polar", lambda self, Z: calls.append(1) or polar(self, Z))

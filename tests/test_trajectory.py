@@ -726,7 +726,7 @@ class TestSqDists:
             assert np.array_equal(e_s, ref.sum(axis=(-2, -1)) / (k * (k - 1)))
         if caller == "target":  # the energies never call cdist
             seen.clear()
-            energy._reconstruction(*ops, grad=True)
+            energy._reconstruction(*ops)
             assert seen == []
 
     def test_many_small_sets_hold_one_block_besides_the_result(self):
