@@ -132,6 +132,7 @@ def _model_latents(model: dict, examples, seed: int) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
+    _check_value("--omega", args.omega, "positive")
     model = read_model(args.model)
     decoder = decoder_from_config(model["decoder"])
     dataset = read_dataset(args.dataset)
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     handler = {"gen-data": cmd_gen_data, "train": cmd_train, "sample": cmd_sample, "eval": cmd_eval}[args.command]
     try:
         if args.seed is not None:  # every command takes --seed
-            _check_value("--seed", args.seed, "seed")
+            _check_value("--seed", args.seed, "index")
         return handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,26 +134,25 @@ def build_similarity(items, sim_scale: float) -> np.ndarray:
     return _rbf_similarity(np.atleast_2d(_float_array("items", items)), sim_scale)
 
 
-def _log_gamma_pq(a: float, u: float) -> tuple[float, float, float]:
-    """(log P, log Q, log F) at x = e^u: P(a, x) and Q(a, x) = 1 - P the
-    regularized incomplete gamma functions, F = x^a e^-x / Gamma(a), so that
-    dP/du = -dQ/du = F. Each of P and Q comes from the expansion that
-    converges fast where it is the smaller one: P's power series below
-    x = a + 1, Q's continued fraction (Legendre's, by Lentz's method) from
-    there on, the other as its complement. In logs, no tail underflows."""
+def _log_gamma_pq(a: float, u: float) -> tuple[float, float]:
+    """(log P, log Q) at x = e^u: P(a, x) and Q(a, x) = 1 - P the regularized
+    incomplete gamma functions. Each comes from the expansion that converges
+    fast where it is the smaller one: P's power series below x = a + 1, Q's
+    continued fraction (Legendre's, by Lentz's method) from there on, the
+    other as its complement. In logs, no tail underflows."""
     x = math.exp(u)
-    log_front = a * u - x - math.lgamma(a)
+    log_front = a * u - x - math.lgamma(a)  # log of x^a e^-x / Gamma(a)
     eps = math.ulp(1.0)
     if x < a + 1.0:
         term = total = 1.0 / a
         denom = a
-        while term > total * eps:  # P = F * sum_n x^n / (a (a+1) ... (a+n))
+        while term > total * eps:  # P = front * sum_n x^n / (a (a+1) ... (a+n))
             denom += 1.0
             term *= x / denom
             total += term
         log_p = log_front + math.log(total)
-        return log_p, math.log1p(-math.exp(log_p)), log_front
-    b = x + 1.0 - a  # Q = F / (b - 1(1-a) / (b+2 - 2(2-a) / (b+4 - ...)))
+        return log_p, math.log1p(-math.exp(log_p))
+    b = x + 1.0 - a  # Q = front / (b - 1(1-a) / (b+2 - 2(2-a) / (b+4 - ...)))
     c, d = math.inf, 1.0 / b
     frac = d
     for i in range(1, 1000):  # tens of terms from x = a + 1 on
@@ -165,7 +164,7 @@ def _log_gamma_pq(a: float, u: float) -> tuple[float, float, float]:
         if abs(d * c - 1.0) <= eps:
             break
     log_q = log_front + math.log(frac)
-    return math.log1p(-math.exp(log_q)), log_q, log_front
+    return math.log1p(-math.exp(log_q)), log_q
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,14 +174,16 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     R^2 is the chi-squared quantile with ``latent_dim`` degrees of freedom:
     R^2 / 2 solves P(n/2, R^2/2) = rho, P the regularized lower incomplete
     gamma function. It is solved with ``math`` alone, so no kernel loads
-    scipy: Newton's method in u = log(R^2/2) from the Wilson-Hilferty
-    approximation, on log P = log rho when rho < 1/2 and on log Q =
-    log(1 - rho) above, so that a tail quantile is solved against a small
-    target with full relative precision and a far tail in few steps. A step
-    that leaves the bracket of the root found so far halves it instead. It
-    agrees with ``scipy.special.gammaincinv`` to about 1e-14 relative, though
-    not always in the last bit. A pure function, memoised: every kernel a
-    trainer builds asks for the same radius.
+    scipy, by bisection in u = log(R^2/2): from a point below the root, a
+    step that doubles each time until it passes the root, then halving the
+    bracket until its ends are adjacent doubles; R comes from the upper end.
+    A point lies below the root when log P < log rho, for rho < 1/2, and
+    when log Q > log(1 - rho) above, so that a tail quantile is tested
+    against a small target with full relative precision. For n_z up to
+    1000, the range the tests check, it agrees with
+    ``scipy.special.gammaincinv`` to about 1e-14 relative, though not always
+    in the last bit. A pure function, memoised: every kernel a trainer
+    builds asks for the same radius.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must be in (0, 1)")
@@ -190,29 +191,22 @@ def quality_radius(latent_dim: int, rho: float) -> float:
     a = latent_dim / 2.0
     lower = rho < 0.5
     target = math.log(rho) if lower else math.log1p(-rho)
-    # Wilson-Hilferty: (x / a)^(1/3) is about normal; z is the normal
-    # quantile of rho to 3e-3 (Abramowitz & Stegun 26.2.22)
-    t = math.sqrt(-2.0 * target)
-    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
-    base = 1.0 - 1.0 / (9.0 * a) + (-z if lower else z) / (3.0 * math.sqrt(a))
-    # P(a, x) < x^a / Gamma(a + 1), so the root lies above the x where that
-    # bound reaches rho: a start where Wilson-Hilferty undershoots a far tail
-    lo, hi = (math.log(rho) + math.lgamma(a + 1.0)) / a, math.inf
-    u = max(lo, math.log(a * base**3)) if base > 0 else lo
-    for _ in range(100):
-        log_p, log_q, log_front = _log_gamma_pq(a, u)
-        err = log_p - target if lower else target - log_q  # increasing in u
-        if err < 0:
-            lo = u
+
+    def below(u: float) -> bool:
+        log_p, log_q = _log_gamma_pq(a, u)
+        return log_p < target if lower else log_q > target
+
+    # P(a, x) < x^a / Gamma(a + 1), so the root lies above the x where that bound reaches rho
+    lo, step = (math.log(rho) + math.lgamma(a + 1.0)) / a, 1.0
+    while below(lo + step):
+        lo, step = lo + step, 2.0 * step
+    hi = lo + step
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        if below(mid):
+            lo = mid
         else:
-            hi = u
-        new = u - err / math.exp(log_front - (log_p if lower else log_q))
-        if abs(new - u) <= 1e-14 * max(1.0, abs(u)):  # what is left is this step squared, and rounding
-            break
-        if not lo < new < hi:  # hi is finite here: from below the root a step goes up, into (lo, inf)
-            new = (lo + hi) / 2.0
-        u = new
-    return math.sqrt(2.0 * math.exp(new))
+            hi = mid
+    return math.sqrt(2.0 * math.exp(hi))
 
 
 def _radius_sq(latents: np.ndarray, config: KernelConfig) -> float:  # in the codes' own n_z

@@ -108,8 +108,8 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def _new_id(value, seen: set, what: str) -> int:
-    """A record's id: an integer that no earlier record of its file used."""
-    _check_value("id", value, "integer")
+    """A record's id: an integer >= 0 that no earlier record of its file used."""
+    _check_value("id", value, "index")
     if value in seen:
         raise ValueError(f"duplicate {what} id {value}")
     seen.add(value)
@@ -143,7 +143,7 @@ def _model(model: dict, path) -> dict:
     _require_keys(model, _MODEL_FIELDS, f"{path}: model")
     if model["mode"] not in ("dsf", "dlow"):
         raise ValueError(f"{path}: unknown sampler mode {model['mode']!r}")
-    for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "seed")):
+    for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "index")):
         _check_value(f"{path}: {key}", model[key], kind)
     _check_object(model["train_config"], f"{path}: model train_config")
     k, n_z = model["K"], model["n_z"]

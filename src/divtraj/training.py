@@ -71,7 +71,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_fields(
-            self, k="count", iters="count", seed="seed", noise_draws_per_iter="count",
+            self, k="count", iters="count", seed="index", noise_draws_per_iter="count",
             lr="nonnegative",  # zero is allowed as an explicit no-op probe
             fix_first_identity="flag", context_featurization="flag",
         )

@@ -63,7 +63,7 @@ _VALUE_KINDS = {
     "flag": ((bool, np.bool_), "true or false", None, ""),
     "integer": (numbers.Integral, "an integer", None, ""),
     "count": (numbers.Integral, "an integer", lambda v: v >= 1, ">= 1"),
-    "seed": (numbers.Integral, "an integer", lambda v: v >= 0, ">= 0"),
+    "index": (numbers.Integral, "an integer", lambda v: v >= 0, ">= 0"),  # a seed or an id
     "number": (numbers.Real, "a number", None, ""),
     "positive": (numbers.Real, "a number", lambda v: 0 < v < math.inf, "finite and > 0"),
     "nonnegative": (numbers.Real, "a number", lambda v: 0 <= v < math.inf, "finite and >= 0"),
@@ -156,7 +156,7 @@ class Example:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_value("id", self.id, "integer")
+        _check_value("id", self.id, "index")
         object.__setattr__(self, "future", as_trajectory(self.future))
 
 

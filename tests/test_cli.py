@@ -185,6 +185,18 @@ class TestJsonLinesCodec:
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 read(path)
 
+    @pytest.mark.parametrize("kind", ["dataset", "samples"])
+    def test_negative_id_rejected(self, kind, tmp_path):
+        # each reader took id -5 without complaint
+        write, read, _ = self.KINDS[kind]
+        path = tmp_path / "f.jsonl"
+        write(path)
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), id=-5))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: id must be >= 0, got -5')}$"):
+            read(path)
+
     def test_header_meta_must_be_an_object(self, tmp_path):
         # each writer wrote these headers, and its reader rejected the file
         path = tmp_path / "f.jsonl"
@@ -835,6 +847,34 @@ class TestArtifactTypes:
             assert line.startswith("error: " + says.format(path=path))
         assert not (workdir / "t.jsonl").exists() and not (workdir / "e.json").exists()
 
+    def test_negative_dataset_id_names_the_file_and_line(self, workdir, capsys):
+        # sample with a DLow model and eval with a baseline failed with numpy's
+        # "expected non-negative integer", and sample with a DSF model wrote the id
+        _train_model(workdir)
+        data, bad = workdir / "d.jsonl", workdir / "neg.jsonl"
+        lines = data.read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), id=-5))
+        bad.write_text("\n".join(lines) + "\n")
+        write_model(workdir / "dlow.json", {
+            "mode": "dlow", "n_z": 2, "K": 4, "seed": 0, "train_config": {}, "decoder": DSF_TRAIN_CONFIG["decoder"],
+            "params": {"A": np.tile(np.eye(2), (4, 1, 1)).tolist(), "b": np.zeros((4, 2)).tolist()},
+        })
+        assert run(["sample", "--model", workdir / "m.json", "--dataset", data, "--out", workdir / "s.jsonl"]) == 0
+        capsys.readouterr()
+        out = workdir / "out"
+        for argv in (
+            ["sample", "--model", workdir / "m.json", "--dataset", bad, "--out", out],
+            ["sample", "--model", workdir / "dlow.json", "--dataset", bad, "--out", out],
+            ["eval", "--samples", workdir / "s.jsonl", "--dataset", bad, "--eps", 1.0, "--out", out,
+             "--model", workdir / "m.json", "--seed", 99],
+        ):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            (line,) = err.splitlines()
+            assert line == f"error: {bad}:2: id must be >= 0, got -5"
+            assert not list(workdir.glob("out*"))
+
 
 def _write_long_decoder_model(workdir):
     """A trained model on T = 3 data, saved as long.json with its decoder's
@@ -912,6 +952,19 @@ class TestSample:
                 err = capsys.readouterr().err
                 assert "K=4" in err and "n_z=2" in err
             assert not (workdir / "bad.jsonl").exists() and not (workdir / "report.json").exists()
+
+    @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
+    def test_omega_names_the_flag(self, tmp_path, capsys, omega):
+        # each failed with "base_quality must be ...", a name the user never
+        # typed; --omega is checked before the model and dataset are read
+        missing = tmp_path / "missing"
+        assert run(["sample", "--model", missing, "--dataset", missing, "--out", tmp_path / "s.jsonl",
+                    "--omega", omega]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line == f"error: --omega must be finite and > 0, got {float(omega)}"
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_decoder_shape_mismatch_rejected(self, workdir, capsys):
         # sample wrote (K, 5, 2) sets for T = 3 data, and only eval failed

@@ -155,6 +155,14 @@ class TestQualityRadius:
             with pytest.raises(ValueError):
                 quality_radius(2, rho)
 
+    def test_bits_the_configs_use(self):
+        # The README DSF optimum hangs on the kernel's last bits (see
+        # dpp._pairwise_sq_dists), so a solver that moved these radii by an
+        # ulp would move trained outputs. README, CI and the benchmark all
+        # run rho = 0.9 at n_z = 2 or 4.
+        assert quality_radius(2, 0.9).hex() == "0x1.12af03c69eb28p+1"
+        assert quality_radius(4, 0.9).hex() == "0x1.65035a3df91b6p+1"
+
 
 @pytest.mark.parametrize("latent_dims, rhos", [
     (range(1, 65), (1e-12, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-9)),

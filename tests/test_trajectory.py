@@ -196,6 +196,11 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"^id must be an integer, got {re.escape(repr(example_id))}$"):
             Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=example_id)
 
+    def test_negative_id_rejected(self):
+        # a negative id reached flows.sample_noise, which failed with numpy's message
+        with pytest.raises(ValueError, match="^id must be >= 0, got -1$"):
+            Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=-1)
+
     def test_numpy_integer_id_accepted(self):
         assert Example(context=Context(past=np.zeros((2, 2))), future=ZERO32, id=np.int64(3)).id == 3
 
