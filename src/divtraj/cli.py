@@ -19,11 +19,10 @@ import numpy as np
 from .decoders import decoder_from_config
 from .dpp import _greedy_map_sets
 from .fileio import (
-    _TRAIN_CONFIG_KEYS,
     _kernel_config,
     metrics_to_csv,
     read_dataset,
-    read_model,
+    read_model_and_decoder,
     read_samples,
     report_to_dict,
     train_config_from_dict,
@@ -35,7 +34,7 @@ from .fileio import (
 )
 from .flows import _apply_flows, _check_invertible, _fold_features, sample_noise
 from .synth import CrossroadConfig, generate_crossroad
-from .trajectory import METRIC_NAMES, _check_value, _evaluate_reports, _reject_unknown
+from .trajectory import METRIC_NAMES, _check_object, _check_value, _evaluate_reports, _reject_unknown
 from .training import _check_decoder_shape, train_dlow, train_dsf
 
 __all__ = ["main"]
@@ -52,10 +51,8 @@ def _with_seed(block: dict, args) -> dict:
 
 def cmd_gen_data(args) -> int:
     block = _load_json(args.config)
-    _reject_unknown(block, (*CrossroadConfig.__dataclass_fields__, "out"), "gen-data config")
-    block.pop("out", None)  # older configs' output path; --out gives it
-    block = _with_seed(block, args)
-    cfg = CrossroadConfig(**block)
+    _reject_unknown(block, CrossroadConfig.__dataclass_fields__, "gen-data config")
+    cfg = CrossroadConfig(**_with_seed(block, args))
     dataset = generate_crossroad(cfg)
     write_dataset(args.out, dataset)
     histogram = Counter(ex.meta.get("route", "?") for ex in dataset.examples)
@@ -68,13 +65,11 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    block = _load_json(args.config)
-    _reject_unknown(block, (*_TRAIN_CONFIG_KEYS, "decoder"), "train config")
+    block = _check_object(_load_json(args.config), "train config")
     decoder_block = block.pop("decoder", None)
     if decoder_block is None:
         raise ValueError("train config must contain a 'decoder' block")
-    block = _with_seed(block, args)
-    cfg = train_config_from_dict(block)
+    cfg = train_config_from_dict(_with_seed(block, args))
     decoder = decoder_from_config(decoder_block)
     dataset = read_dataset(args.dataset)
     if cfg.mode == "dsf":
@@ -133,8 +128,7 @@ def _model_latents(model: dict, examples, seed: int) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     _check_value("--omega", args.omega, "positive")
-    model = read_model(args.model)
-    decoder = decoder_from_config(model["decoder"])
+    model, decoder = read_model_and_decoder(args.model)
     dataset = read_dataset(args.dataset)
     k = model["K"]
     seed = args.seed if args.seed is not None else model["seed"]
@@ -157,17 +151,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_value("--eps", args.eps, "nonnegative")  # before any file is read; JSON has no inf to record
     if args.model is not None and args.seed is None:
         raise ValueError("baseline comparison needs --seed alongside --model")
     if args.seed is not None and args.model is None:
         raise ValueError("baseline comparison needs --model alongside --seed")
-    if np.isinf(args.eps):  # every group would be the whole dataset, and JSON has no inf to record it
-        raise ValueError(f"eps must be finite, got {args.eps}")
     dataset = read_dataset(args.dataset)
     sample_set_maps = [{rec["id"]: rec["samples"] for rec in read_samples(args.samples)}]
     if args.model is not None and dataset.examples:  # no examples, nothing to decode: _evaluate_reports says so
-        model = read_model(args.model)
-        decoder = decoder_from_config(model["decoder"])
+        model, decoder = read_model_and_decoder(args.model)
         examples = dataset.examples
         shape = (model["K"], model["n_z"])  # best-of-K metrics compare at the model's K
         latents = np.stack([sample_noise([args.seed, ex.id], shape) for ex in examples])

@@ -206,7 +206,9 @@ def quality_radius(latent_dim: int, rho: float) -> float:
             lo = mid
         else:
             hi = mid
-    return math.sqrt(2.0 * math.exp(hi))
+    r_sq = 2.0 * math.exp(hi)
+    # below the smallest normal double R^2 loses bits, or all of them, where R keeps them
+    return math.sqrt(r_sq) if r_sq >= 2.0**-1022 else math.sqrt(2.0) * math.exp(hi / 2.0)
 
 
 def _radius_sq(latents: np.ndarray, config: KernelConfig) -> float:  # in the codes' own n_z

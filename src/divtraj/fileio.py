@@ -15,13 +15,14 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+from .decoders import decoder_from_config
 from .dpp import KernelConfig
 from .energy import EnergyConfig
 from .trajectory import (
     METRIC_NAMES, Context, Dataset, Example, MetricsReport, SampleSet, _check_like, _check_object, _check_value,
     _float_array, _reject_unknown, _require_keys,
 )
-from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainReport
+from .training import TrainConfig, TrainReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -29,6 +30,7 @@ __all__ = [
     "read_dataset",
     "write_model",
     "read_model",
+    "read_model_and_decoder",
     "write_samples",
     "read_samples",
     "write_report",
@@ -138,34 +140,55 @@ def read_dataset(path) -> Dataset:
 _MODEL_FIELDS = ("mode", "n_z", "K", "params", "decoder", "train_config", "seed")
 
 
-def _model(model: dict, path) -> dict:
-    """The one check of a model, written or read; ``path`` starts each message."""
-    _require_keys(model, _MODEL_FIELDS, f"{path}: model")
-    if model["mode"] not in ("dsf", "dlow"):
-        raise ValueError(f"{path}: unknown sampler mode {model['mode']!r}")
-    for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "index")):
-        _check_value(f"{path}: {key}", model[key], kind)
-    _check_object(model["train_config"], f"{path}: model train_config")
-    k, n_z = model["K"], model["n_z"]
-    shapes = {"codes": (k, n_z)} if model["mode"] == "dsf" else {"A": (k, n_z, n_z), "b": (k, n_z)}
-    params = _check_object(model["params"], f"{path}: model params")
-    _require_keys(params, shapes, f"{path}: model params")
-    for name, shape in shapes.items():
-        found = _float_array(f"{path}: {name}", params[name]).shape
-        if found != shape:
-            raise ValueError(f"{path}: {name} of shape {found} does not match K={k}, n_z={n_z}")
-    return model
+def _model(model: dict, path):
+    """The one check of a model, written or read, of every field a command
+    reads; ``path`` starts each message. Returns the model's decoder."""
+    try:
+        _require_keys(model, _MODEL_FIELDS, "model")
+        if model["mode"] not in ("dsf", "dlow"):
+            raise ValueError(f"unknown sampler mode {model['mode']!r}")
+        for key, kind in (("K", "count"), ("n_z", "count"), ("seed", "index")):
+            _check_value(key, model[key], kind)
+        train_config = _check_object(model["train_config"], "model train_config")
+        k, n_z = model["K"], model["n_z"]
+        shapes = {"codes": (k, n_z)} if model["mode"] == "dsf" else {"A": (k, n_z, n_z), "b": (k, n_z)}
+        params = _check_object(model["params"], "model params")
+        _require_keys(params, shapes, "model params")
+        for name, shape in shapes.items():
+            found = _float_array(name, params[name]).shape
+            if found != shape:
+                raise ValueError(f"{name} of shape {found} does not match K={k}, n_z={n_z}")
+        decoder = decoder_from_config(model["decoder"])
+        if decoder.n_z != n_z:
+            raise ValueError(f"decoder of n_z={decoder.n_z} does not match n_z={n_z}")
+        _kernel_config(train_config.get("kernel", {}))
+        fix_first = train_config.get("fix_first_identity", False)
+        _check_value("fix_first_identity", fix_first, "flag")
+        if model["mode"] == "dlow" and "featurization" in params:
+            size = _float_array("featurization", params["featurization"]).size
+            unit = (k - fix_first) * (n_z * n_z + n_z)  # the Ma_k and Mb_k entries of one context feature
+            if (size % unit or not size) if unit else size:  # no entries when every flow is fixed
+                raise ValueError(f"featurization has {size} entries, not a positive multiple of {unit}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return decoder
 
 
 def write_model(path, model: dict) -> None:
-    _write_object(path, _model(model, Path(path)))  # the path as read_model names it
+    _model(model, Path(path))  # the path as read_model names it
+    _write_object(path, model)
 
 
-def read_model(path) -> dict:
+def read_model_and_decoder(path) -> tuple[dict, object]:
+    """A model file's fields and the decoder its check built."""
     path = Path(path)
     model = _check_object(json.loads(path.read_text()), f"{path}: model")
     _check_version(model, path)
-    return _model(model, path)
+    return model, _model(model, path)
+
+
+def read_model(path) -> dict:
+    return read_model_and_decoder(path)[0]
 
 
 def _dpp_map(selected, k: int):
@@ -217,21 +240,12 @@ def _kernel_config(block: dict, **overrides) -> KernelConfig:
     return KernelConfig(**block)
 
 
-# TrainConfig's fields, and keys that older configs carry
-_TRAIN_CONFIG_KEYS = (*TrainConfig.__dataclass_fields__, "fd_step", "adam_beta1", "adam_beta2", "adam_eps")
-
-
 def train_config_from_dict(block: dict) -> TrainConfig:
-    _reject_unknown(block, _TRAIN_CONFIG_KEYS, "train config")
-    block = dict(block)
-    block.pop("fd_step", None)  # finite-difference step of older configs, now unused
-    for key, fixed in zip(("adam_beta1", "adam_beta2", "adam_eps"), (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)):
-        if (value := block.pop(key, fixed)) != fixed:  # older configs; Adam's constants are fixed
-            raise ValueError(f"{key} is fixed at {fixed}, got {value}")
-    kernel = _kernel_config(block.pop("kernel", {}))
-    energy_block = block.pop("energy", {})
+    _reject_unknown(block, TrainConfig.__dataclass_fields__, "train config")
+    kernel = _kernel_config(block.get("kernel", {}))
+    energy_block = block.get("energy", {})
     _reject_unknown(energy_block, EnergyConfig.__dataclass_fields__, "energy config")
-    return TrainConfig(kernel=kernel, energy=EnergyConfig(**energy_block), **block)
+    return TrainConfig(**dict(block, kernel=kernel, energy=EnergyConfig(**energy_block)))
 
 
 def report_to_dict(report: TrainReport) -> dict:

@@ -82,8 +82,9 @@ DECODER_WITH_KEY["ctx_proj"] = DECODER_WITH_KEY["c0"] = DECODER_WITH_KEY["W"]
 DECODER_WITH_KEY["table"] = DECODER_WITH_KEY["z_grid"]
 
 
-# Adam's constants, which version-1 train configs and saved models carry
-ADAM_CONSTANTS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+# keys that train configs once took and that no longer act: the finite-difference
+# step, and Adam's constants at their fixed values; saved models still carry them
+LEGACY_TRAIN_KEYS = {"fd_step": 1e-4, "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
 
 class TestFileFormats:
@@ -117,15 +118,14 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="unknown keys"):
             train_config_from_dict(bad2)
 
-    def test_version1_config_with_fd_step_still_loads(self):
-        # configs and models written while training used finite differences carry fd_step
+    def test_legacy_keys_rejected_kernel_latent_dim_loads(self):
+        # a kernel latent_dim, now taken from the codes, is still accepted and ignored
         cfg = TrainConfig(mode="dlow", k=4, iters=10, seed=2)
-        # and a kernel latent_dim, now taken from the codes, and Adam's constants, now fixed
-        block = dict(train_config_to_dict(cfg), fd_step=1e-4, **ADAM_CONSTANTS)
+        block = train_config_to_dict(cfg)
         block["kernel"] = dict(block["kernel"], latent_dim=2)
         assert train_config_from_dict(block) == cfg
-        for key, value in (("adam_beta1", 0.5), ("adam_beta2", 0.99), ("adam_eps", 0.0)):
-            with pytest.raises(ValueError, match=f"{key} is fixed at"):
+        for key, value in LEGACY_TRAIN_KEYS.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(f'unknown keys in train config: {[key]}')}$"):
                 train_config_from_dict(dict(block, **{key: value}))
 
 
@@ -274,11 +274,13 @@ class TestJsonLinesCodec:
 class TestModelCodec:
     """write_model and read_model run one model check, with the same messages."""
 
-    DSF = {"mode": "dsf", "n_z": 2, "K": 4, "params": {"codes": np.zeros((4, 2)).tolist()}, "decoder": {},
-           "train_config": {}, "seed": 0}
+    DSF = {"mode": "dsf", "n_z": 2, "K": 4, "params": {"codes": np.zeros((4, 2)).tolist()},
+           "decoder": DSF_TRAIN_CONFIG["decoder"], "train_config": {}, "seed": 0}
     DLOW = dict(DSF, mode="dlow", params={"A": np.tile(np.eye(2), (4, 1, 1)).tolist(), "b": np.zeros((4, 2)).tolist()})
+    LINEAR_NZ3 = {"kind": "linear", "W": np.ones((6, 3)).tolist(), "c0": [0.0] * 6, "t_steps": 3, "state_dim": 2}
 
-    # write_model wrote each of these but the last, and read_model rejected the file
+    # write_model wrote each of the first five, and read_model rejected the file;
+    # each of the last seven was written and read, and sample failed naming no file
     CASES = {
         "codes shape": (dict(DSF, params={"codes": np.zeros((6, 2)).tolist()}), "codes of shape (6, 2) does not match K=4, n_z=2"),
         "A shape": (dict(DLOW, params=dict(DLOW["params"], A=DLOW["params"]["A"][:3])),
@@ -288,6 +290,16 @@ class TestModelCodec:
         "float K": (dict(DSF, K=4.0), "K must be an integer, got 4.0"),
         "unknown mode": (dict(DSF, mode="gan"), "unknown sampler mode 'gan'"),
         "missing field": ({key: value for key, value in DSF.items() if key != "seed"}, "model is missing keys ['seed']"),
+        "featurization size": (dict(DLOW, params=dict(DLOW["params"], featurization=[0.0] * 5)),
+                               "featurization has 5 entries, not a positive multiple of 24"),
+        "featurization string": (dict(DLOW, params=dict(DLOW["params"], featurization="x")),
+                                 "featurization must be an array of numbers in rows of equal length, got 'x'"),
+        "fix_first_identity string": (dict(DLOW, train_config={"fix_first_identity": "yes"}),
+                                      "fix_first_identity must be true or false, got 'yes'"),
+        "kernel key": (dict(DSF, train_config={"kernel": {"foo": 1}}), "unknown keys in kernel config: ['foo']"),
+        "kernel list": (dict(DSF, train_config={"kernel": [1]}), "kernel config must be a JSON object, got list"),
+        "decoder kind": (dict(DSF, decoder={"kind": "nope"}), "unknown decoder kind: 'nope'"),
+        "decoder n_z": (dict(DSF, decoder=LINEAR_NZ3), "decoder of n_z=3 does not match n_z=2"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -341,13 +353,13 @@ class TestGenData:
         assert run(["gen-data", "--config", workdir / "bad.json", "--out", workdir / "x.jsonl"]) != 0
         assert "unknown keys" in capsys.readouterr().err
 
-    def test_legacy_out_key_ignored(self, workdir):
+    def test_legacy_out_key_rejected(self, workdir, capsys):
+        # --out gives the output path; an "out" key in the config is an error, and nothing is written
         gen_cfg = json.loads((workdir / "gen.json").read_text())
         (workdir / "old.json").write_text(json.dumps(dict(gen_cfg, out=str(workdir / "x.jsonl"))))
-        assert run(["gen-data", "--config", workdir / "old.json", "--out", workdir / "a.jsonl"]) == 0
-        assert run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "b.jsonl"]) == 0
-        assert sha(workdir / "a.jsonl") == sha(workdir / "b.jsonl")
-        assert not (workdir / "x.jsonl").exists()
+        assert run(["gen-data", "--config", workdir / "old.json", "--out", workdir / "a.jsonl"]) == 1
+        assert capsys.readouterr().err == "error: unknown keys in gen-data config: ['out']\n"
+        assert not (workdir / "a.jsonl").exists() and not (workdir / "x.jsonl").exists()
 
     def test_out_required(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -548,26 +560,27 @@ class TestTrain:
         # so the final diversity energy is higher (less diverse)
         assert finals[100.0] > finals[1.0]
 
-    def test_config_with_fd_step_trains(self, workdir, capsys):
-        # a version-1 config's legacy keys change no trained bit
+    def test_legacy_keys_fail_latent_dim_trains(self, workdir, capsys):
+        # a kernel latent_dim changes no trained bit; each legacy key is an error
         run(["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"])
         kernel = dict(DSF_TRAIN_CONFIG["kernel"], latent_dim=2)
-        legacy = dict(DSF_TRAIN_CONFIG, fd_step=1e-4, kernel=kernel, **ADAM_CONSTANTS)
-        (workdir / "fd.json").write_text(json.dumps(legacy))
-        (workdir / "beta1.json").write_text(json.dumps(dict(legacy, adam_beta1=0.5)))
-        for name in ("train", "fd"):
+        (workdir / "old.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, kernel=kernel)))
+        for name in ("train", "old"):
             assert run([
                 "train", "--config", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
                 "--model-out", workdir / f"m-{name}.json", "--report-out", workdir / f"r-{name}.json",
             ]) == 0
         for prefix in ("m", "r"):
-            assert sha(workdir / f"{prefix}-fd.json") == sha(workdir / f"{prefix}-train.json")
-        assert "fd_step" not in read_model(workdir / "m-fd.json")["train_config"]
-        assert run([
-            "train", "--config", workdir / "beta1.json", "--dataset", workdir / "d.jsonl",
-            "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
-        ]) == 1
-        assert "adam_beta1 is fixed at 0.9, got 0.5" in capsys.readouterr().err
+            assert sha(workdir / f"{prefix}-old.json") == sha(workdir / f"{prefix}-train.json")
+        capsys.readouterr()
+        for key, value in LEGACY_TRAIN_KEYS.items():
+            (workdir / "bad.json").write_text(json.dumps(dict(DSF_TRAIN_CONFIG, **{key: value})))
+            assert run([
+                "train", "--config", workdir / "bad.json", "--dataset", workdir / "d.jsonl",
+                "--model-out", workdir / "m.json", "--report-out", workdir / "r.json",
+            ]) == 1
+            assert capsys.readouterr().err == f"error: unknown keys in train config: {[key]}\n"
+            assert not (workdir / "m.json").exists()
 
 
 class TestConfigTypes:
@@ -895,7 +908,7 @@ class TestCommandReads:
                 return reader(path)
             return read
 
-        for name in ("read_dataset", "read_model", "read_samples"):
+        for name in ("read_dataset", "read_model_and_decoder", "read_samples"):
             monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         commands = {
             "gen-data": (["gen-data", "--config", workdir / "gen.json", "--out", workdir / "d.jsonl"], []),
@@ -904,7 +917,7 @@ class TestCommandReads:
                       [("read_dataset", "d.jsonl")]),
             "sample": (["sample", "--model", workdir / "m.json", "--dataset", workdir / "d.jsonl",
                         "--out", workdir / "s.jsonl", "--dpp-map"],
-                       [("read_model", "m.json"), ("read_dataset", "d.jsonl")]),
+                       [("read_model_and_decoder", "m.json"), ("read_dataset", "d.jsonl")]),
         }
         for name, (argv, inputs) in commands.items():
             reads.clear()
@@ -993,7 +1006,7 @@ class TestSample:
     def test_dpp_map_on_dlow_model_with_latent_dim_4(self, workdir):
         # the kernel's quality sphere follows the model's n_z = 4; a latent_dim
         # of 2 in an older model's kernel block is ignored (a 2-d sphere would
-        # change 5 of the 24 selections here)
+        # change 5 of the 24 selections here), as are the legacy keys of its train_config
         rng = np.random.default_rng(3)
         cfg = {
             "mode": "dlow", "k": 4, "iters": 3, "lr": 0.01, "seed": 0,
@@ -1010,7 +1023,9 @@ class TestSample:
         ]) == 0
         model = read_model(workdir / "m.json")
         model["train_config"]["kernel"]["latent_dim"] = 2
+        model["train_config"].update(LEGACY_TRAIN_KEYS)
         write_model(workdir / "old.json", model)
+        assert read_model(workdir / "old.json") == model
         for name in ("m", "old"):
             assert run([
                 "sample", "--model", workdir / f"{name}.json", "--dataset", workdir / "d.jsonl",
@@ -1332,7 +1347,7 @@ class TestEval:
             "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
             "--eps", "nan", "--out", workdir / "report",
         ]) == 1
-        assert "eps must be >= 0, got nan" in capsys.readouterr().err
+        assert "error: --eps must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not (workdir / "report.json").exists()
 
     def test_infinite_eps_rejected_before_any_write(self, workdir, capsys):
@@ -1347,7 +1362,7 @@ class TestEval:
             "eval", "--samples", workdir / "s.jsonl", "--dataset", workdir / "d.jsonl",
             "--eps", "inf", "--out", workdir / "report",
         ]) == 1
-        assert "error: eps must be finite, got inf" in capsys.readouterr().err
+        assert "error: --eps must be finite and >= 0, got inf" in capsys.readouterr().err
         assert not (workdir / "report.json").exists() and not (workdir / "report.csv").exists()
 
     def test_group_sizes_printed_not_written(self, workdir, capsys):

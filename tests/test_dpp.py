@@ -163,6 +163,12 @@ class TestQualityRadius:
         assert quality_radius(2, 0.9).hex() == "0x1.12af03c69eb28p+1"
         assert quality_radius(4, 0.9).hex() == "0x1.65035a3df91b6p+1"
 
+    @pytest.mark.parametrize("rho", [1e-160, 1e-300])
+    def test_radius_below_the_smallest_normal_square(self, rho):
+        # R^2 underflows here, and sqrt(R^2) read 0.0; at n_z = 1, P(1/2, R^2/2)
+        # = erf(R / sqrt 2) ~ R sqrt(2 / pi) for small R
+        assert quality_radius(1, rho) == pytest.approx(rho * np.sqrt(np.pi / 2.0), rel=1e-12)
+
 
 @pytest.mark.parametrize("latent_dims, rhos", [
     (range(1, 65), (1e-12, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-9)),

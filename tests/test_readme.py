@@ -33,8 +33,8 @@ def _flags() -> set:
 
 NAMES = {
     "flags": _flags(),
-    "gen-data config": {*CrossroadConfig.__dataclass_fields__, "out"},
-    "train config": {*TrainConfig.__dataclass_fields__, "decoder", "fd_step", "adam_beta1", "adam_beta2", "adam_eps"},
+    "gen-data config": set(CrossroadConfig.__dataclass_fields__),
+    "train config": {*TrainConfig.__dataclass_fields__, "decoder"},
     "kernel config": {*KernelConfig.__dataclass_fields__, "latent_dim"},
     "energy config": set(EnergyConfig.__dataclass_fields__),
     "decoder kinds": set(_KINDS),

@@ -776,7 +776,8 @@ def _read_samples_of(samples):
 
 def _read_model_of(mode, **params):
     """``read_model`` of a K = 2, n_z = 2 model file with these ``params``."""
-    model = {"mode": mode, "n_z": 2, "K": 2, "params": params, "decoder": {}, "train_config": {}, "seed": 0}
+    decoder = {"kind": "crossroad", "mode_probs": [0.8, 0.1, 0.1], "speed": 1.0, "t_steps": 3, "within_mode_scale": 0.3}
+    model = {"mode": mode, "n_z": 2, "K": 2, "params": params, "decoder": decoder, "train_config": {}, "seed": 0}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
         path.write_text(json.dumps(dict(model, format_version=1)))
